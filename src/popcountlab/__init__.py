@@ -14,7 +14,6 @@ from .engine import (
     Configuration,
     InvalidPair,
     InvariantViolation,
-    MobileState,
     RunRecord,
     StateTag,
     StopCondition,
@@ -72,58 +71,3 @@ from .schedulers import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BST",
-    "Configuration",
-    "InvalidPair",
-    "InvariantViolation",
-    "MobileState",
-    "RunRecord",
-    "StateTag",
-    "StopCondition",
-    "StopKind",
-    "TagMismatch",
-    "apply_interaction",
-    "default_budget",
-    "initial_configuration",
-    "is_silent",
-    "run",
-    "AllTrialsTruncated",
-    "BatchResult",
-    "InitPolicy",
-    "MetricStats",
-    "Summary",
-    "TrialBatchSpec",
-    "WorstUnnamedSweep",
-    "derive_seed",
-    "estimate_allflip_probability",
-    "run_batch",
-    "run_trial",
-    "sweep_n",
-    "sweep_worst_unnamed",
-    "worst_unnamed_start",
-    "EXACT_TIMEOPT_MAX_N",
-    "Intractable",
-    "flip_expected_closed_form",
-    "flip_expected_recurrence",
-    "flip_hitting_times",
-    "gros_length",
-    "gros_sequence",
-    "harmonic_bound",
-    "timeopt_exact_expected",
-    "SINK_NAME",
-    "FlipBst",
-    "GrosBst",
-    "NameOverflow",
-    "ProtocolId",
-    "TimeOptBst",
-    "gros_term",
-    "phase_threshold",
-    "RNG_ALGORITHM",
-    "IncompatibleProtocol",
-    "Scheduler",
-    "SchedulerKind",
-    "make_scheduler",
-    "__version__",
-]

@@ -214,10 +214,17 @@ def _summary_row(args, spec: TrialBatchSpec, summary) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    protocol = ProtocolId(args.protocol)
+    if args.max_interactions is None:
+        stop = None
+    elif protocol is ProtocolId.GROS_NAMING:
+        stop = StopCondition(StopKind.SILENCE, args.max_interactions)
+    else:
+        stop = StopCondition(StopKind.COUNT_REACHES_N, args.max_interactions)
     try:
         init, vector = _parse_init(args.init)
         spec = TrialBatchSpec(
-            protocol=ProtocolId(args.protocol),
+            protocol=protocol,
             n=args.n,
             trials=args.trials,
             scheduler=SchedulerKind(args.scheduler),
@@ -225,14 +232,7 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
             vector=vector,
             bound=args.p,
-            stop=(
-                StopCondition(StopKind.COUNT_REACHES_N, args.max_interactions)
-                if args.max_interactions is not None
-                and ProtocolId(args.protocol) is not ProtocolId.GROS_NAMING
-                else StopCondition(StopKind.SILENCE, args.max_interactions)
-                if args.max_interactions is not None
-                else None
-            ),
+            stop=stop,
         )
     except ValueError as exc:
         print(f"popcountlab simulate: error: {exc}", file=sys.stderr)
@@ -301,7 +301,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = acceptance.run_all(args.level, args.seed)
+    try:
+        results = acceptance.run_all(args.level, args.seed)
+    except ValueError as exc:
+        print(f"popcountlab verify: error: {exc}", file=sys.stderr)
+        return 1
     sys.stdout.write(acceptance.format_report(results, args.level, args.seed))
     return 0 if all(r.passed for r in results) else 1
 

@@ -55,20 +55,6 @@ _BST_TYPE = {
 
 
 @dataclass(frozen=True)
-class MobileState:
-    """A single anonymous agent's state: a mark bit or a name."""
-
-    tag: StateTag
-    value: int
-
-    def __post_init__(self):
-        if self.tag is StateTag.BIT and self.value not in (0, 1):
-            raise ValueError(f"mark must be 0 or 1, got {self.value}")
-        if self.tag is StateTag.NAME and self.value < 0:
-            raise ValueError(f"name must be >= 0, got {self.value}")
-
-
-@dataclass(frozen=True)
 class Configuration:
     """One global state: the base station plus n >= 1 mobile agents.
 
@@ -97,9 +83,6 @@ class Configuration:
     @property
     def n(self) -> int:
         return len(self.mobiles)
-
-    def mobile_states(self) -> tuple[MobileState, ...]:
-        return tuple(MobileState(self.tag, value) for value in self.mobiles)
 
 
 def initial_configuration(

@@ -244,7 +244,13 @@ def resolve_threads(threads: int | None) -> int:
     """Worker processes for batch loops: POPCOUNT_THREADS, default 1."""
     if threads is not None:
         return max(1, threads)
-    return max(1, int(os.environ.get("POPCOUNT_THREADS", "1")))
+    text = os.environ.get("POPCOUNT_THREADS", "1")
+    try:
+        return max(1, int(text))
+    except ValueError:
+        raise ValueError(
+            f"POPCOUNT_THREADS must be an integer, got {text!r}"
+        ) from None
 
 
 def run_batch(spec: TrialBatchSpec, threads: int | None = None) -> BatchResult:

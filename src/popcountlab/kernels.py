@@ -1,14 +1,15 @@
 """Tight per-protocol simulation loops used by the batch harness.
 
-Each kernel consumes random doubles in exactly the order documented by the
-matching scheduler (batched draws from a numpy Generator yield the same
-stream as repeated single draws), so a kernel run and an engine run seeded
-identically produce identical RunRecords.  That equivalence is pinned down
-in the tests; the engine stays the reference semantics.
-
-The uniform-pair kernels classify whole buffers of pair draws with numpy
-and only step through base-station events in Python: mobile/mobile pairs
-cannot change a bit configuration, they just advance the interaction count.
+The bit kernels are event source x transition.  Each random scheduler has a
+draw function, `draw(rng, n, start, k)`, returning the (step, mobile)
+base-station events of interactions start+1..start+k; it consumes random
+doubles in exactly the scheduler's documented order (batched numpy draws
+yield the same stream as single draws).  Each bit protocol has one stepping
+loop applying its base-station rule and invariant checks to those events.
+So a kernel run and an engine run seeded identically produce identical
+RunRecords; the tests pin that down, and the engine stays the reference.
+The uniform-pair source classifies whole blocks of pairs with numpy:
+mobile/mobile pairs cannot change a bit configuration.
 
 All kernels take the limits produced by engine.resolve_limits and halt at
 their protocol's convergence predicate.
@@ -30,174 +31,41 @@ def _batch_size(limit: int) -> int:
     return max(32, int(limit) >> 5)
 
 
-def simulate_flip_bst(n, marks, rng, metric_budget, total_cap, check=True):
-    """Flip protocol under base-station-only scheduling (1 double/step)."""
-    marks = list(marks)
-    ones = sum(marks)
-    limit = min(metric_budget, total_cap)
-    c0 = c1 = c = 0
-    total = 0
-    conv = None
-    all_zero_seen = ones == 0
-    all_one_seen = ones == n
-    size = _batch_size(limit)
-    buf: list[int] = []
-    pos = 0
-    random = rng.random
-    while total < limit:
-        if pos == len(buf):
-            buf = (random(size) * n).astype(np.int64).tolist()
-            pos = 0
-        i = buf[pos]
-        pos += 1
-        total += 1
-        if marks[i]:
-            if c1:
-                c1 -= 1
-            marks[i] = 0
-            c0 += 1
-            ones -= 1
-        else:
-            if c0:
-                c0 -= 1
-            marks[i] = 1
-            c1 += 1
-            ones += 1
-        new_c = c0 + c1
-        if check and (new_c < c or new_c > n or c1 > ones or c0 > n - ones):
-            raise InvariantViolation(
-                f"flip counters c0={c0} c1={c1} invalid with {ones}/{n} ones"
-            )
-        c = new_c
-        if c == n:
-            if check:
-                opposite_seen = all_zero_seen if ones == n else all_one_seen
-                if ones not in (0, n) or not opposite_seen:
-                    raise InvariantViolation(
-                        "flip converged without the all-same/all-opposite "
-                        f"structure: {ones}/{n} ones"
-                    )
-            conv = total
-            break
-        if ones == 0:
-            all_zero_seen = True
-        elif ones == n:
-            all_one_seen = True
-    return RunRecord(
-        total_interactions=total,
-        bst_interactions=total,
-        non_null_transitions=total,
-        converged_at_bst_interaction=conv,
-        converged_at_non_null=conv,
-        final_c=c,
-    )
+def _bst_draw(rng, n, start, k):
+    """BST-only events: every interaction meets the base station, one
+    double per draw, index = floor(u * n)."""
+    mobiles = (rng.random(k) * n).astype(np.int64).tolist()
+    return zip(range(start + 1, start + k + 1), mobiles)
 
 
-def simulate_timeopt_bst(n, marks, rng, metric_budget, total_cap, check=True):
-    """Phased protocol under base-station-only scheduling (1 double/step)."""
-    marks = list(marks)
-    ones = sum(marks)
-    limit = min(metric_budget, total_cap)
-    c0 = c1 = c = cnt = phase = 0
-    total = non_null = flips = 0
-    conv = None
-    conv_nn = None
-    size = _batch_size(limit)
-    buf: list[int] = []
-    pos = 0
-    random = rng.random
-    while total < limit:
-        if pos == len(buf):
-            buf = (random(size) * n).astype(np.int64).tolist()
-            pos = 0
-        i = buf[pos]
-        pos += 1
-        total += 1
-        mark = marks[i]
-        if mark == phase:
-            cnt = 0
-            if mark:
-                if c1:
-                    c1 -= 1
-                marks[i] = 0
-                c0 += 1
-                ones -= 1
-            else:
-                if c0:
-                    c0 -= 1
-                marks[i] = 1
-                c1 += 1
-                ones += 1
-            non_null += 1
-            new_c = c0 + c1
-            if check and (new_c < c or new_c > n or c1 > ones or c0 > n - ones):
-                raise InvariantViolation(
-                    f"counters c0={c0} c1={c1} invalid with {ones}/{n} ones"
-                )
-            c = new_c
-            if c == n:
-                conv, conv_nn = total, non_null
-                break
-        else:
-            converted = c1 if phase == 0 else c0
-            remaining = c0 if phase == 0 else c1
-            threshold = 6.0 if converted < 2 else 6.0 * (converted * log(converted) + 1.0)
-            if cnt >= threshold:
-                if check and remaining != 0:
-                    raise InvariantViolation(
-                        f"phase flipped with {remaining} unconverted credits"
-                    )
-                cnt = 0
-                phase = 1 - phase
-                flips += 1
-                non_null += 1
-            elif remaining == 0:
-                cnt += 1
-                non_null += 1
-    return RunRecord(
-        total_interactions=total,
-        bst_interactions=total,
-        non_null_transitions=non_null,
-        converged_at_bst_interaction=conv,
-        converged_at_non_null=conv_nn,
-        final_c=c,
-        phase_flips=flips,
-    )
-
-
-def _uniform_pair_events(rng, size, n):
-    """Draw `size` uniform pairs (two doubles each, in scheduler order) and
-    return the positions of base-station events and their mobile indices."""
-    buf = rng.random(2 * size)
+def _uniform_draw(rng, n, start, k):
+    """Uniform-pair events: two doubles per draw, in scheduler order; only
+    the pairs that include the base station (index n) are returned."""
+    buf = rng.random(2 * k)
     first = (buf[0::2] * (n + 1)).astype(np.int64)
     second = (buf[1::2] * n).astype(np.int64)
     second += second >= first
     events = np.flatnonzero((first == n) | (second == n))
     mobiles = np.where(first[events] == n, second[events], first[events])
-    return events.tolist(), mobiles.tolist()
+    return zip((events + (start + 1)).tolist(), mobiles.tolist())
 
 
-def simulate_flip_uniform(n, marks, rng, metric_budget, total_cap, check=True):
-    """Flip protocol under uniform-pair scheduling (2 doubles/step)."""
+def _step_flip(draw, size, n, marks, rng, metric_budget, total_cap, check):
+    """Flip protocol over the events of `draw`, `size` draws per block.
+
+    Stops at convergence, after metric_budget base-station meetings, or
+    after total_cap interactions, whichever comes first.
+    """
     marks = list(marks)
     ones = sum(marks)
     c0 = c1 = c = 0
-    total = bst_count = 0
+    bst_count = 0
     conv = None
     all_zero_seen = ones == 0
     all_one_seen = ones == n
-    size = 4096
-    done = False
-    while not done:
-        events, mobiles = _uniform_pair_events(rng, size, n)
-        base = total
-        for idx, i in zip(events, mobiles):
-            step = base + idx + 1
-            if step > total_cap:
-                total = total_cap
-                done = True
-                break
-            total = step
+    total = total_cap
+    for start in range(0, total_cap, size):
+        for step, i in draw(rng, n, start, min(size, total_cap - start)):
             bst_count += 1
             if marks[i]:
                 if c1:
@@ -226,18 +94,18 @@ def simulate_flip_uniform(n, marks, rng, metric_budget, total_cap, check=True):
                             f"structure: {ones}/{n} ones"
                         )
                 conv = bst_count
-                done = True
                 break
             if ones == 0:
                 all_zero_seen = True
             elif ones == n:
                 all_one_seen = True
             if bst_count >= metric_budget:
-                done = True
                 break
         else:
-            total = min(base + size, total_cap)
-            done = total >= total_cap
+            continue
+        # the inner loop stopped the run at `step`
+        total = step
+        break
     return RunRecord(
         total_interactions=total,
         bst_interactions=bst_count,
@@ -248,26 +116,18 @@ def simulate_flip_uniform(n, marks, rng, metric_budget, total_cap, check=True):
     )
 
 
-def simulate_timeopt_uniform(n, marks, rng, metric_budget, total_cap, check=True):
-    """Phased protocol under uniform-pair scheduling (2 doubles/step)."""
+def _step_timeopt(draw, size, n, marks, rng, metric_budget, total_cap, check):
+    """Phased protocol over the events of `draw`, `size` draws per block,
+    with the stopping rules of _step_flip."""
     marks = list(marks)
     ones = sum(marks)
     c0 = c1 = c = cnt = phase = 0
-    total = bst_count = non_null = flips = 0
+    bst_count = non_null = flips = 0
     conv = None
     conv_nn = None
-    size = 4096
-    done = False
-    while not done:
-        events, mobiles = _uniform_pair_events(rng, size, n)
-        base = total
-        for idx, i in zip(events, mobiles):
-            step = base + idx + 1
-            if step > total_cap:
-                total = total_cap
-                done = True
-                break
-            total = step
+    total = total_cap
+    for start in range(0, total_cap, size):
+        for step, i in draw(rng, n, start, min(size, total_cap - start)):
             bst_count += 1
             mark = marks[i]
             if mark == phase:
@@ -293,7 +153,6 @@ def simulate_timeopt_uniform(n, marks, rng, metric_budget, total_cap, check=True
                 c = new_c
                 if c == n:
                     conv, conv_nn = bst_count, non_null
-                    done = True
                     break
             else:
                 converted = c1 if phase == 0 else c0
@@ -314,11 +173,12 @@ def simulate_timeopt_uniform(n, marks, rng, metric_budget, total_cap, check=True
                     cnt += 1
                     non_null += 1
             if bst_count >= metric_budget:
-                done = True
                 break
         else:
-            total = min(base + size, total_cap)
-            done = total >= total_cap
+            continue
+        # the inner loop stopped the run at `step`
+        total = step
+        break
     return RunRecord(
         total_interactions=total,
         bst_interactions=bst_count,
@@ -327,6 +187,34 @@ def simulate_timeopt_uniform(n, marks, rng, metric_budget, total_cap, check=True
         converged_at_non_null=conv_nn,
         final_c=c,
         phase_flips=flips,
+    )
+
+
+def simulate_flip_bst(n, marks, rng, metric_budget, total_cap, check=True):
+    """Flip protocol under base-station-only scheduling (1 double/step)."""
+    size = _batch_size(min(metric_budget, total_cap))
+    return _step_flip(_bst_draw, size, n, marks, rng, metric_budget, total_cap, check)
+
+
+def simulate_timeopt_bst(n, marks, rng, metric_budget, total_cap, check=True):
+    """Phased protocol under base-station-only scheduling (1 double/step)."""
+    size = _batch_size(min(metric_budget, total_cap))
+    return _step_timeopt(
+        _bst_draw, size, n, marks, rng, metric_budget, total_cap, check
+    )
+
+
+def simulate_flip_uniform(n, marks, rng, metric_budget, total_cap, check=True):
+    """Flip protocol under uniform-pair scheduling (2 doubles/step)."""
+    return _step_flip(
+        _uniform_draw, 4096, n, marks, rng, metric_budget, total_cap, check
+    )
+
+
+def simulate_timeopt_uniform(n, marks, rng, metric_budget, total_cap, check=True):
+    """Phased protocol under uniform-pair scheduling (2 doubles/step)."""
+    return _step_timeopt(
+        _uniform_draw, 4096, n, marks, rng, metric_budget, total_cap, check
     )
 
 

@@ -14,7 +14,6 @@ from math import comb
 from .protocols import TimeOptBst, gros_term, timeopt_step
 
 __all__ = [
-    "ExactRational",
     "Intractable",
     "flip_expected_closed_form",
     "flip_expected_recurrence",
@@ -25,10 +24,6 @@ __all__ = [
     "harmonic_bound",
     "timeopt_exact_expected",
 ]
-
-# Rational with exact arithmetic, normalized lowest terms, positive
-# denominator.  Fraction already guarantees all of that.
-ExactRational = Fraction
 
 # Largest population for which the exact phased-protocol expectation is
 # solved; beyond this the lumped chain grows too fast to be worth it.

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from popcountlab import cli
+from popcountlab.engine import StopCondition, StopKind
 
 
 def invoke(capsys, *argv):
@@ -187,6 +188,34 @@ class TestSimulateCommand:
         )
         assert code == 2 and "converged" in err
 
+    @pytest.mark.parametrize(
+        "protocol,scheduler,stop",
+        [
+            ("gros", "adversarial", StopCondition(StopKind.SILENCE, 500)),
+            ("flip", "bst", StopCondition(StopKind.COUNT_REACHES_N, 500)),
+            ("timeopt", "uniform", StopCondition(StopKind.COUNT_REACHES_N, 500)),
+            ("flip", "bst", None),
+        ],
+    )
+    def test_max_interactions_sets_the_protocol_stop(
+        self, capsys, monkeypatch, protocol, scheduler, stop
+    ):
+        specs = []
+        real_run_batch = cli.run_batch
+
+        def spy(spec):
+            specs.append(spec)
+            return real_run_batch(spec)
+
+        monkeypatch.setattr(cli, "run_batch", spy)
+        argv = ["simulate", "--protocol", protocol, "--n", "2"]
+        argv += ["--scheduler", scheduler]
+        if stop is not None:
+            argv += ["--max-interactions", str(stop.bound)]
+        code, _, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert [spec.stop for spec in specs] == [stop]
+
     def test_max_interactions_echoes_in_csv(self, capsys):
         code, out, _ = invoke(
             capsys,
@@ -203,6 +232,23 @@ class TestSimulateCommand:
         assert code == 0
         row = next(csv.DictReader(io.StringIO(out)))
         assert row["max_interactions"] == "500"
+
+
+class TestEnvironmentErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--protocol", "flip", "--n", "2"],
+            ["verify", "--level", "fast"],
+        ],
+    )
+    def test_bad_thread_count_exits_one(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("POPCOUNT_THREADS", "abc")
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "POPCOUNT_THREADS" in err and "'abc'" in err
+        assert "Traceback" not in err
 
 
 class TestArgumentErrors:

@@ -61,12 +61,6 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             initial_configuration(ProtocolId.GROS_NAMING, [0, -1])
 
-    def test_mobile_states_wrap_values(self):
-        config = initial_configuration(ProtocolId.GROS_NAMING, [0, 2], bound=4)
-        states = config.mobile_states()
-        assert [s.value for s in states] == [0, 2]
-        assert all(s.tag is StateTag.NAME for s in states)
-
 
 class TestApplyInteraction:
     def test_bst_must_come_first(self):

@@ -2,8 +2,15 @@
 parallel equivalence, and the adversarial worst-case sweep."""
 
 import math
+from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
+
+from popcountlab import oracle
 
 from popcountlab.engine import StopCondition, StopKind
 from popcountlab.experiments import (
@@ -67,6 +74,33 @@ class TestReplayEquality:
         for index in range(2):
             assert run_trial(spec, index) == run_trial(spec, index, force_engine=True)
 
+    @settings(max_examples=600, deadline=None)
+    @given(data=st.data())
+    def test_bit_kernels_replay_as_a_property(self, data):
+        # Caps sit on both sides of the 32- and 4096-draw block edges; the
+        # default stop is only affordable on the engine for small n.
+        protocol = data.draw(st.sampled_from([ProtocolId.FLIP, ProtocolId.TIME_OPT]))
+        scheduler = data.draw(
+            st.sampled_from([SchedulerKind.BST_ONLY, SchedulerKind.UNIFORM_PAIR])
+        )
+        n = data.draw(st.integers(1, 40))
+        marks = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        bounds = [1, 31, 32, 33, 4095, 4096, 4097, 8191, 8192, 8193]
+        bound = data.draw(st.sampled_from(bounds + [None] if n <= 6 else bounds))
+        stop = None if bound is None else StopCondition(StopKind.COUNT_REACHES_N, bound)
+        spec = TrialBatchSpec(
+            protocol=protocol,
+            n=n,
+            trials=1,
+            scheduler=scheduler,
+            init=InitPolicy.EXPLICIT_VECTOR,
+            vector=tuple(marks),
+            seed=data.draw(st.integers(0, 2 ** 32)),
+            stop=stop,
+            check_invariants=data.draw(st.booleans()),
+        )
+        assert run_trial(spec, 0) == run_trial(spec, 0, force_engine=True)
+
 
 class TestSeeding:
     def test_derive_seed_is_frozen(self):
@@ -112,6 +146,12 @@ class TestBatch:
         assert resolve_threads(5) == 5
         monkeypatch.setenv("POPCOUNT_THREADS", "3")
         assert resolve_threads(None) == 3
+        for clamped in ("0", "-2"):
+            monkeypatch.setenv("POPCOUNT_THREADS", clamped)
+            assert resolve_threads(None) == 1
+        monkeypatch.setenv("POPCOUNT_THREADS", "abc")
+        with pytest.raises(ValueError, match="POPCOUNT_THREADS.*'abc'"):
+            resolve_threads(None)
 
     def test_all_truncated_raises(self):
         spec = TrialBatchSpec(
@@ -248,7 +288,68 @@ class TestAdversarialNaming:
         assert worst_unnamed_start(4) == [0, 1, 2, 3]
 
 
+def flip_hitting_law(n: int, horizon: int) -> list[Fraction]:
+    """P(T = t) for t < horizon, where T counts the flip protocol's
+    base-station meetings from all zeros until c = n.
+
+    A DP over (ones, c0, c1) that keeps integer path counts, each step
+    weighting a move by the number of agents carrying the drawn mark.
+    """
+    paths = {(0, 0, 0): 1}
+    law = [Fraction(0)]
+    for t in range(1, horizon):
+        after: dict = {}
+        hits = 0
+        for (ones, c0, c1), count in paths.items():
+            for state, ways in (
+                ((ones - 1, c0 + 1, max(c1 - 1, 0)), ones),
+                ((ones + 1, max(c0 - 1, 0), c1 + 1), n - ones),
+            ):
+                if state[1] + state[2] == n:
+                    hits += count * ways
+                elif ways:
+                    after[state] = after.get(state, 0) + count * ways
+        paths = after
+        law.append(Fraction(hits, n ** t))
+    return law
+
+
 class TestStatisticalCrossChecks:
+    @pytest.mark.parametrize(
+        "n,seed,trials",
+        [
+            (2, 31, 20000),
+            (3, 31, 20000),
+            (4, 31, 20000),
+            # the batch whose mean fails flip-mean-vs-exact at z = -4.2 in
+            # `verify --level fast --seed 9`
+            (4, derive_seed(9, 2, 4), 4000),
+        ],
+    )
+    def test_flip_meeting_counts_follow_the_exact_law(self, n, seed, trials):
+        law = flip_hitting_law(n, 400)
+        mean = sum(t * p for t, p in enumerate(law))
+        assert abs(mean - oracle.flip_expected_closed_form(n)) < 1e-6
+        spec = TrialBatchSpec(protocol=ProtocolId.FLIP, n=n, trials=trials, seed=seed)
+        times = Counter(r.converged_at_bst_interaction for r in run_batch(spec).records)
+        assert all(law[t] > 0 for t in times if t < len(law))
+        # pool consecutive times into bins expecting at least 5 trials each;
+        # the last bin takes the tail beyond the horizon
+        observed, expected = [], []
+        seen = want = 0
+        for t, p in enumerate(law):
+            seen += times[t]
+            want += trials * float(p)
+            if want >= 5:
+                observed.append(seen)
+                expected.append(want)
+                seen = want = 0
+        observed[-1] += trials - sum(observed)
+        expected[-1] = trials - sum(expected[:-1])
+        chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+        pvalue = stats.chi2.sf(chi2, len(observed) - 1)
+        assert 1e-4 < pvalue < 1 - 1e-4, (chi2, len(observed) - 1)
+
     def test_allflip_estimate_is_reproducible_and_near_exact(self):
         # failing the first phase from all zeros at n = 2 takes seven
         # consecutive converted draws, so the success probability is 1 - 2^-7
