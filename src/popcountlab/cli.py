@@ -30,15 +30,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+
+
 def _seed(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if not 0 <= value < 2 ** 64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit int")
     return value
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value

@@ -10,6 +10,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum, unique
+from functools import lru_cache
 
 from . import protocols
 from .protocols import FlipBst, GrosBst, ProtocolId, TimeOptBst
@@ -257,9 +258,11 @@ class RunRecord:
         return not self.converged
 
 
+@lru_cache(maxsize=256)
 def default_budget(protocol: ProtocolId, n: int) -> int:
     """Safety budget in the protocol's own work metric: base-station
     meetings for the bit protocols, non-null transitions for naming.
+    Memoized: flip's budget is an exact rational sum, and every trial asks.
 
     Flip converges in about 2^n base-station meetings on average, the
     phased protocol in O(n log n), and the adversarially scheduled naming

@@ -9,12 +9,13 @@ can compare the two without trusting either side.
 
 from collections import deque
 from fractions import Fraction
-from math import comb
+from math import ceil, comb
 
-from .protocols import TimeOptBst, gros_term, timeopt_step
+from .protocols import TimeOptBst, gros_term, phase_threshold, timeopt_step
 
 __all__ = [
     "Intractable",
+    "first_phase_full_conversion",
     "flip_expected_closed_form",
     "flip_expected_recurrence",
     "flip_hitting_times",
@@ -149,6 +150,25 @@ def timeopt_exact_expected(n: int, initial_ones: int | None = None) -> Fraction:
             raise ValueError(f"initial_ones must be in [0, {n}]")
         weights = {(initial_ones, 0, 0, 0, 0): Fraction(1)}
     return _expected_absorption_steps(n, weights)
+
+
+def first_phase_full_conversion(n: int) -> Fraction:
+    """Exact probability that the phased protocol's first phase, from an
+    all-zero start with uniform agent choice, converts every agent before
+    it flips:
+
+        prod_{k=1}^{n-1} (1 - (k/n)^(m_k)),  m_k = ceil(T_k) + 1
+
+    With k agents converted and threshold T_k = phase_threshold(k), the
+    phase flips on the m_k-th meeting in a row with a converted agent; a
+    meeting with an unconverted agent converts it and resets the streak.
+    """
+    if n < 1:
+        raise ValueError(f"population size must be >= 1, got {n}")
+    out = Fraction(1)
+    for k in range(1, n):
+        out *= 1 - Fraction(k, n) ** (ceil(phase_threshold(k)) + 1)
+    return out
 
 
 def _lumped_successors(n, state):

@@ -265,6 +265,22 @@ class TestArgumentErrors:
                 cli.main(argv)
             assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["simulate", "--protocol", "flip", "--n", "2", "--seed", "abc"], "--seed"),
+            (["simulate", "--protocol", "flip", "--n", "2", "--trials", "abc"], "--trials"),
+            (["simulate", "--protocol", "flip", "--n", "abc"], "--n"),
+            (["verify", "--seed", "abc"], "--seed"),
+        ],
+    )
+    def test_non_integer_values_say_so(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be an integer, got 'abc'" in err
+
     def test_format_exact_renders_integers_bare(self):
         from fractions import Fraction
 

@@ -1,16 +1,18 @@
 """Batch harness: kernel/engine replay equality, seeded determinism,
 parallel equivalence, and the adversarial worst-case sweep."""
 
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from popcountlab import oracle
+from popcountlab import experiments, kernels, oracle
 
 from popcountlab.engine import StopCondition, StopKind
 from popcountlab.experiments import (
@@ -114,6 +116,35 @@ class TestSeeding:
         assert a == b
         assert a != c
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 200),
+        index=st.sampled_from([0, 1023, 1024, 1025, 2 ** 32 - 1, 2 ** 32, 2 ** 40])
+        | st.integers(0, 2 ** 32 - 1)
+        | st.integers(0, 2 ** 64),
+    )
+    def test_trial_rng_is_numpys_child_stream(self, seed, index):
+        assert_numpy_child_stream(seed, index)
+
+    def test_child_streams_survive_cache_eviction(self):
+        held = max(
+            experiments._seed_pool.cache_info().maxsize,
+            experiments._seed_block.cache_info().maxsize,
+        )
+        for index in (0, 1500, 1, 1500, 0):
+            for seed in range(held + 3):
+                assert_numpy_child_stream(seed * 2 ** 61 + 5, index)
+
+    @pytest.mark.parametrize("seed,index", [(-1, 0), (0, -1), (-(2 ** 70), 2 ** 40)])
+    def test_negative_seed_or_index_raises(self, seed, index):
+        with pytest.raises(ValueError):
+            trial_rng(seed, index)
+
+    def test_seed_words_serve_only_pcg64(self):
+        words = trial_rng(3, 4).bit_generator.seed_seq
+        with pytest.raises(ValueError):
+            words.generate_state(8)
+
     def test_random_marks_consume_n_doubles(self):
         spec = TrialBatchSpec(
             protocol=ProtocolId.FLIP,
@@ -126,6 +157,61 @@ class TestSeeding:
         marks = initial_mobiles(spec, rng)
         replay = trial_rng(21, 0)
         assert marks == [int(u * 2) for u in replay.random(6)]
+
+
+def assert_numpy_child_stream(seed: int, index: int):
+    ours = trial_rng(seed, index)
+    ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    assert ours.bit_generator.state == ref.bit_generator.state
+    assert ours.random(64).tolist() == ref.random(64).tolist()
+
+
+def records_digest(records) -> str:
+    """sha256 over every RunRecord field in trial order, the way the
+    benchmark fingerprints a batch."""
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(repr(tuple(vars(record).values())).encode())
+    return digest.hexdigest()
+
+
+class TestGoldenRecords:
+    """Records frozen by hash: a speed-up that changes a random stream
+    fails here, not only in the benchmark."""
+
+    def test_timeopt_bst_random_marks(self):
+        spec = TrialBatchSpec(
+            protocol=ProtocolId.TIME_OPT,
+            n=2,
+            trials=2000,
+            init=InitPolicy.UNIFORM_RANDOM_MARKS,
+            seed=5,
+        )
+        assert records_digest(run_batch(spec, threads=1).records) == (
+            "4fbf4cd24b2ee880084035cdc033ba08fa628378990812f04f788c59fd6797ad"
+        )
+
+    def test_flip_uniform(self):
+        spec = TrialBatchSpec(
+            protocol=ProtocolId.FLIP,
+            n=5,
+            trials=300,
+            scheduler=SchedulerKind.UNIFORM_PAIR,
+            seed=6,
+        )
+        assert records_digest(run_batch(spec, threads=1).records) == (
+            "acec9e2f008a4b6c916ef984c89be29368ea2473a1387ac4d8911b1f118de8c9"
+        )
+
+    def test_first_phase_verdicts(self):
+        # the per-trial verdicts behind estimate_allflip_probability(2, 2000, 7)
+        verdicts = [
+            kernels.simulate_timeopt_first_phase(2, trial_rng(7, i)) for i in range(2000)
+        ]
+        assert hashlib.sha256(bytes(verdicts)).hexdigest() == (
+            "4b602938e363ba20cc5340a216d10d7deb1f3c2f3897a6e7789ed8f5c728e05f"
+        )
+        assert estimate_allflip_probability(2, 2000, 7) == sum(verdicts) / 2000 == 0.992
 
 
 class TestBatch:
@@ -358,6 +444,14 @@ class TestStatisticalCrossChecks:
         exact = 1 - 2.0 ** -7
         se = math.sqrt(exact * (1 - exact) / 3000)
         assert abs(p - exact) <= 4 * se
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_allflip_estimate_matches_the_exact_first_phase(self, n):
+        trials = 100_000
+        exact = float(oracle.first_phase_full_conversion(n))
+        freq = estimate_allflip_probability(n, trials, seed=derive_seed(61, n))
+        z = (freq - exact) / math.sqrt(exact * (1 - exact) / trials)
+        assert abs(z) < 4, (freq, exact, z)
 
     def test_all_same_start_beats_mixed_start_for_flip(self):
         # from an all-same pair the expectation is 4 meetings; a split pair

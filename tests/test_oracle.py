@@ -1,5 +1,6 @@
 """The exact reference values, frozen, plus cross-route identities."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from popcountlab import oracle
 from popcountlab.oracle import (
     EXACT_TIMEOPT_MAX_N,
     Intractable,
+    first_phase_full_conversion,
     flip_expected_closed_form,
     flip_expected_recurrence,
     flip_hitting_times,
@@ -19,6 +21,7 @@ from popcountlab.oracle import (
     harmonic_bound,
     timeopt_exact_expected,
 )
+from popcountlab.protocols import phase_threshold
 
 
 class TestFlipExpectation:
@@ -133,6 +136,35 @@ class TestTimeOptExact:
     def test_all_values_are_exact_rationals(self):
         for n in range(1, EXACT_TIMEOPT_MAX_N + 1):
             assert isinstance(timeopt_exact_expected(n), Fraction)
+
+
+def first_phase_by_streaks(n: int) -> Fraction:
+    """P(full conversion) by backward induction over (converted k, streak
+    s): a converted meeting at s >= phase_threshold(k) flips the phase."""
+    success = Fraction(1)  # from (n, 0): everyone is converted
+    for k in range(n - 1, 0, -1):
+        # from streak ceil(T_k) down to 0; one streak past the top flips
+        value = Fraction(0)
+        for _ in range(math.ceil(phase_threshold(k)) + 1):
+            value = Fraction(n - k, n) * success + Fraction(k, n) * value
+        success = value
+    return success
+
+
+class TestFirstPhase:
+    def test_frozen_values(self):
+        assert first_phase_full_conversion(1) == 1
+        assert first_phase_full_conversion(2) == Fraction(127, 128)
+        assert abs(float(first_phase_full_conversion(8)) - 0.9999926) < 1e-7
+        assert abs(float(first_phase_full_conversion(32)) - 0.999999999) < 1e-9
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_product_equals_streak_induction(self, n):
+        assert first_phase_full_conversion(n) == first_phase_by_streaks(n)
+
+    def test_rejects_empty_population(self):
+        with pytest.raises(ValueError):
+            first_phase_full_conversion(0)
 
 
 def test_module_reexports_the_naming_term():
