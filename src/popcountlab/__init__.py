@@ -15,7 +15,6 @@ from .engine import (
     InvalidPair,
     InvariantViolation,
     RunRecord,
-    StateTag,
     StopCondition,
     StopKind,
     TagMismatch,

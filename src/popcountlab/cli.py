@@ -14,12 +14,29 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import acceptance, oracle
-from .engine import StopCondition, StopKind
-from .experiments import AllTrialsTruncated, InitPolicy, TrialBatchSpec, run_batch
+from .engine import StopCondition
+from .experiments import (
+    NATURAL_STOP,
+    AllTrialsTruncated,
+    InitPolicy,
+    TrialBatchSpec,
+    run_batch,
+)
 from .protocols import NameOverflow, ProtocolId
 from .schedulers import RNG_ALGORITHM, SchedulerKind
 
 SCHEMA_VERSION = "1"
+
+
+# `oracle --which` name -> (exact value function, the operand it takes)
+_ORACLES = {
+    "flip-closed": (oracle.flip_expected_closed_form, "n"),
+    "flip-recurrence": (oracle.flip_expected_recurrence, "n"),
+    "gros-term": (oracle.gros_term, "k"),
+    "gros-length": (oracle.gros_length, "n"),
+    "harmonic": (oracle.harmonic_bound, "n"),
+    "timeopt-exact": (oracle.timeopt_exact_expected, "n"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,18 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(handler=cmd_simulate)
 
     oracle_cmd = commands.add_parser("oracle", help="print one exact reference value")
-    oracle_cmd.add_argument(
-        "--which",
-        required=True,
-        choices=[
-            "flip-closed",
-            "flip-recurrence",
-            "gros-term",
-            "gros-length",
-            "harmonic",
-            "timeopt-exact",
-        ],
-    )
+    oracle_cmd.add_argument("--which", required=True, choices=list(_ORACLES))
     oracle_cmd.add_argument("--n", type=_positive, default=None)
     oracle_cmd.add_argument("--k", type=_positive, default=None)
     oracle_cmd.set_defaults(handler=cmd_oracle)
@@ -222,12 +228,9 @@ def _summary_row(args, spec: TrialBatchSpec, summary) -> dict:
 
 def cmd_simulate(args) -> int:
     protocol = ProtocolId(args.protocol)
-    if args.max_interactions is None:
-        stop = None
-    elif protocol is ProtocolId.GROS_NAMING:
-        stop = StopCondition(StopKind.SILENCE, args.max_interactions)
-    else:
-        stop = StopCondition(StopKind.COUNT_REACHES_N, args.max_interactions)
+    stop = None
+    if args.max_interactions is not None:
+        stop = StopCondition(NATURAL_STOP[protocol].kind, args.max_interactions)
     try:
         init, vector = _parse_init(args.init)
         spec = TrialBatchSpec(
@@ -279,27 +282,16 @@ def format_exact(value) -> str:
 
 
 def cmd_oracle(args) -> int:
-    which = args.which
-    needs_k = which == "gros-term"
-    if needs_k and args.k is None:
-        print("popcountlab oracle: error: --k is required for gros-term", file=sys.stderr)
-        return 1
-    if not needs_k and args.n is None:
-        print(f"popcountlab oracle: error: --n is required for {which}", file=sys.stderr)
+    function, operand = _ORACLES[args.which]
+    argument = getattr(args, operand)
+    if argument is None:
+        print(
+            f"popcountlab oracle: error: --{operand} is required for {args.which}",
+            file=sys.stderr,
+        )
         return 1
     try:
-        if which == "flip-closed":
-            value = oracle.flip_expected_closed_form(args.n)
-        elif which == "flip-recurrence":
-            value = oracle.flip_expected_recurrence(args.n)
-        elif which == "gros-term":
-            value = oracle.gros_term(args.k)
-        elif which == "gros-length":
-            value = oracle.gros_length(args.n)
-        elif which == "harmonic":
-            value = oracle.harmonic_bound(args.n)
-        else:
-            value = oracle.timeopt_exact_expected(args.n)
+        value = function(argument)
     except (ValueError, oracle.Intractable) as exc:
         print(f"popcountlab oracle: error: {exc}", file=sys.stderr)
         return 1

@@ -34,24 +34,12 @@ class InvariantViolation(RuntimeError):
     """A run produced a state forbidden by the protocol's invariants."""
 
 
-@unique
-class StateTag(Enum):
-    """Which state space the mobiles of a configuration live in."""
-
-    BIT = "bit"
-    NAME = "name"
-
-
-_PROTOCOL_TAG = {
-    ProtocolId.TIME_OPT: StateTag.BIT,
-    ProtocolId.FLIP: StateTag.BIT,
-    ProtocolId.GROS_NAMING: StateTag.NAME,
-}
-
-_BST_TYPE = {
-    ProtocolId.TIME_OPT: TimeOptBst,
-    ProtocolId.FLIP: FlipBst,
-    ProtocolId.GROS_NAMING: GrosBst,
+# Each protocol's base-station record type and base-station rule.  The
+# record type also fixes the mobiles' state space (see Configuration).
+_PROTOCOLS = {
+    ProtocolId.TIME_OPT: (TimeOptBst, protocols.timeopt_step),
+    ProtocolId.FLIP: (FlipBst, protocols.flip_step),
+    ProtocolId.GROS_NAMING: (GrosBst, protocols.gros_bst_step),
 }
 
 
@@ -59,27 +47,27 @@ _BST_TYPE = {
 class Configuration:
     """One global state: the base station plus n >= 1 mobile agents.
 
-    Mobiles are stored as raw ints (marks or names per `tag`); they are
-    anonymous, the index only serves scheduling.
+    The base station's type fixes the mobiles' state space: names in
+    [0, bound) under a GrosBst, marks 0 or 1 under the bit protocols'
+    records.  Mobiles are stored as raw ints; they are anonymous, the index
+    only serves scheduling.
     """
 
     bst: BstState
-    tag: StateTag
     mobiles: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.mobiles) < 1:
             raise ValueError("a configuration needs at least one mobile agent")
-        if self.tag is StateTag.BIT:
-            if not all(value in (0, 1) for value in self.mobiles):
-                raise ValueError("marks must all be 0 or 1")
-        else:
-            bound = self.bst.bound if isinstance(self.bst, GrosBst) else None
+        if isinstance(self.bst, GrosBst):
+            bound = self.bst.bound
             for value in self.mobiles:
-                if value < 0 or (bound is not None and value >= bound):
+                if not 0 <= value < bound:
                     raise ValueError(
                         f"name {value} outside [0, {bound}) state space"
                     )
+        elif not all(value in (0, 1) for value in self.mobiles):
+            raise ValueError("marks must all be 0 or 1")
 
     @property
     def n(self) -> int:
@@ -95,15 +83,12 @@ def initial_configuration(
     the smallest value that can name the whole population.
     """
     mobiles = tuple(mobiles)
-    if protocol is ProtocolId.GROS_NAMING:
-        if bound is None:
-            bound = len(mobiles) + 1
-        bst: BstState = GrosBst(k=1, bound=bound)
-    elif protocol is ProtocolId.FLIP:
-        bst = FlipBst()
+    bst_type = _PROTOCOLS[protocol][0]
+    if bst_type is GrosBst:
+        bst = GrosBst(bound=len(mobiles) + 1 if bound is None else bound)
     else:
-        bst = TimeOptBst()
-    return Configuration(bst=bst, tag=_PROTOCOL_TAG[protocol], mobiles=mobiles)
+        bst = bst_type()
+    return Configuration(bst=bst, mobiles=mobiles)
 
 
 def _check_pair(config: Configuration, pair) -> tuple[int, int]:
@@ -125,14 +110,16 @@ def _check_pair(config: Configuration, pair) -> tuple[int, int]:
     return a, b
 
 
-def _check_tag(protocol: ProtocolId, config: Configuration) -> None:
-    if config.tag is not _PROTOCOL_TAG[protocol] or not isinstance(
-        config.bst, _BST_TYPE[protocol]
-    ):
+def _bst_rule(protocol: ProtocolId, config: Configuration):
+    """The protocol's base-station rule, once the configuration's base
+    station is checked to be the protocol's record type."""
+    bst_type, rule = _PROTOCOLS[protocol]
+    if not isinstance(config.bst, bst_type):
         raise TagMismatch(
-            f"{protocol.value} cannot run on a {config.tag.value} configuration "
+            f"{protocol.value} cannot run on a configuration "
             f"with {type(config.bst).__name__} base station"
         )
+    return rule
 
 
 def apply_interaction(
@@ -145,18 +132,13 @@ def apply_interaction(
     must be the first participant of its pairs; mobile/mobile pairs may come
     in either order since those rules are symmetric.
     """
-    _check_tag(protocol, config)
+    bst_rule = _bst_rule(protocol, config)
     a, b = _check_pair(config, pair)
     mobiles = config.mobiles
 
     if a == BST:
         value = mobiles[b]
-        if protocol is ProtocolId.FLIP:
-            bst, new_value = protocols.flip_step(config.bst, value)
-        elif protocol is ProtocolId.TIME_OPT:
-            bst, new_value = protocols.timeopt_step(config.bst, value)
-        else:
-            bst, new_value = protocols.gros_bst_step(config.bst, value)
+        bst, new_value = bst_rule(config.bst, value)
         if bst == config.bst and new_value == value:
             return config, False, True
         new_mobiles = mobiles[:b] + (new_value,) + mobiles[b + 1 :]
@@ -180,7 +162,7 @@ def is_silent(protocol: ProtocolId, config: Configuration) -> bool:
     Computed from the transition structure rather than by trying all O(n^2)
     pairs; the tests compare this against the brute-force definition.
     """
-    _check_tag(protocol, config)
+    _bst_rule(protocol, config)
     if protocol is ProtocolId.FLIP:
         # The base station always flips the mark it meets.
         return False
@@ -258,11 +240,9 @@ class RunRecord:
         return not self.converged
 
 
-@lru_cache(maxsize=256)
 def default_budget(protocol: ProtocolId, n: int) -> int:
     """Safety budget in the protocol's own work metric: base-station
     meetings for the bit protocols, non-null transitions for naming.
-    Memoized: flip's budget is an exact rational sum, and every trial asks.
 
     Flip converges in about 2^n base-station meetings on average, the
     phased protocol in O(n log n), and the adversarially scheduled naming
@@ -290,6 +270,7 @@ def _flip_budget_scale(n: int) -> int:
 UNBOUNDED = 1 << 127
 
 
+@lru_cache(maxsize=256)
 def resolve_limits(
     protocol: ProtocolId, n: int, stop: StopCondition
 ) -> tuple[int, int, bool]:
@@ -299,6 +280,8 @@ def resolve_limits(
     budget counts base-station meetings for the bit protocols and non-null
     transitions for naming; the total cap counts all interactions and is
     the hard safety net against schedulers that starve the metric.
+    Memoized: flip's default budget is an exact rational sum, and every
+    trial of a batch asks for the same limits.
     """
     if stop.kind is StopKind.MAX_INTERACTIONS:
         return UNBOUNDED, stop.bound, False
@@ -331,9 +314,9 @@ def run(
     updates metrics, optionally checks protocol invariants, and halts per
     `stop`.  Returns the final configuration and the metrics record.
     """
-    _check_tag(protocol, config)
+    _bst_rule(protocol, config)
     n = config.n
-    bit = _PROTOCOL_TAG[protocol] is StateTag.BIT
+    bit = protocol is not ProtocolId.GROS_NAMING
     metric_budget, total_cap, halt_on_predicate = resolve_limits(protocol, n, stop)
 
     total = bst_count = non_null = 0

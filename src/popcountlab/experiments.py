@@ -52,6 +52,15 @@ class AllTrialsTruncated(RuntimeError):
     """Every trial of a batch hit its interaction cap without converging."""
 
 
+# The predicate each protocol's runs halt at: the estimate reaching n for
+# the bit protocols, silence for naming.
+NATURAL_STOP = {
+    ProtocolId.TIME_OPT: StopCondition(StopKind.COUNT_REACHES_N),
+    ProtocolId.FLIP: StopCondition(StopKind.COUNT_REACHES_N),
+    ProtocolId.GROS_NAMING: StopCondition(StopKind.SILENCE),
+}
+
+
 @dataclass(frozen=True)
 class TrialBatchSpec:
     """Everything needed to reproduce a batch of independent runs."""
@@ -86,17 +95,20 @@ class TrialBatchSpec:
             raise ValueError("the adversarial scheduler is naming-protocol only")
         if self.bound is not None and not gros:
             raise ValueError("the name bound only applies to the naming protocol")
+        if self.init in (InitPolicy.WORST_CASE_UNNAMED, InitPolicy.EXPLICIT_VECTOR):
+            # a fixed start is every trial's start: check its state space once
+            initial_configuration(
+                self.protocol,
+                initial_mobiles(self, None),
+                bound=self.resolved_bound if gros else None,
+            )
 
     @property
     def resolved_bound(self) -> int:
         return self.bound if self.bound is not None else self.n + 1
 
     def resolved_stop(self) -> StopCondition:
-        if self.stop is not None:
-            return self.stop
-        if self.protocol is ProtocolId.GROS_NAMING:
-            return StopCondition(StopKind.SILENCE)
-        return StopCondition(StopKind.COUNT_REACHES_N)
+        return self.stop if self.stop is not None else NATURAL_STOP[self.protocol]
 
 
 @dataclass(frozen=True)
@@ -245,7 +257,8 @@ def worst_unnamed_start(n: int) -> list[int]:
 
 def initial_mobiles(spec: TrialBatchSpec, rng: np.random.Generator) -> list[int]:
     """Initial marks or names for one trial; may consume rng (n doubles for
-    random marks, mark = floor(2u))."""
+    random marks, mark = floor(2u)).  Fixed starts were checked against the
+    state space when the spec was built."""
     if spec.init is InitPolicy.ALL_ZERO:
         return [0] * spec.n
     if spec.init is InitPolicy.ALL_ONE:
@@ -253,19 +266,8 @@ def initial_mobiles(spec: TrialBatchSpec, rng: np.random.Generator) -> list[int]
     if spec.init is InitPolicy.UNIFORM_RANDOM_MARKS:
         return [int(u * 2) for u in rng.random(spec.n)]
     if spec.init is InitPolicy.WORST_CASE_UNNAMED:
-        mobiles = worst_unnamed_start(spec.n)
-    else:
-        mobiles = list(spec.vector)
-    if spec.protocol is ProtocolId.GROS_NAMING:
-        bound = spec.resolved_bound
-        bad = [v for v in mobiles if not 0 <= v < bound]
-        if bad:
-            raise ValueError(f"names {bad} outside the [0, {bound}) state space")
-    else:
-        bad = [v for v in mobiles if v not in (0, 1)]
-        if bad:
-            raise ValueError(f"marks {bad} are not bits")
-    return mobiles
+        return worst_unnamed_start(spec.n)
+    return list(spec.vector)
 
 
 _KERNELS = {

@@ -12,16 +12,17 @@ The uniform-pair source classifies whole blocks of pairs with numpy:
 mobile/mobile pairs cannot change a bit configuration.
 
 All kernels take the limits produced by engine.resolve_limits and halt at
-their protocol's convergence predicate.
+their protocol's convergence predicate.  The phased protocol's streak
+thresholds are protocols.phase_threshold's values, tabled once per n.
 """
 
 import heapq
-from math import log
+from functools import lru_cache
 
 import numpy as np
 
 from .engine import InvariantViolation, RunRecord
-from .protocols import NameOverflow
+from .protocols import NameOverflow, phase_threshold
 
 
 def _batch_size(limit: int) -> int:
@@ -29,6 +30,13 @@ def _batch_size(limit: int) -> int:
     if limit >= 1 << 17:
         return 4096
     return max(32, int(limit) >> 5)
+
+
+@lru_cache(maxsize=64)
+def _phase_thresholds(n: int) -> tuple[float, ...]:
+    """phase_threshold(c) for c = 0..n: a run over n agents converts at
+    most n of them per phase."""
+    return tuple(phase_threshold(c) for c in range(n + 1))
 
 
 def _bst_draw(rng, n, start, k):
@@ -121,6 +129,7 @@ def _step_timeopt(draw, size, n, marks, rng, metric_budget, total_cap, check):
     with the stopping rules of _step_flip."""
     marks = list(marks)
     ones = sum(marks)
+    thresholds = _phase_thresholds(n)
     c0 = c1 = c = cnt = phase = 0
     bst_count = non_null = flips = 0
     conv = None
@@ -157,10 +166,7 @@ def _step_timeopt(draw, size, n, marks, rng, metric_budget, total_cap, check):
             else:
                 converted = c1 if phase == 0 else c0
                 remaining = c0 if phase == 0 else c1
-                threshold = (
-                    6.0 if converted < 2 else 6.0 * (converted * log(converted) + 1.0)
-                )
-                if cnt >= threshold:
+                if cnt >= thresholds[converted]:
                     if check and remaining != 0:
                         raise InvariantViolation(
                             f"phase flipped with {remaining} unconverted credits"
@@ -294,6 +300,7 @@ def simulate_timeopt_first_phase(n, rng, safety_cap=None, check=True):
     until the phase flips; True iff every agent was converted by then."""
     if safety_cap is None:
         safety_cap = 1 << 24 if n < 1024 else 1 << 40
+    thresholds = _phase_thresholds(n)
     ones = 0
     c1 = cnt = 0
     total = 0
@@ -311,8 +318,7 @@ def simulate_timeopt_first_phase(n, rng, safety_cap=None, check=True):
         pos += 1
         total += 1
         if i < ones:
-            threshold = 6.0 if c1 < 2 else 6.0 * (c1 * log(c1) + 1.0)
-            if cnt >= threshold:
+            if cnt >= thresholds[c1]:
                 return ones == n
             cnt += 1  # no unconverted credit exists in the first phase
         else:

@@ -13,19 +13,6 @@ from math import ceil, comb
 
 from .protocols import TimeOptBst, gros_term, phase_threshold, timeopt_step
 
-__all__ = [
-    "Intractable",
-    "first_phase_full_conversion",
-    "flip_expected_closed_form",
-    "flip_expected_recurrence",
-    "flip_hitting_times",
-    "gros_term",
-    "gros_sequence",
-    "gros_length",
-    "harmonic_bound",
-    "timeopt_exact_expected",
-]
-
 # Largest population for which the exact phased-protocol expectation is
 # solved; beyond this the lumped chain grows too fast to be worth it.
 EXACT_TIMEOPT_MAX_N = 4
@@ -175,7 +162,7 @@ def _lumped_successors(n, state):
     """Transitions of the lumped chain: draw a mark-1 agent with probability
     ones/n, a mark-0 agent otherwise, and apply the base-station rule."""
     ones, c0, c1, cnt, phase = state
-    bst = TimeOptBst(c0=c0, c1=c1, c=c0 + c1, cnt=cnt, phase=phase)
+    bst = TimeOptBst(c0=c0, c1=c1, cnt=cnt, phase=phase)
     out = []
     for mark, count in ((1, ones), (0, n - ones)):
         if count == 0:

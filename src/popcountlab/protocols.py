@@ -38,15 +38,19 @@ class NameOverflow(ValueError):
 class FlipBst:
     """Base-station counters for the one-bit flip protocol.
 
-    c0 and c1 count agents the base station believes carry mark 0 and 1;
-    c = c0 + c1 is the current population estimate.  The estimate never
-    decreases and equals n exactly when every agent has been seen while the
-    whole population carried one mark and then flipped to the other.
+    c0 and c1 count agents the base station believes carry mark 0 and 1.
+    The population estimate c is derived, always c0 + c1, never stored.
+    The estimate never decreases and equals n exactly when every agent has
+    been seen while the whole population carried one mark and then flipped
+    to the other.
     """
 
     c0: int = 0
     c1: int = 0
-    c: int = 0
+
+    @property
+    def c(self) -> int:
+        return self.c0 + self.c1
 
 
 @dataclass(frozen=True)
@@ -58,14 +62,18 @@ class TimeOptBst:
     c_b to c_{1-b} when available (minting a new unit otherwise).  cnt is the
     current streak of fruitless meetings, those with already-converted agents
     while unconverted credit remains; a long enough streak is evidence the
-    phase is exhausted and flips it.
+    phase is exhausted and flips it.  The population estimate c is derived,
+    always c0 + c1, never stored.
     """
 
     c0: int = 0
     c1: int = 0
-    c: int = 0
     cnt: int = 0
     phase: int = 0
+
+    @property
+    def c(self) -> int:
+        return self.c0 + self.c1
 
 
 @dataclass(frozen=True)
@@ -124,7 +132,7 @@ def timeopt_step(bst: TimeOptBst, mark: int) -> tuple[TimeOptBst, int]:
             phase = 1 - phase
         elif remaining == 0:
             cnt += 1
-    return TimeOptBst(c0=c0, c1=c1, c=c0 + c1, cnt=cnt, phase=phase), mark
+    return TimeOptBst(c0=c0, c1=c1, cnt=cnt, phase=phase), mark
 
 
 def flip_step(bst: FlipBst, mark: int) -> tuple[FlipBst, int]:
@@ -145,7 +153,7 @@ def flip_step(bst: FlipBst, mark: int) -> tuple[FlipBst, int]:
             c1 -= 1
         mark = 0
         c0 += 1
-    return FlipBst(c0=c0, c1=c1, c=c0 + c1), mark
+    return FlipBst(c0=c0, c1=c1), mark
 
 
 def gros_term(k: int) -> int:

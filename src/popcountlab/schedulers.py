@@ -10,8 +10,8 @@ from enum import Enum, unique
 
 import numpy as np
 
-from .engine import BST, Configuration, StateTag
-from .protocols import SINK_NAME
+from .engine import BST, Configuration
+from .protocols import SINK_NAME, GrosBst
 
 # Identifier of the random stream: numpy's PCG64 behind default_rng.
 RNG_ALGORITHM = "numpy-pcg64"
@@ -56,7 +56,6 @@ class BstOnlyScheduler(Scheduler):
     kind = SchedulerKind.BST_ONLY
 
     def __init__(self, seed=0):
-        self.seed = seed
         self.rng = _as_generator(seed)
 
     def next_pair(self, config: Configuration) -> tuple[int, int]:
@@ -75,7 +74,6 @@ class UniformPairScheduler(Scheduler):
     kind = SchedulerKind.UNIFORM_PAIR
 
     def __init__(self, seed=0):
-        self.seed = seed
         self.rng = _as_generator(seed)
 
     def next_pair(self, config: Configuration) -> tuple[int, int]:
@@ -126,7 +124,7 @@ class WeakAdversarialScheduler(Scheduler):
     kind = SchedulerKind.WEAK_ADVERSARIAL
 
     def next_pair(self, config: Configuration) -> tuple[int, int]:
-        if config.tag is not StateTag.NAME:
+        if not isinstance(config.bst, GrosBst):
             raise IncompatibleProtocol(
                 "the adversarial scheduler only serves the naming protocol"
             )

@@ -173,6 +173,23 @@ class TestSimulateCommand:
         )
         assert code == 1 and "bound" in err
 
+    def test_worst_start_outside_the_bound_exits_one(self, capsys):
+        code, _, err = invoke(
+            capsys,
+            "simulate",
+            "--protocol",
+            "gros",
+            "--n",
+            "5",
+            "--p",
+            "3",
+            "--scheduler",
+            "adversarial",
+            "--init",
+            "worst",
+        )
+        assert code == 1 and "outside" in err
+
     def test_fully_truncated_batch_exits_two(self, capsys):
         code, _, err = invoke(
             capsys,

@@ -12,7 +12,6 @@ from popcountlab.engine import (
     Configuration,
     InvalidPair,
     InvariantViolation,
-    StateTag,
     StopCondition,
     StopKind,
     TagMismatch,
@@ -37,8 +36,7 @@ from popcountlab.schedulers import make_scheduler, SchedulerKind
 class TestConfiguration:
     def test_initial_defaults(self):
         config = initial_configuration(ProtocolId.FLIP, [0, 1, 0])
-        assert config.bst == FlipBst(c0=0, c1=0, c=0)
-        assert config.tag is StateTag.BIT
+        assert config.bst == FlipBst(c0=0, c1=0)
         assert config.n == 3
 
     def test_naming_bound_defaults_to_n_plus_one(self):
@@ -126,8 +124,7 @@ class TestIsSilent:
     @settings(max_examples=300, deadline=None)
     def test_matches_brute_force_for_phased(self, marks, c0, c1, cnt, phase):
         config = Configuration(
-            bst=TimeOptBst(c0=c0, c1=c1, c=c0 + c1, cnt=cnt, phase=phase),
-            tag=StateTag.BIT,
+            bst=TimeOptBst(c0=c0, c1=c1, cnt=cnt, phase=phase),
             mobiles=tuple(marks),
         )
         assert is_silent(ProtocolId.TIME_OPT, config) == _brute_force_silent(
@@ -137,7 +134,7 @@ class TestIsSilent:
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=6))
     def test_flip_is_never_silent(self, marks):
         config = Configuration(
-            bst=FlipBst(), tag=StateTag.BIT, mobiles=tuple(marks)
+            bst=FlipBst(), mobiles=tuple(marks)
         )
         assert not is_silent(ProtocolId.FLIP, config)
         assert not _brute_force_silent(ProtocolId.FLIP, config)
@@ -156,7 +153,7 @@ class TestIsSilent:
         bound, names, k = case
         assume(gros_term(k) <= bound - 1)  # keep the brute force overflow-free
         config = Configuration(
-            bst=GrosBst(k=k, bound=bound), tag=StateTag.NAME, mobiles=tuple(names)
+            bst=GrosBst(k=k, bound=bound), mobiles=tuple(names)
         )
         assert is_silent(ProtocolId.GROS_NAMING, config) == _brute_force_silent(
             ProtocolId.GROS_NAMING, config
@@ -270,7 +267,7 @@ class TestRun:
 
     def test_inconsistent_counters_are_detected(self):
         config = Configuration(
-            bst=FlipBst(c0=0, c1=5, c=5), tag=StateTag.BIT, mobiles=(0, 0)
+            bst=FlipBst(c0=0, c1=5), mobiles=(0, 0)
         )
         scheduler = make_scheduler(SchedulerKind.BST_ONLY, seed=0)
         with pytest.raises(InvariantViolation):
@@ -283,7 +280,7 @@ class TestRun:
 
     def test_checks_can_be_disabled(self):
         config = Configuration(
-            bst=FlipBst(c0=0, c1=5, c=5), tag=StateTag.BIT, mobiles=(0, 0)
+            bst=FlipBst(c0=0, c1=5), mobiles=(0, 0)
         )
         scheduler = make_scheduler(SchedulerKind.BST_ONLY, seed=0)
         _, record = run(

@@ -312,25 +312,23 @@ class TestSpecValidation:
             TrialBatchSpec(protocol=ProtocolId.FLIP, n=2, trials=1, bound=5)
 
     def test_initial_values_must_fit_the_state_space(self):
-        bad_names = TrialBatchSpec(
-            protocol=ProtocolId.GROS_NAMING,
-            n=2,
-            trials=1,
-            scheduler=SchedulerKind.WEAK_ADVERSARIAL,
-            init=InitPolicy.EXPLICIT_VECTOR,
-            vector=(0, 9),
-        )
         with pytest.raises(ValueError):
-            run_trial(bad_names, 0)
-        bad_bits = TrialBatchSpec(
-            protocol=ProtocolId.FLIP,
-            n=2,
-            trials=1,
-            init=InitPolicy.EXPLICIT_VECTOR,
-            vector=(0, 2),
-        )
+            TrialBatchSpec(
+                protocol=ProtocolId.GROS_NAMING,
+                n=2,
+                trials=1,
+                scheduler=SchedulerKind.WEAK_ADVERSARIAL,
+                init=InitPolicy.EXPLICIT_VECTOR,
+                vector=(0, 9),
+            )
         with pytest.raises(ValueError):
-            run_trial(bad_bits, 0)
+            TrialBatchSpec(
+                protocol=ProtocolId.FLIP,
+                n=2,
+                trials=1,
+                init=InitPolicy.EXPLICIT_VECTOR,
+                vector=(0, 2),
+            )
 
 
 class TestAdversarialNaming:

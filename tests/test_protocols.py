@@ -35,16 +35,25 @@ class TestPhaseThreshold:
         assert phase_threshold(converted) <= phase_threshold(converted + 1)
 
 
+class TestBstRecords:
+    def test_estimate_is_derived_from_the_counters(self):
+        assert FlipBst(c0=2, c1=3).c == 5
+        assert TimeOptBst(c0=1, c1=4, cnt=2, phase=1).c == 5
+        for record in (FlipBst, TimeOptBst):
+            with pytest.raises(TypeError):
+                record(c0=1, c1=1, c=3)
+
+
 class TestFlipStep:
     def test_mints_credit_on_fresh_mark(self):
         bst, mark = flip_step(FlipBst(), 0)
-        assert (bst, mark) == (FlipBst(c0=0, c1=1, c=1), 1)
+        assert (bst, mark) == (FlipBst(c0=0, c1=1), 1)
 
     def test_moves_credit_when_available(self):
-        bst, mark = flip_step(FlipBst(c0=2, c1=1, c=3), 0)
-        assert (bst, mark) == (FlipBst(c0=1, c1=2, c=3), 1)
-        bst, mark = flip_step(FlipBst(c0=2, c1=1, c=3), 1)
-        assert (bst, mark) == (FlipBst(c0=3, c1=0, c=3), 0)
+        bst, mark = flip_step(FlipBst(c0=2, c1=1), 0)
+        assert (bst, mark) == (FlipBst(c0=1, c1=2), 1)
+        bst, mark = flip_step(FlipBst(c0=2, c1=1), 1)
+        assert (bst, mark) == (FlipBst(c0=3, c1=0), 0)
 
     def test_two_agent_trace(self):
         # all-zero pair seen alternately: 0 -> 1 -> 0 -> 1 keeps c at 1
@@ -66,7 +75,7 @@ class TestFlipStep:
         st.integers(min_value=0, max_value=1),
     )
     def test_always_flips_and_never_shrinks(self, c0, c1, mark):
-        before = FlipBst(c0=c0, c1=c1, c=c0 + c1)
+        before = FlipBst(c0=c0, c1=c1)
         after, new_mark = flip_step(before, mark)
         assert new_mark == 1 - mark
         assert after.c >= before.c
@@ -76,7 +85,7 @@ class TestFlipStep:
 def _timeopt_states():
     return st.builds(
         lambda c0, c1, cnt, phase: TimeOptBst(
-            c0=c0, c1=c1, c=c0 + c1, cnt=cnt, phase=phase
+            c0=c0, c1=c1, cnt=cnt, phase=phase
         ),
         st.integers(min_value=0, max_value=12),
         st.integers(min_value=0, max_value=12),
@@ -89,35 +98,35 @@ class TestTimeOptStep:
     def test_conversion_resets_streak_and_flips_mark(self):
         bst, mark = timeopt_step(TimeOptBst(cnt=3), 0)
         assert mark == 1
-        assert bst == TimeOptBst(c0=0, c1=1, c=1, cnt=0, phase=0)
+        assert bst == TimeOptBst(c0=0, c1=1, cnt=0, phase=0)
 
     def test_conversion_moves_credit_when_available(self):
-        before = TimeOptBst(c0=2, c1=1, c=3, cnt=0, phase=0)
+        before = TimeOptBst(c0=2, c1=1, cnt=0, phase=0)
         bst, mark = timeopt_step(before, 0)
         assert (bst.c0, bst.c1, bst.c, mark) == (1, 2, 3, 1)
 
     def test_opposite_mark_is_null_while_credit_remains(self):
-        before = TimeOptBst(c0=2, c1=1, c=3, cnt=0, phase=0)
+        before = TimeOptBst(c0=2, c1=1, cnt=0, phase=0)
         bst, mark = timeopt_step(before, 1)
         assert (bst, mark) == (before, 1)
 
     def test_opposite_mark_extends_streak_when_drained(self):
-        before = TimeOptBst(c0=0, c1=3, c=3, cnt=0, phase=0)
+        before = TimeOptBst(c0=0, c1=3, cnt=0, phase=0)
         bst, mark = timeopt_step(before, 1)
-        assert (bst, mark) == (TimeOptBst(c0=0, c1=3, c=3, cnt=1, phase=0), 1)
+        assert (bst, mark) == (TimeOptBst(c0=0, c1=3, cnt=1, phase=0), 1)
 
     def test_phase_flips_at_threshold(self):
         # converted = c1 = 1 in phase 0, so the threshold is 6
-        before = TimeOptBst(c0=0, c1=1, c=1, cnt=6, phase=0)
+        before = TimeOptBst(c0=0, c1=1, cnt=6, phase=0)
         bst, mark = timeopt_step(before, 1)
         assert (bst.phase, bst.cnt, mark) == (1, 0, 1)
-        below = TimeOptBst(c0=0, c1=1, c=1, cnt=5, phase=0)
+        below = TimeOptBst(c0=0, c1=1, cnt=5, phase=0)
         bst, mark = timeopt_step(below, 1)
-        assert (bst, mark) == (TimeOptBst(c0=0, c1=1, c=1, cnt=6, phase=0), 1)
+        assert (bst, mark) == (TimeOptBst(c0=0, c1=1, cnt=6, phase=0), 1)
 
     def test_phase_one_mirrors_phase_zero(self):
         # phase 1 converts mark-1 agents back to 0, draining c1 into c0
-        before = TimeOptBst(c0=0, c1=1, c=1, cnt=0, phase=1)
+        before = TimeOptBst(c0=0, c1=1, cnt=0, phase=1)
         bst, mark = timeopt_step(before, 1)
         assert (bst.c0, bst.c1, mark, bst.phase) == (1, 0, 0, 1)
 
