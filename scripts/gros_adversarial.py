@@ -11,6 +11,7 @@ band, and is attained by one sink agent holding court with names {1,..,n-1}.
 import argparse
 
 from popcountlab.experiments import sweep_worst_unnamed
+from popcountlab.oracle import gros_worst_case
 
 
 def main():
@@ -24,7 +25,7 @@ def main():
         names = sorted(sweep.worst_start) or ["-"]
         print(
             f"{n:>4} {sweep.starts_checked:>7} {sweep.worst_non_null:>7} "
-            f"{3 * 2 ** (n - 1) - 2:>12}  {','.join(str(v) for v in names)}"
+            f"{gros_worst_case(n):>12}  {','.join(str(v) for v in names)}"
         )
 
 

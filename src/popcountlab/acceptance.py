@@ -13,14 +13,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels, oracle
-from .engine import UNBOUNDED, InvariantViolation
+from .engine import InvariantViolation, resolve_limits
 from .experiments import (
+    NATURAL_STOP,
     AllTrialsTruncated,
     InitPolicy,
     TrialBatchSpec,
     derive_seed,
     estimate_allflip_probability,
     run_batch,
+    subset_start,
     sweep_n,
     sweep_worst_unnamed,
     worst_unnamed_start,
@@ -303,9 +305,10 @@ def _check_worst_case_range(params, inst):
     # analytic worst start alone there and hold it to the same range
     spots = {}
     for n in params.gros_spot_ns:
+        limits = resolve_limits(ProtocolId.GROS_NAMING, n, NATURAL_STOP)[:2]
         try:
             record, _ = kernels.simulate_gros_adversarial(
-                worst_unnamed_start(n), n + 1, 16 * 2 ** n, UNBOUNDED, check=True
+                worst_unnamed_start(n), n + 1, *limits, check=True
             )
         except InvariantViolation as exc:
             return CheckResult(name, False, inst.caught(f"worst spot n={n}", exc)), {}
@@ -360,16 +363,14 @@ def _check_terminal_naming(params, seed, sweeps, inst) -> CheckResult:
     name = "terminal-naming"
     spot_runs = 0
     for n in params.gros_ns:
+        limits = resolve_limits(ProtocolId.GROS_NAMING, n, NATURAL_STOP)[:2]
         rng = np.random.default_rng(derive_seed(seed, 10, n))
-        starts = [[0] * n, worst_unnamed_start(n)]
-        for _ in range(3):
-            mask = int(rng.integers(0, 2 ** n - 1))
-            names = [b + 1 for b in range(n) if (mask >> b) & 1]
-            starts.append(names + [0] * (n - len(names)))
+        starts = [subset_start(n, 0), worst_unnamed_start(n)]
+        starts += [subset_start(n, int(rng.integers(0, 2 ** n - 1))) for _ in range(3)]
         for start in starts:
             try:
                 record, final = kernels.simulate_gros_adversarial(
-                    start, n + 1, 16 * 2 ** n, UNBOUNDED, check=True
+                    start, n + 1, *limits, check=True
                 )
             except InvariantViolation as exc:
                 return CheckResult(name, False, inst.caught(f"terminal n={n}", exc))

@@ -14,9 +14,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import acceptance, oracle
-from .engine import StopCondition
+from .engine import StopCondition, StopKind
 from .experiments import (
-    NATURAL_STOP,
     AllTrialsTruncated,
     InitPolicy,
     TrialBatchSpec,
@@ -158,12 +157,12 @@ def _oracle_reference(spec: TrialBatchSpec) -> str:
         if spec.n <= oracle.EXACT_TIMEOPT_MAX_N:
             return str(oracle.timeopt_exact_expected(spec.n))
         return ""
-    # Worst-case non-null transitions of the naming protocol under an
-    # adversarial weakly fair scheduler.
-    return str(3 * 2 ** (spec.n - 1) - 2)
+    return str(oracle.gros_worst_case(spec.n))
 
 
-_ROW_FIELDS = (
+# The row's leading columns; each metric's stats columns follow, then
+# oracle_value (the JSON output puts oracle_value ahead of the stats).
+_HEAD_FIELDS = (
     "schema_version",
     "command",
     "protocol",
@@ -177,52 +176,49 @@ _ROW_FIELDS = (
     "max_interactions",
     "converged_trials",
     "truncated_trials",
-    "bst_mean",
-    "bst_stddev",
-    "bst_se",
-    "bst_min",
-    "bst_max",
-    "total_mean",
-    "total_stddev",
-    "total_se",
-    "total_min",
-    "total_max",
-    "nonnull_mean",
-    "nonnull_stddev",
-    "nonnull_se",
-    "nonnull_min",
-    "nonnull_max",
+)
+# (column prefix, Summary field) of each convergence metric
+_METRICS = (
+    ("bst", "bst_interactions"),
+    ("total", "total_interactions"),
+    ("nonnull", "non_null_transitions"),
+)
+_STATS = ("mean", "stddev", "se", "min", "max")
+_ROW_FIELDS = (
+    *_HEAD_FIELDS,
+    *(f"{prefix}_{stat}" for prefix, _ in _METRICS for stat in _STATS),
     "oracle_value",
 )
 
 
 def _summary_row(args, spec: TrialBatchSpec, summary) -> dict:
-    row = {
-        "schema_version": SCHEMA_VERSION,
-        "command": _echo_command(args),
-        "protocol": spec.protocol.value,
-        "n": spec.n,
-        "p": spec.resolved_bound if spec.protocol is ProtocolId.GROS_NAMING else "",
-        "trials": spec.trials,
-        "scheduler": spec.scheduler.value,
-        "init": args.init,
-        "seed": spec.seed,
-        "rng": RNG_ALGORITHM,
-        "max_interactions": args.max_interactions if args.max_interactions else "",
-        "converged_trials": summary.trials,
-        "truncated_trials": summary.truncated,
-        "oracle_value": _oracle_reference(spec),
-    }
-    for prefix, stats in (
-        ("bst", summary.bst_interactions),
-        ("total", summary.total_interactions),
-        ("nonnull", summary.non_null_transitions),
-    ):
-        row[f"{prefix}_mean"] = repr(stats.mean)
-        row[f"{prefix}_stddev"] = repr(stats.stddev)
-        row[f"{prefix}_se"] = repr(stats.standard_error)
-        row[f"{prefix}_min"] = stats.min
-        row[f"{prefix}_max"] = stats.max
+    head = (
+        SCHEMA_VERSION,
+        _echo_command(args),
+        spec.protocol.value,
+        spec.n,
+        spec.resolved_bound if spec.protocol is ProtocolId.GROS_NAMING else "",
+        spec.trials,
+        spec.scheduler.value,
+        args.init,
+        spec.seed,
+        RNG_ALGORITHM,
+        args.max_interactions if args.max_interactions else "",
+        summary.trials,
+        summary.truncated,
+    )
+    row = dict(zip(_HEAD_FIELDS, head, strict=True))
+    row["oracle_value"] = _oracle_reference(spec)
+    for prefix, field in _METRICS:
+        stats = getattr(summary, field)
+        values = (
+            repr(stats.mean),
+            repr(stats.stddev),
+            repr(stats.standard_error),
+            stats.min,
+            stats.max,
+        )
+        row.update(zip((f"{prefix}_{stat}" for stat in _STATS), values, strict=True))
     return row
 
 
@@ -230,7 +226,7 @@ def cmd_simulate(args) -> int:
     protocol = ProtocolId(args.protocol)
     stop = None
     if args.max_interactions is not None:
-        stop = StopCondition(NATURAL_STOP[protocol].kind, args.max_interactions)
+        stop = StopCondition(StopKind.COUNT_REACHES_N, args.max_interactions)
     try:
         init, vector = _parse_init(args.init)
         spec = TrialBatchSpec(

@@ -188,7 +188,6 @@ def is_silent(protocol: ProtocolId, config: Configuration) -> bool:
 @unique
 class StopKind(Enum):
     COUNT_REACHES_N = "count"
-    SILENCE = "silence"
     MAX_INTERACTIONS = "max-interactions"
 
 
@@ -196,11 +195,12 @@ class StopKind(Enum):
 class StopCondition:
     """When to stop a run.
 
-    COUNT_REACHES_N and SILENCE halt at their predicate; `bound`, when
-    given, truncates at that many total interactions instead of the
-    protocol's default safety budget.  MAX_INTERACTIONS runs for exactly
-    `bound` interactions (then required), still recording the first time
-    the protocol's natural predicate held.
+    Every protocol's run is done when its count reaches n (see
+    RunRecord.final_c); for naming that is exactly silence.
+    COUNT_REACHES_N halts there; `bound`, when given, truncates at that
+    many total interactions instead of the protocol's default safety
+    budget.  MAX_INTERACTIONS runs for exactly `bound` interactions (then
+    required), still recording the first time the count reached n.
     """
 
     kind: StopKind
@@ -217,10 +217,10 @@ class StopCondition:
 class RunRecord:
     """Metrics of one run.
 
-    The converged_at_* fields are None when the stop condition truncated the
-    run before the predicate held.  final_c is the base station's population
-    estimate for the bit protocols and the number of distinct non-sink names
-    for the naming protocol.
+    final_c is the run's count: the base station's population estimate for
+    the bit protocols and the number of distinct non-sink names for the
+    naming protocol.  The converged_at_* fields are None when the stop
+    condition truncated the run before the count reached n.
     """
 
     total_interactions: int
@@ -295,10 +295,13 @@ def resolve_limits(
     return budget, total_cap, True
 
 
-def _converged(protocol: ProtocolId, config: Configuration) -> bool:
-    if protocol is ProtocolId.GROS_NAMING:
-        return is_silent(protocol, config)
-    return config.bst.c == config.n
+def _count(config: Configuration) -> int:
+    """The run's count: the base station's estimate under the bit
+    protocols, the number of distinct non-sink names under naming, where
+    n of them for n agents means the configuration is silent."""
+    if isinstance(config.bst, GrosBst):
+        return len(set(config.mobiles) - {protocols.SINK_NAME})
+    return config.bst.c
 
 
 def run(
@@ -325,7 +328,7 @@ def run(
     phase_flips = 0 if protocol is ProtocolId.TIME_OPT else None
     ones = sum(config.mobiles) if bit else 0
 
-    if _converged(protocol, config):
+    if _count(config) == n:
         conv_bst, conv_nn = 0, 0
 
     while (
@@ -363,20 +366,8 @@ def run(
                         f"phase flipped with {stranded} unconverted credits"
                     )
 
-        if conv_bst is None and _converged(protocol, config):
+        if conv_bst is None and _count(config) == n:
             conv_bst, conv_nn = bst_count, non_null
-
-    if protocol is ProtocolId.GROS_NAMING:
-        named = [v for v in config.mobiles if v != protocols.SINK_NAME]
-        final_c = len(set(named))
-        if check_invariants and conv_bst is not None and (
-            len(named) != n or final_c != n
-        ):
-            raise InvariantViolation(
-                f"silent run left names {config.mobiles} (want n={n} distinct)"
-            )
-    else:
-        final_c = config.bst.c
 
     record = RunRecord(
         total_interactions=total,
@@ -384,7 +375,7 @@ def run(
         non_null_transitions=non_null,
         converged_at_bst_interaction=conv_bst,
         converged_at_non_null=conv_nn,
-        final_c=final_c,
+        final_c=_count(config),
         phase_flips=phase_flips,
     )
     return config, record

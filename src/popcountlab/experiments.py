@@ -27,13 +27,12 @@ from .engine import (
     RunRecord,
     StopCondition,
     StopKind,
-    UNBOUNDED,
     initial_configuration,
     resolve_limits,
     run,
 )
 from .oracle import Intractable
-from .protocols import ProtocolId
+from .protocols import SINK_NAME, ProtocolId
 from .schedulers import SchedulerKind, make_scheduler
 
 
@@ -52,13 +51,8 @@ class AllTrialsTruncated(RuntimeError):
     """Every trial of a batch hit its interaction cap without converging."""
 
 
-# The predicate each protocol's runs halt at: the estimate reaching n for
-# the bit protocols, silence for naming.
-NATURAL_STOP = {
-    ProtocolId.TIME_OPT: StopCondition(StopKind.COUNT_REACHES_N),
-    ProtocolId.FLIP: StopCondition(StopKind.COUNT_REACHES_N),
-    ProtocolId.GROS_NAMING: StopCondition(StopKind.SILENCE),
-}
+# Every run halts when its count reaches n, within the default budget.
+NATURAL_STOP = StopCondition(StopKind.COUNT_REACHES_N)
 
 
 @dataclass(frozen=True)
@@ -108,7 +102,7 @@ class TrialBatchSpec:
         return self.bound if self.bound is not None else self.n + 1
 
     def resolved_stop(self) -> StopCondition:
-        return self.stop if self.stop is not None else NATURAL_STOP[self.protocol]
+        return self.stop if self.stop is not None else NATURAL_STOP
 
 
 @dataclass(frozen=True)
@@ -247,6 +241,13 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     # larger indices hash two spawn-key words; other seed types and negative
     # values get numpy's own handling
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+def subset_start(n: int, mask: int) -> list[int]:
+    """A partially named start: the names b + 1 of the set bits b of `mask`,
+    in increasing order, then sinks for the remaining agents."""
+    names = [b + 1 for b in range(n) if mask >> b & 1]
+    return names + [SINK_NAME] * (n - len(names))
 
 
 def worst_unnamed_start(n: int) -> list[int]:
@@ -422,14 +423,13 @@ def sweep_worst_unnamed(n: int, bound: int) -> WorstUnnamedSweep:
         raise Intractable(f"enumerating 2^{n} starts is out of range")
     if bound != n + 1:
         raise ValueError(f"the sweep needs bound = n + 1, got {bound}")
-    metric_budget = 16 * 2 ** n
-    worst_mask = 0
+    limits = resolve_limits(ProtocolId.GROS_NAMING, n, NATURAL_STOP)[:2]
+    worst_names = []
     worst = -1
     for mask in range(2 ** n - 1):
-        names = [b + 1 for b in range(n) if (mask >> b) & 1]
-        names += [0] * (n - len(names))
+        names = subset_start(n, mask)
         record, _ = kernels.simulate_gros_adversarial(
-            names, bound, metric_budget, UNBOUNDED, check=True
+            names, bound, *limits, check=True
         )
         if not record.converged:
             raise AllTrialsTruncated(
@@ -437,8 +437,9 @@ def sweep_worst_unnamed(n: int, bound: int) -> WorstUnnamedSweep:
             )
         if record.non_null_transitions > worst:
             worst = record.non_null_transitions
-            worst_mask = mask
-    start = frozenset(b + 1 for b in range(n) if (worst_mask >> b) & 1)
+            worst_names = names
     return WorstUnnamedSweep(
-        worst_start=start, worst_non_null=worst, starts_checked=2 ** n - 1
+        worst_start=frozenset(worst_names) - {SINK_NAME},
+        worst_non_null=worst,
+        starts_checked=2 ** n - 1,
     )

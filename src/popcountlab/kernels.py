@@ -295,11 +295,10 @@ def simulate_gros_adversarial(names, bound, metric_budget, total_cap, check=True
     return record, names
 
 
-def simulate_timeopt_first_phase(n, rng, safety_cap=None, check=True):
+def simulate_timeopt_first_phase(n, rng, check=True):
     """Run the phased protocol's first phase from an all-zero population
     until the phase flips; True iff every agent was converted by then."""
-    if safety_cap is None:
-        safety_cap = 1 << 24 if n < 1024 else 1 << 40
+    cap = 1 << 24 if n < 1024 else 1 << 40
     thresholds = _phase_thresholds(n)
     ones = 0
     c1 = cnt = 0
@@ -308,7 +307,7 @@ def simulate_timeopt_first_phase(n, rng, safety_cap=None, check=True):
     buf: list[int] = []
     pos = 0
     random = rng.random
-    while total < safety_cap:
+    while total < cap:
         if pos == len(buf):
             # the drawn index only matters through its mark: the `ones`
             # converted agents can be taken to be indices 0..ones-1
@@ -329,4 +328,4 @@ def simulate_timeopt_first_phase(n, rng, safety_cap=None, check=True):
                 raise InvariantViolation(
                     f"first phase counted {c1} conversions over {ones}/{n} ones"
                 )
-    raise RuntimeError(f"first phase still running after {safety_cap} meetings")
+    raise RuntimeError(f"first phase still running after {cap} meetings")

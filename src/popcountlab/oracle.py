@@ -102,6 +102,16 @@ def gros_length(depth: int) -> int:
     return 2 ** depth - 1
 
 
+def gros_worst_case(n: int) -> int:
+    """Most non-null transitions the naming protocol makes under the
+    adversarial weakly fair schedule, over every partially named start of
+    n agents: 3 * 2^(n-1) - 2.  experiments.sweep_worst_unnamed is the
+    independent route, by enumeration."""
+    if n < 1:
+        raise ValueError(f"population size must be >= 1, got {n}")
+    return 3 * 2 ** (n - 1) - 2
+
+
 def harmonic_bound(n: int) -> Fraction:
     """n * H_n, the floor on expected interactions for any counting protocol
     in which the base station must meet every agent at least once."""

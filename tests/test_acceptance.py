@@ -5,6 +5,7 @@ Each criterion prints one PASS/FAIL line on the terminal (bypassing
 capture) so a test run doubles as a readable report.
 """
 
+import hashlib
 import subprocess
 import sys
 
@@ -14,6 +15,11 @@ from popcountlab import acceptance
 
 SEED = 42
 LEVEL = "full"
+# sha256 of `popcountlab verify --level fast --seed 3` stdout: a change that
+# keeps the simulated results must keep the report byte for byte
+FAST_SEED3_REPORT_SHA256 = (
+    "acd947d2dc71ab8f0dc3f5b1ce2360f97cd51f3411ed14ca59454921f424f33b"
+)
 
 
 @pytest.fixture(scope="module")
@@ -54,3 +60,5 @@ def test_verification_report_is_deterministic(capsys):
     assert first.returncode == 0, first.stdout + first.stderr
     assert first.stdout == second.stdout
     assert first.stdout.count("PASS") == len(acceptance.CHECK_NAMES) + 1
+    digest = hashlib.sha256(first.stdout.encode()).hexdigest()
+    assert digest == FAST_SEED3_REPORT_SHA256

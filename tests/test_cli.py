@@ -66,7 +66,27 @@ SIMULATE_ARGS = [
 ]
 
 
+SCHEMA_V1_HEAD = (
+    "schema_version,command,protocol,n,p,trials,scheduler,init,seed,rng,"
+    "max_interactions,converged_trials,truncated_trials"
+)
+SCHEMA_V1_STATS = ",".join(
+    f"{prefix}_{stat}"
+    for prefix in ("bst", "total", "nonnull")
+    for stat in ("mean", "stddev", "se", "min", "max")
+)
+
+
 class TestSimulateCommand:
+    def test_schema_v1_column_order(self, capsys):
+        _, out, _ = invoke(capsys, *SIMULATE_ARGS)
+        header = out.splitlines()[0]
+        assert header == f"{SCHEMA_V1_HEAD},{SCHEMA_V1_STATS},oracle_value"
+        _, raw, _ = invoke(capsys, *SIMULATE_ARGS, "--format", "json")
+        (payload,) = json.loads(raw)
+        # the JSON rows list oracle_value ahead of the stats
+        assert ",".join(payload) == f"{SCHEMA_V1_HEAD},oracle_value,{SCHEMA_V1_STATS}"
+
     def test_csv_shape_and_values(self, capsys):
         code, out, _ = invoke(capsys, *SIMULATE_ARGS)
         assert code == 0
@@ -208,7 +228,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "protocol,scheduler,stop",
         [
-            ("gros", "adversarial", StopCondition(StopKind.SILENCE, 500)),
+            ("gros", "adversarial", StopCondition(StopKind.COUNT_REACHES_N, 500)),
             ("flip", "bst", StopCondition(StopKind.COUNT_REACHES_N, 500)),
             ("timeopt", "uniform", StopCondition(StopKind.COUNT_REACHES_N, 500)),
             ("flip", "bst", None),

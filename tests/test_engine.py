@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from popcountlab import engine
 from popcountlab.engine import (
     BST,
     Configuration,
@@ -155,9 +156,10 @@ class TestIsSilent:
         config = Configuration(
             bst=GrosBst(k=k, bound=bound), mobiles=tuple(names)
         )
-        assert is_silent(ProtocolId.GROS_NAMING, config) == _brute_force_silent(
-            ProtocolId.GROS_NAMING, config
-        )
+        silent = _brute_force_silent(ProtocolId.GROS_NAMING, config)
+        assert is_silent(ProtocolId.GROS_NAMING, config) == silent
+        # the engine stops a naming run when its count of names reaches n
+        assert (engine._count(config) == config.n) == silent
 
     def test_wrong_protocol_is_rejected(self):
         config = initial_configuration(ProtocolId.FLIP, [0])
@@ -170,7 +172,7 @@ class TestStopAndLimits:
         with pytest.raises(ValueError):
             StopCondition(StopKind.MAX_INTERACTIONS)
         with pytest.raises(ValueError):
-            StopCondition(StopKind.SILENCE, bound=0)
+            StopCondition(StopKind.COUNT_REACHES_N, bound=0)
 
     def test_resolve_forms(self):
         stop = StopCondition(StopKind.MAX_INTERACTIONS, 50)
@@ -200,7 +202,7 @@ class TestRun:
         config = initial_configuration(ProtocolId.GROS_NAMING, [0, 0, 0])
         scheduler = make_scheduler(SchedulerKind.WEAK_ADVERSARIAL)
         final, record = run(
-            ProtocolId.GROS_NAMING, scheduler, config, StopCondition(StopKind.SILENCE)
+            ProtocolId.GROS_NAMING, scheduler, config, StopCondition(StopKind.COUNT_REACHES_N)
         )
         assert record.converged
         assert record.converged_at_non_null == 6
@@ -211,7 +213,7 @@ class TestRun:
         config = initial_configuration(ProtocolId.GROS_NAMING, [0, 1, 2])
         scheduler = make_scheduler(SchedulerKind.WEAK_ADVERSARIAL)
         _, record = run(
-            ProtocolId.GROS_NAMING, scheduler, config, StopCondition(StopKind.SILENCE)
+            ProtocolId.GROS_NAMING, scheduler, config, StopCondition(StopKind.COUNT_REACHES_N)
         )
         assert record.converged_at_non_null == 10  # 3 * 2^(n-1) - 2 at n = 3
         assert record.final_c == 3

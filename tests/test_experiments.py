@@ -25,6 +25,7 @@ from popcountlab.experiments import (
     resolve_threads,
     run_batch,
     run_trial,
+    subset_start,
     summarize,
     sweep_n,
     sweep_worst_unnamed,
@@ -49,6 +50,8 @@ REPLAY_CASES = [
     ),
 ]
 
+TRUNCATION_BOUNDS = (1, 3, 17, 100)
+
 
 class TestReplayEquality:
     @pytest.mark.parametrize("protocol,scheduler,init", REPLAY_CASES)
@@ -62,14 +65,40 @@ class TestReplayEquality:
             reference = run_trial(spec, index, force_engine=True)
             assert fast == reference
 
-    @pytest.mark.parametrize("bound", [1, 3, 17, 100])
-    def test_truncated_runs_replay_too(self, bound):
+    @pytest.mark.parametrize(
+        "protocol,scheduler,init,n,bound",
+        [
+            pytest.param(
+                ProtocolId.FLIP,
+                SchedulerKind.UNIFORM_PAIR,
+                InitPolicy.ALL_ZERO,
+                9,
+                bound,
+                id=str(bound),
+            )
+            for bound in TRUNCATION_BOUNDS
+        ]
+        + [
+            pytest.param(
+                ProtocolId.GROS_NAMING,
+                SchedulerKind.WEAK_ADVERSARIAL,
+                init,
+                n,
+                bound,
+                id=f"gros-{init.value}-n{n}-{bound}",
+            )
+            for init in (InitPolicy.ALL_ZERO, InitPolicy.WORST_CASE_UNNAMED)
+            for n in (1, 2, 5, 7)
+            for bound in TRUNCATION_BOUNDS
+        ],
+    )
+    def test_truncated_runs_replay_too(self, protocol, scheduler, init, n, bound):
         spec = TrialBatchSpec(
-            protocol=ProtocolId.FLIP,
-            n=9,
+            protocol=protocol,
+            n=n,
             trials=2,
-            scheduler=SchedulerKind.UNIFORM_PAIR,
-            init=InitPolicy.ALL_ZERO,
+            scheduler=scheduler,
+            init=init,
             seed=5,
             stop=StopCondition(StopKind.COUNT_REACHES_N, bound),
         )
@@ -358,7 +387,7 @@ class TestAdversarialNaming:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_sweep_matches_the_doubling_formula(self, n):
         sweep = sweep_worst_unnamed(n, n + 1)
-        assert sweep.worst_non_null == 3 * 2 ** (n - 1) - 2
+        assert sweep.worst_non_null == oracle.gros_worst_case(n)
         assert sweep.worst_start == frozenset(range(1, n))
         assert sweep.starts_checked == 2 ** n - 1
 
@@ -370,6 +399,11 @@ class TestAdversarialNaming:
 
     def test_worst_start_shape(self):
         assert worst_unnamed_start(4) == [0, 1, 2, 3]
+
+    def test_subset_start_names_the_mask_bits(self):
+        assert subset_start(4, 0b0101) == [1, 3, 0, 0]
+        assert subset_start(3, 0) == [0, 0, 0]
+        assert subset_start(3, 0b111) == [1, 2, 3]
 
 
 def flip_hitting_law(n: int, horizon: int) -> list[Fraction]:

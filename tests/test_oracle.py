@@ -18,6 +18,7 @@ from popcountlab.oracle import (
     gros_length,
     gros_sequence,
     gros_term,
+    gros_worst_case,
     harmonic_bound,
     timeopt_exact_expected,
 )
@@ -79,6 +80,15 @@ class TestNamingSequence:
             gros_sequence(23)
         with pytest.raises(ValueError):
             gros_length(0)
+
+
+class TestNamingWorstCase:
+    def test_frozen_small_values(self):
+        assert [gros_worst_case(n) for n in range(1, 7)] == [1, 4, 10, 22, 46, 94]
+
+    def test_rejects_empty_population(self):
+        with pytest.raises(ValueError):
+            gros_worst_case(0)
 
 
 class TestHarmonicBound:
