@@ -21,7 +21,7 @@ def main():
 
     print(f"{'n':>4} {'starts':>7} {'worst':>7} {'3*2^(n-1)-2':>12}  worst start names")
     for n in range(1, args.max_n + 1):
-        sweep = sweep_worst_unnamed(n, n + 1)
+        sweep = sweep_worst_unnamed(n)
         names = sorted(sweep.worst_start) or ["-"]
         print(
             f"{n:>4} {sweep.starts_checked:>7} {sweep.worst_non_null:>7} "

@@ -21,7 +21,6 @@ from .engine import (
     apply_interaction,
     default_budget,
     initial_configuration,
-    is_silent,
     run,
 )
 from .experiments import (

@@ -119,36 +119,53 @@ PARAMS = {
 }
 
 
+class _RunFailed(Exception):
+    """A run inside a check raised; the message says where and why."""
+
+
 @dataclass
 class _Instrumentation:
     """Counts every instrumented run so the invariant check can report how
-    much evidence backs it."""
+    much evidence backs it, and keeps every run failure."""
 
     trials: int = 0
     violations: list = field(default_factory=list)
 
-    def caught(self, where: str, exc: Exception) -> str:
-        message = f"{where}: {exc}"
-        self.violations.append(message)
-        return message
+    def run(self, where: str, trials: int, fn, *args):
+        """fn(*args), counted as `trials` instrumented runs.  A run that
+        raises is recorded and fails the check that made it."""
+        try:
+            out = fn(*args)
+        except (InvariantViolation, AllTrialsTruncated) as exc:
+            self.violations.append(f"{where}: {exc}")
+            raise _RunFailed(self.violations[-1]) from exc
+        self.trials += trials
+        return out
 
 
-def _check_oracle_identity(params: AcceptanceParams) -> CheckResult:
-    top = params.identity_max_n
-    for n in range(1, top + 1):
-        if oracle.flip_expected_closed_form(n) != oracle.flip_expected_recurrence(n):
-            return CheckResult(
-                "oracle-identity", False, f"closed form and recurrence differ at n={n}"
-            )
-    return CheckResult(
-        "oracle-identity",
-        True,
-        f"closed form equals solved recurrence for n=1..{top}",
+def _adversarial_run(inst, where, trials, start):
+    """One adversarial naming run from `start` at bound n + 1: (record,
+    final names)."""
+    n = len(start)
+    limits = resolve_limits(ProtocolId.GROS_NAMING, n, NATURAL_STOP)[:2]
+    return inst.run(
+        where, trials, kernels.simulate_gros_adversarial, start, n + 1, *limits
     )
 
 
-def _check_flip_mean(params, seed, inst) -> CheckResult:
-    name = "flip-mean-vs-exact"
+# Every check takes (params, seed, inst, shared) and returns (passed,
+# detail); `shared` carries the data a later check reads from an earlier one.
+
+
+def _check_oracle_identity(params, seed, inst, shared):
+    top = params.identity_max_n
+    for n in range(1, top + 1):
+        if oracle.flip_expected_closed_form(n) != oracle.flip_expected_recurrence(n):
+            return False, f"closed form and recurrence differ at n={n}"
+    return True, f"closed form equals solved recurrence for n=1..{top}"
+
+
+def _check_flip_mean(params, seed, inst, shared):
     worst_ratio = 0.0
     worst_n = params.flip_ns[0]
     sizes = [(n, params.flip_trials_small if n <= 8 else params.flip_trials_large)
@@ -163,26 +180,22 @@ def _check_flip_mean(params, seed, inst) -> CheckResult:
             init=InitPolicy.ALL_ZERO,
             seed=derive_seed(seed, 2, n),
         )
-        try:
-            stats = run_batch(spec).summary.bst_interactions
-        except InvariantViolation as exc:
-            return CheckResult(name, False, inst.caught(f"flip n={n}", exc))
-        inst.trials += trials
+        stats = inst.run(
+            f"flip n={n}", trials, run_batch, spec
+        ).summary.bst_interactions
         expected = float(oracle.flip_expected_closed_form(n))
         tolerance = max(3 * stats.standard_error, 0.02 * expected)
         ratio = abs(stats.mean - expected) / tolerance
         if ratio > worst_ratio:
             worst_ratio, worst_n = ratio, n
-    return CheckResult(
-        name,
+    return (
         worst_ratio <= 1.0,
         f"worst deviation {worst_ratio:.3f} of tolerance (n={worst_n}, "
         f"{len(sizes)} sizes, tolerance max(3SE, 2%))",
     )
 
 
-def _check_timeopt_scaling(params, seed, inst):
-    name = "timeopt-convergence-scaling"
+def _check_timeopt_scaling(params, seed, inst, shared):
     base = TrialBatchSpec(
         protocol=ProtocolId.TIME_OPT,
         n=params.timeopt_ns[0],
@@ -191,12 +204,11 @@ def _check_timeopt_scaling(params, seed, inst):
         init=InitPolicy.UNIFORM_RANDOM_MARKS,
         seed=derive_seed(seed, 3),
     )
-    try:
-        summaries = dict(sweep_n(base, params.timeopt_ns))
-    except (InvariantViolation, AllTrialsTruncated) as exc:
-        detail = inst.caught("timeopt sweep", exc)
-        return CheckResult(name, False, detail), {}
-    inst.trials += params.timeopt_trials * len(params.timeopt_ns)
+    trials = params.timeopt_trials * len(params.timeopt_ns)
+    summaries = dict(
+        inst.run("timeopt sweep", trials, sweep_n, base, params.timeopt_ns)
+    )
+    shared["summaries"] = summaries
     truncated = sum(s.truncated for s in summaries.values())
     ratios = []
     for small, big in zip(params.timeopt_ns, params.timeopt_ns[1:]):
@@ -214,52 +226,48 @@ def _check_timeopt_scaling(params, seed, inst):
         if passed
         else f"truncated={truncated}, doubling ratios [{shown}]"
     )
-    return CheckResult(name, passed, detail), summaries
+    return passed, detail
 
 
-def _check_harmonic_floor(params, summaries) -> CheckResult:
-    name = "timeopt-harmonic-floor"
+def _check_harmonic_floor(params, seed, inst, shared):
+    summaries = shared.get("summaries")
     if not summaries:
-        return CheckResult(name, False, "no sweep data (see scaling check)")
+        return False, "no sweep data (see scaling check)"
     margins = {}
     for n in params.harmonic_ns:
         stats = summaries[n].bst_interactions
         floor = float(oracle.harmonic_bound(n))
         margins[n] = stats.mean - (floor - 3 * stats.standard_error)
     worst_n = min(margins, key=margins.get)
-    passed = margins[worst_n] >= 0.0
-    return CheckResult(
-        name,
-        passed,
+    return (
+        margins[worst_n] >= 0.0,
         f"mean BST interactions clear n*H_n - 3SE at n in {params.harmonic_ns}; "
         f"smallest margin {margins[worst_n]:.1f} at n={worst_n}",
     )
 
 
-def _check_allflip(params, seed, inst) -> CheckResult:
-    name = "allflip-probability"
+def _check_allflip(params, seed, inst, shared):
     lows = {}
     for n in params.allflip_ns:
-        try:
-            freq = estimate_allflip_probability(
-                n, params.allflip_trials, derive_seed(seed, 5, n)
-            )
-        except InvariantViolation as exc:
-            return CheckResult(name, False, inst.caught(f"first phase n={n}", exc))
-        inst.trials += params.allflip_trials
+        freq = inst.run(
+            f"first phase n={n}",
+            params.allflip_trials,
+            estimate_allflip_probability,
+            n,
+            params.allflip_trials,
+            derive_seed(seed, 5, n),
+        )
         se = math.sqrt(freq * (1 - freq) / params.allflip_trials)
         lows[n] = freq - (0.5 - 3 * se)
     worst_n = min(lows, key=lows.get)
-    return CheckResult(
-        name,
+    return (
         all(v >= 0 for v in lows.values()),
         f"full-conversion frequency >= 1/2 - 3SE at n in {params.allflip_ns}; "
         f"smallest slack {lows[worst_n]:.4f} at n={worst_n}",
     )
 
 
-def _check_exact_vs_mc(params, seed, inst) -> CheckResult:
-    name = "timeopt-exact-vs-montecarlo"
+def _check_exact_vs_mc(params, seed, inst, shared):
     gaps = []
     for n in params.exact_ns:
         expected = float(oracle.timeopt_exact_expected(n))
@@ -271,31 +279,25 @@ def _check_exact_vs_mc(params, seed, inst) -> CheckResult:
             init=InitPolicy.UNIFORM_RANDOM_MARKS,
             seed=derive_seed(seed, 7, n),
         )
-        try:
-            stats = run_batch(spec).summary.bst_interactions
-        except InvariantViolation as exc:
-            return CheckResult(name, False, inst.caught(f"exact-vs-mc n={n}", exc))
-        inst.trials += params.exact_trials
+        # keep only the summary, so that one batch's records are freed
+        # before the next batch is run
+        stats = inst.run(
+            f"exact-vs-mc n={n}", params.exact_trials, run_batch, spec
+        ).summary.bst_interactions
         gaps.append((n, abs(stats.mean - expected) / stats.standard_error))
     shown = ", ".join(f"n={n}: {g:.2f}SE" for n, g in gaps)
-    return CheckResult(
-        name,
+    return (
         all(g <= 3.0 for _, g in gaps),
         f"measured means vs exact expectations: {shown} "
         f"({params.exact_trials} trials each)",
     )
 
 
-def _check_worst_case_range(params, inst):
-    name = "adversarial-worst-case-range"
-    sweeps = {}
-    for n in params.gros_ns:
-        try:
-            sweeps[n] = sweep_worst_unnamed(n, n + 1)
-        except (InvariantViolation, AllTrialsTruncated) as exc:
-            detail = inst.caught(f"worst-unnamed sweep n={n}", exc)
-            return CheckResult(name, False, detail), {}
-        inst.trials += sweeps[n].starts_checked
+def _check_worst_case_range(params, seed, inst, shared):
+    sweeps = {
+        n: inst.run(f"worst-unnamed sweep n={n}", 2 ** n - 1, sweep_worst_unnamed, n)
+        for n in params.gros_ns
+    }
     bad = [
         n
         for n, sw in sweeps.items()
@@ -305,17 +307,12 @@ def _check_worst_case_range(params, inst):
     # analytic worst start alone there and hold it to the same range
     spots = {}
     for n in params.gros_spot_ns:
-        limits = resolve_limits(ProtocolId.GROS_NAMING, n, NATURAL_STOP)[:2]
-        try:
-            record, _ = kernels.simulate_gros_adversarial(
-                worst_unnamed_start(n), n + 1, *limits, check=True
-            )
-        except InvariantViolation as exc:
-            return CheckResult(name, False, inst.caught(f"worst spot n={n}", exc)), {}
-        inst.trials += 1
+        start = worst_unnamed_start(n)
+        record, _ = _adversarial_run(inst, f"worst spot n={n}", 1, start)
         spots[n] = record.converged_at_non_null
         if record.truncated or not 2 ** n - 1 <= spots[n] <= 2 * 2 ** n:
             bad.append(n)
+    shared["sweeps"] = sweeps
     top = max(params.gros_ns)
     spot_note = "".join(
         f"; worst start at n={n}: {count}" for n, count in spots.items()
@@ -327,31 +324,25 @@ def _check_worst_case_range(params, inst):
         if not bad
         else f"worst run outside range at n in {bad}"
     )
-    return CheckResult(name, not bad, detail), sweeps
+    return not bad, detail
 
 
-def _check_naming_sequence(params) -> CheckResult:
-    name = "naming-sequence"
+def _check_naming_sequence(params, seed, inst, shared):
     expansion = oracle.gros_sequence(params.sequence_expansion_depth)
     for k, term in enumerate(expansion, start=1):
         if oracle.gros_term(k) != term:
-            return CheckResult(name, False, f"ruler term {k} mismatch")
+            return False, f"ruler term {k} mismatch"
     for depth in range(1, params.sequence_length_max + 1):
         if oracle.gros_length(depth) != 2 ** depth - 1:
-            return CheckResult(name, False, f"length mismatch at depth {depth}")
+            return False, f"length mismatch at depth {depth}"
         if depth <= 14 and len(oracle.gros_sequence(depth)) != oracle.gros_length(depth):
-            return CheckResult(name, False, f"expansion length mismatch at {depth}")
+            return False, f"expansion length mismatch at {depth}"
     for depth in range(1, params.sequence_prefix_max + 1):
         seq = oracle.gros_sequence(depth)
         for name_value in range(1, depth + 1):
             if seq.count(name_value) != 2 ** (depth - name_value):
-                return CheckResult(
-                    name,
-                    False,
-                    f"name {name_value} multiplicity wrong at depth {depth}",
-                )
-    return CheckResult(
-        name,
+                return False, f"name {name_value} multiplicity wrong at depth {depth}"
+    return (
         True,
         f"terms k<={len(expansion)}, lengths to depth "
         f"{params.sequence_length_max}, multiplicities to depth "
@@ -359,82 +350,65 @@ def _check_naming_sequence(params) -> CheckResult:
     )
 
 
-def _check_terminal_naming(params, seed, sweeps, inst) -> CheckResult:
-    name = "terminal-naming"
+def _check_terminal_naming(params, seed, inst, shared):
     spot_runs = 0
     for n in params.gros_ns:
-        limits = resolve_limits(ProtocolId.GROS_NAMING, n, NATURAL_STOP)[:2]
         rng = np.random.default_rng(derive_seed(seed, 10, n))
         starts = [subset_start(n, 0), worst_unnamed_start(n)]
         starts += [subset_start(n, int(rng.integers(0, 2 ** n - 1))) for _ in range(3)]
         for start in starts:
-            try:
-                record, final = kernels.simulate_gros_adversarial(
-                    start, n + 1, *limits, check=True
-                )
-            except InvariantViolation as exc:
-                return CheckResult(name, False, inst.caught(f"terminal n={n}", exc))
+            # spot checks of runs already counted by the sweeps: not counted
+            record, final = _adversarial_run(inst, f"terminal n={n}", 0, start)
             named = [v for v in final if v != 0]
             if not record.converged or len(set(named)) != n or len(named) != n:
-                return CheckResult(
-                    name,
-                    False,
-                    f"run from {start} ended with names {final}",
-                )
+                return False, f"run from {start} ended with names {final}"
             spot_runs += 1
-    swept = sum(sw.starts_checked for sw in sweeps.values())
-    return CheckResult(
-        name,
+    swept = sum(sw.starts_checked for sw in shared.get("sweeps", {}).values())
+    return (
         True,
         f"{spot_runs} spot-checked runs ended with n distinct names "
         f"({swept} sweep runs verified in-kernel)",
     )
 
 
-def _check_invariants(inst) -> CheckResult:
-    passed = not inst.violations
-    detail = (
-        f"zero violations across {inst.trials} instrumented runs"
-        if passed
-        else f"{len(inst.violations)} violations, first: {inst.violations[0]}"
-    )
-    return CheckResult("run-invariants", passed, detail)
+def _check_invariants(params, seed, inst, shared):
+    if not inst.violations:
+        return True, f"zero violations across {inst.trials} instrumented runs"
+    return False, f"{len(inst.violations)} violations, first: {inst.violations[0]}"
+
+
+# check name -> check, in run order: run-invariants comes last so that it
+# sees every run
+_CHECKS = {
+    "oracle-identity": _check_oracle_identity,
+    "flip-mean-vs-exact": _check_flip_mean,
+    "timeopt-convergence-scaling": _check_timeopt_scaling,
+    "timeopt-harmonic-floor": _check_harmonic_floor,
+    "allflip-probability": _check_allflip,
+    "timeopt-exact-vs-montecarlo": _check_exact_vs_mc,
+    "adversarial-worst-case-range": _check_worst_case_range,
+    "naming-sequence": _check_naming_sequence,
+    "terminal-naming": _check_terminal_naming,
+    "run-invariants": _check_invariants,
+}
 
 
 def run_all(level: str, seed: int) -> list[CheckResult]:
-    """All acceptance checks at the given level, in report order."""
+    """All acceptance checks at the given level, in report order.  A run
+    that raises fails its check and counts under run-invariants."""
     if level not in PARAMS:
         raise ValueError(f"unknown level {level!r}, pick one of {sorted(PARAMS)}")
     params = PARAMS[level]
     inst = _Instrumentation()
-
-    identity = _check_oracle_identity(params)
-    flip = _check_flip_mean(params, seed, inst)
-    scaling, summaries = _check_timeopt_scaling(params, seed, inst)
-    harmonic = _check_harmonic_floor(params, summaries)
-    allflip = _check_allflip(params, seed, inst)
-    exact = _check_exact_vs_mc(params, seed, inst)
-    worst_range, sweeps = _check_worst_case_range(params, inst)
-    sequence = _check_naming_sequence(params)
-    terminal = _check_terminal_naming(params, seed, sweeps, inst)
-    invariants = _check_invariants(inst)
-
-    by_name = {
-        r.name: r
-        for r in (
-            identity,
-            flip,
-            scaling,
-            harmonic,
-            allflip,
-            invariants,
-            exact,
-            worst_range,
-            sequence,
-            terminal,
-        )
-    }
-    return [by_name[name] for name in CHECK_NAMES]
+    shared = {}
+    results = {}
+    for name, check in _CHECKS.items():
+        try:
+            passed, detail = check(params, seed, inst, shared)
+        except _RunFailed as exc:
+            passed, detail = False, str(exc)
+        results[name] = CheckResult(name, passed, detail)
+    return [results[name] for name in CHECK_NAMES]
 
 
 def format_report(results: list[CheckResult], level: str, seed: int) -> str:

@@ -19,6 +19,7 @@ from .experiments import (
     AllTrialsTruncated,
     InitPolicy,
     TrialBatchSpec,
+    initial_mobiles,
     run_batch,
 )
 from .protocols import NameOverflow, ProtocolId
@@ -150,14 +151,30 @@ def _echo_command(args) -> str:
 
 
 def _oracle_reference(spec: TrialBatchSpec) -> str:
-    """The exact value the batch's mean is naturally compared against."""
-    if spec.protocol is ProtocolId.FLIP:
-        return str(oracle.flip_expected_closed_form(spec.n))
-    if spec.protocol is ProtocolId.TIME_OPT:
-        if spec.n <= oracle.EXACT_TIMEOPT_MAX_N:
-            return str(oracle.timeopt_exact_expected(spec.n))
+    """The exact expectation of the batch's mean where an oracle covers the
+    batch's start and scheduler, else "".
+
+    Under uniform pairs the base-station meetings follow the BST-only law,
+    so the bit protocols' values hold for bst_mean under both schedulers.
+    """
+    n, init = spec.n, spec.init
+    if spec.protocol is ProtocolId.GROS_NAMING:
+        worst = (
+            spec.scheduler is SchedulerKind.WEAK_ADVERSARIAL
+            and init is InitPolicy.WORST_CASE_UNNAMED
+        )
+        return str(oracle.gros_worst_case(n)) if worst else ""
+    if spec.scheduler not in (SchedulerKind.BST_ONLY, SchedulerKind.UNIFORM_PAIR):
         return ""
-    return str(oracle.gros_worst_case(spec.n))
+    # the start's count of mark-1 agents; None for random marks, which the
+    # phased oracle mixes over
+    random_marks = init is InitPolicy.UNIFORM_RANDOM_MARKS
+    ones = None if random_marks else sum(initial_mobiles(spec, None))
+    if spec.protocol is ProtocolId.FLIP:
+        return str(oracle.flip_expected_closed_form(n)) if ones in (0, n) else ""
+    if n <= oracle.EXACT_TIMEOPT_MAX_N:
+        return str(oracle.timeopt_exact_expected(n, ones))
+    return ""
 
 
 # The row's leading columns; each metric's stats columns follow, then

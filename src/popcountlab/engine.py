@@ -7,7 +7,6 @@ kernels are tested against it step for step.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum, unique
 from functools import lru_cache
@@ -154,35 +153,6 @@ def apply_interaction(
 
     # The bit protocols have no mobile/mobile rule.
     return config, False, False
-
-
-def is_silent(protocol: ProtocolId, config: Configuration) -> bool:
-    """True iff every possible pair of the configuration is null.
-
-    Computed from the transition structure rather than by trying all O(n^2)
-    pairs; the tests compare this against the brute-force definition.
-    """
-    _bst_rule(protocol, config)
-    if protocol is ProtocolId.FLIP:
-        # The base station always flips the mark it meets.
-        return False
-    if protocol is ProtocolId.TIME_OPT:
-        bst = config.bst
-        marks = set(config.mobiles)
-        if bst.phase in marks:
-            return False  # a conversion is possible
-        converted = bst.c1 if bst.phase == 0 else bst.c0
-        remaining = bst.c0 if bst.phase == 0 else bst.c1
-        if (1 - bst.phase) in marks:
-            if bst.cnt >= protocols.phase_threshold(converted):
-                return False  # a phase flip is possible
-            if remaining == 0:
-                return False  # the streak can still grow
-        return True
-    counts = Counter(config.mobiles)
-    if counts[protocols.SINK_NAME] > 0:
-        return False  # the base station would name a sink agent
-    return all(count == 1 for count in counts.values())
 
 
 @unique

@@ -410,26 +410,25 @@ class WorstUnnamedSweep:
     starts_checked: int
 
 
-def sweep_worst_unnamed(n: int, bound: int) -> WorstUnnamedSweep:
+def sweep_worst_unnamed(n: int) -> WorstUnnamedSweep:
     """Adversarially schedule every configuration with at least one sink
     agent and distinct names otherwise, and report the one maximizing
     non-null transitions until silence.
 
     Starts are the 2^n - 1 proper subsets S of {1, .., n}: the agents carry
-    the names of S plus sinks.  Each run must end silent with n distinct
-    names; a start that fails to do so raises instead of being scored.
+    the names of S plus sinks, under the name bound n + 1.  Each run must
+    end silent with n distinct names; a start that fails to do so raises
+    instead of being scored.
     """
     if not 1 <= n <= 16:
         raise Intractable(f"enumerating 2^{n} starts is out of range")
-    if bound != n + 1:
-        raise ValueError(f"the sweep needs bound = n + 1, got {bound}")
     limits = resolve_limits(ProtocolId.GROS_NAMING, n, NATURAL_STOP)[:2]
     worst_names = []
     worst = -1
     for mask in range(2 ** n - 1):
         names = subset_start(n, mask)
         record, _ = kernels.simulate_gros_adversarial(
-            names, bound, *limits, check=True
+            names, n + 1, *limits, check=True
         )
         if not record.converged:
             raise AllTrialsTruncated(

@@ -300,32 +300,22 @@ def simulate_timeopt_first_phase(n, rng, check=True):
     until the phase flips; True iff every agent was converted by then."""
     cap = 1 << 24 if n < 1024 else 1 << 40
     thresholds = _phase_thresholds(n)
-    ones = 0
-    c1 = cnt = 0
-    total = 0
+    ones = c1 = cnt = 0
     size = min(4096, max(32, 8 * n))
-    buf: list[int] = []
-    pos = 0
-    random = rng.random
-    while total < cap:
-        if pos == len(buf):
-            # the drawn index only matters through its mark: the `ones`
-            # converted agents can be taken to be indices 0..ones-1
-            buf = (random(size) * n).astype(np.int64).tolist()
-            pos = 0
-        i = buf[pos]
-        pos += 1
-        total += 1
-        if i < ones:
-            if cnt >= thresholds[c1]:
-                return ones == n
-            cnt += 1  # no unconverted credit exists in the first phase
-        else:
-            cnt = 0
-            c1 += 1
-            ones += 1
-            if check and (ones > n or c1 != ones):
-                raise InvariantViolation(
-                    f"first phase counted {c1} conversions over {ones}/{n} ones"
-                )
+    for start in range(0, cap, size):
+        # the drawn index only matters through its mark: the `ones`
+        # converted agents can be taken to be indices 0..ones-1
+        for _, i in _bst_draw(rng, n, start, min(size, cap - start)):
+            if i < ones:
+                if cnt >= thresholds[c1]:
+                    return ones == n
+                cnt += 1  # no unconverted credit exists in the first phase
+            else:
+                cnt = 0
+                c1 += 1
+                ones += 1
+                if check and (ones > n or c1 != ones):
+                    raise InvariantViolation(
+                        f"first phase counted {c1} conversions over {ones}/{n} ones"
+                    )
     raise RuntimeError(f"first phase still running after {cap} meetings")

@@ -5,6 +5,7 @@ Each criterion prints one PASS/FAIL line on the terminal (bypassing
 capture) so a test run doubles as a readable report.
 """
 
+import dataclasses
 import hashlib
 import subprocess
 import sys
@@ -12,6 +13,8 @@ import sys
 import pytest
 
 from popcountlab import acceptance
+from popcountlab.engine import InvariantViolation
+from popcountlab.experiments import AllTrialsTruncated
 
 SEED = 42
 LEVEL = "full"
@@ -62,3 +65,44 @@ def test_verification_report_is_deterministic(capsys):
     assert first.stdout.count("PASS") == len(acceptance.CHECK_NAMES) + 1
     digest = hashlib.sha256(first.stdout.encode()).hexdigest()
     assert digest == FAST_SEED3_REPORT_SHA256
+
+
+# every check still runs, at sizes that take a second or two
+TINY = dataclasses.replace(
+    acceptance.PARAMS["fast"],
+    identity_max_n=4,
+    flip_ns=(2,),
+    flip_trials_small=50,
+    flip_trials_large=50,
+    timeopt_ns=(8, 16),
+    timeopt_trials=20,
+    harmonic_ns=(16,),
+    allflip_ns=(2,),
+    allflip_trials=100,
+    exact_ns=(1,),
+    exact_trials=100,
+    gros_ns=(2, 3),
+    sequence_expansion_depth=3,
+    sequence_length_max=4,
+    sequence_prefix_max=3,
+)
+
+
+@pytest.mark.parametrize("error", [AllTrialsTruncated, InvariantViolation])
+def test_a_run_that_raises_fails_its_check(monkeypatch, error):
+    monkeypatch.setitem(acceptance.PARAMS, "tiny", TINY)
+    clean = {r.name: r for r in acceptance.run_all("tiny", 1)}
+    assert clean["run-invariants"].passed
+
+    def raising(spec):
+        raise error("planted")
+
+    monkeypatch.setattr(acceptance, "run_batch", raising)
+    results = acceptance.run_all("tiny", 1)
+    assert [r.name for r in results] == list(acceptance.CHECK_NAMES)
+    failed = {r.name: r for r in results if r != clean[r.name]}
+    assert {name: (r.passed, r.detail) for name, r in failed.items()} == {
+        "flip-mean-vs-exact": (False, "flip n=2: planted"),
+        "timeopt-exact-vs-montecarlo": (False, "exact-vs-mc n=1: planted"),
+        "run-invariants": (False, "2 violations, first: flip n=2: planted"),
+    }

@@ -4,6 +4,7 @@ codes, and reproducibility."""
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -147,6 +148,32 @@ class TestSimulateCommand:
         assert payload["nonnull_mean"] == "10.0"
         assert payload["oracle_value"] == "10"
         assert payload["p"] == 4
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (
+                ["timeopt", "--n", "4", "--init", "zeros"],
+                "161447498990645958090157576/19333150094051269159305285",
+            ),
+            (["flip", "--n", "6", "--init", "random"], ""),
+            (
+                ["gros", "--n", "4", "--scheduler", "roundrobin", "--init",
+                 "vector=1,1,0,2"],
+                "",
+            ),
+        ],
+    )
+    def test_oracle_value_is_exact_for_the_start_or_empty(self, capsys, argv, expected):
+        code, out, _ = invoke(
+            capsys, "simulate", "--protocol", *argv, "--trials", "2000", "--format", "json"
+        )
+        (payload,) = json.loads(out)
+        assert code == 0
+        assert payload["oracle_value"] == expected
+        if expected:
+            gap = float(payload["bst_mean"]) - float(Fraction(expected))
+            assert abs(gap) <= 4 * float(payload["bst_se"])
 
     def test_explicit_vector_init(self, capsys):
         code, out, _ = invoke(
@@ -319,7 +346,5 @@ class TestArgumentErrors:
         assert f"argument {flag}: must be an integer, got 'abc'" in err
 
     def test_format_exact_renders_integers_bare(self):
-        from fractions import Fraction
-
         assert cli.format_exact(Fraction(10)) == "10"
         assert cli.format_exact(Fraction(1, 2)) == "1/2 ~= 0.5"

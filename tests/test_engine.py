@@ -20,7 +20,6 @@ from popcountlab.engine import (
     apply_interaction,
     default_budget,
     initial_configuration,
-    is_silent,
     resolve_limits,
     run,
 )
@@ -28,7 +27,6 @@ from popcountlab.protocols import (
     FlipBst,
     GrosBst,
     ProtocolId,
-    TimeOptBst,
     gros_term,
 )
 from popcountlab.schedulers import make_scheduler, SchedulerKind
@@ -116,31 +114,6 @@ def _brute_force_silent(protocol, config):
 
 class TestIsSilent:
     @given(
-        st.lists(st.integers(0, 1), min_size=1, max_size=6),
-        st.integers(0, 6),
-        st.integers(0, 6),
-        st.integers(0, 14),
-        st.integers(0, 1),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_matches_brute_force_for_phased(self, marks, c0, c1, cnt, phase):
-        config = Configuration(
-            bst=TimeOptBst(c0=c0, c1=c1, cnt=cnt, phase=phase),
-            mobiles=tuple(marks),
-        )
-        assert is_silent(ProtocolId.TIME_OPT, config) == _brute_force_silent(
-            ProtocolId.TIME_OPT, config
-        )
-
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=6))
-    def test_flip_is_never_silent(self, marks):
-        config = Configuration(
-            bst=FlipBst(), mobiles=tuple(marks)
-        )
-        assert not is_silent(ProtocolId.FLIP, config)
-        assert not _brute_force_silent(ProtocolId.FLIP, config)
-
-    @given(
         st.integers(2, 7).flatmap(
             lambda bound: st.tuples(
                 st.just(bound),
@@ -157,14 +130,8 @@ class TestIsSilent:
             bst=GrosBst(k=k, bound=bound), mobiles=tuple(names)
         )
         silent = _brute_force_silent(ProtocolId.GROS_NAMING, config)
-        assert is_silent(ProtocolId.GROS_NAMING, config) == silent
         # the engine stops a naming run when its count of names reaches n
         assert (engine._count(config) == config.n) == silent
-
-    def test_wrong_protocol_is_rejected(self):
-        config = initial_configuration(ProtocolId.FLIP, [0])
-        with pytest.raises(TagMismatch):
-            is_silent(ProtocolId.GROS_NAMING, config)
 
 
 class TestStopAndLimits:

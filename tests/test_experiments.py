@@ -386,16 +386,14 @@ class TestAdversarialNaming:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_sweep_matches_the_doubling_formula(self, n):
-        sweep = sweep_worst_unnamed(n, n + 1)
+        sweep = sweep_worst_unnamed(n)
         assert sweep.worst_non_null == oracle.gros_worst_case(n)
         assert sweep.worst_start == frozenset(range(1, n))
         assert sweep.starts_checked == 2 ** n - 1
 
     def test_sweep_validation(self):
-        with pytest.raises(ValueError):
-            sweep_worst_unnamed(3, 3)
         with pytest.raises(Intractable):
-            sweep_worst_unnamed(17, 18)
+            sweep_worst_unnamed(17)
 
     def test_worst_start_shape(self):
         assert worst_unnamed_start(4) == [0, 1, 2, 3]
