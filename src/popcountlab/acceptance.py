@@ -126,10 +126,11 @@ class _RunFailed(Exception):
 @dataclass
 class _Instrumentation:
     """Counts every instrumented run so the invariant check can report how
-    much evidence backs it, and keeps every run failure."""
+    much evidence backs it, and keeps every run failure by its kind."""
 
     trials: int = 0
     violations: list = field(default_factory=list)
+    truncations: list = field(default_factory=list)
 
     def run(self, where: str, trials: int, fn, *args):
         """fn(*args), counted as `trials` instrumented runs.  A run that
@@ -137,8 +138,10 @@ class _Instrumentation:
         try:
             out = fn(*args)
         except (InvariantViolation, AllTrialsTruncated) as exc:
-            self.violations.append(f"{where}: {exc}")
-            raise _RunFailed(self.violations[-1]) from exc
+            truncated = isinstance(exc, AllTrialsTruncated)
+            failures = self.truncations if truncated else self.violations
+            failures.append(f"{where}: {exc}")
+            raise _RunFailed(failures[-1]) from exc
         self.trials += trials
         return out
 
@@ -372,9 +375,11 @@ def _check_terminal_naming(params, seed, inst, shared):
 
 
 def _check_invariants(params, seed, inst, shared):
-    if not inst.violations:
-        return True, f"zero violations across {inst.trials} instrumented runs"
-    return False, f"{len(inst.violations)} violations, first: {inst.violations[0]}"
+    kinds = (("violations", inst.violations), ("truncated batches", inst.truncations))
+    found = "; ".join(f"{len(f)} {kind}, first: {f[0]}" for kind, f in kinds if f)
+    if found:
+        return False, found
+    return True, f"zero violations across {inst.trials} instrumented runs"
 
 
 # check name -> check, in run order: run-invariants comes last so that it

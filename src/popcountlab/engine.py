@@ -214,26 +214,17 @@ def default_budget(protocol: ProtocolId, n: int) -> int:
     """Safety budget in the protocol's own work metric: base-station
     meetings for the bit protocols, non-null transitions for naming.
 
-    Flip converges in about 2^n base-station meetings on average, the
-    phased protocol in O(n log n), and the adversarially scheduled naming
-    protocol within 2 * 2^n non-null transitions; each budget leaves more
-    than an order of magnitude of headroom.
+    Flip converges in 2^(n-1) * sum_k 1/C(n-1, k) < 2^(n+1) base-station
+    meetings on average, the phased protocol in O(n log n), and the
+    adversarially scheduled naming protocol within 2 * 2^n non-null
+    transitions; each budget leaves more than an order of magnitude of
+    headroom.
     """
     if protocol is ProtocolId.FLIP:
-        return 64 * _flip_budget_scale(n)
+        return 64 * 2 ** (n + 1)
     if protocol is ProtocolId.TIME_OPT:
         return math.ceil(64 * n * math.log(n + 1))
     return 16 * 2 ** n
-
-
-def _flip_budget_scale(n: int) -> int:
-    """Integer upper bound on the flip protocol's expected meetings."""
-    from .oracle import flip_expected_closed_form
-
-    if n > 64:
-        # The expectation is 2^n(1 + o(1)); avoid huge exact sums.
-        return 2 ** (n + 1)
-    return math.ceil(flip_expected_closed_form(n))
 
 
 # Stand-in for "no limit" that still allows integer comparison in loops.
@@ -250,8 +241,7 @@ def resolve_limits(
     budget counts base-station meetings for the bit protocols and non-null
     transitions for naming; the total cap counts all interactions and is
     the hard safety net against schedulers that starve the metric.
-    Memoized: flip's default budget is an exact rational sum, and every
-    trial of a batch asks for the same limits.
+    Memoized: every trial of a batch asks for the same limits.
     """
     if stop.kind is StopKind.MAX_INTERACTIONS:
         return UNBOUNDED, stop.bound, False

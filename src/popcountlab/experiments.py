@@ -4,10 +4,11 @@ behind the convergence-time claims.
 Trials are seeded by spawning children of the batch seed (one per trial
 index), so results are reproducible for any worker count and any subset of
 trials can be rerun in isolation.  Trial i's generator is bit for bit
-default_rng(SeedSequence(seed, spawn_key=(i,))), but its seed words come from
-a mirror of SeedSequence's hash: the pool state after the seed's own words is
-computed once per seed, and the spawn word is mixed in for 1024 trial
-indices at a time with numpy, so a trial pays only for PCG64's setup.
+default_rng(SeedSequence(seed, spawn_key=(i,))), but its seed words are
+built 1024 trial indices at a time: numpy's SeedSequence(seed) supplies the
+pool, and a mirror of SeedSequence's last hash steps mixes in each spawn
+word and hashes the output with numpy, so a trial pays only for PCG64's
+setup.
 """
 
 import math
@@ -87,6 +88,12 @@ class TrialBatchSpec:
             raise ValueError("random marks only apply to the bit protocols")
         if self.scheduler is SchedulerKind.WEAK_ADVERSARIAL and not gros:
             raise ValueError("the adversarial scheduler is naming-protocol only")
+        if self.scheduler is SchedulerKind.BST_ONLY and gros:
+            # homonyms meet only each other: under bst they stay forever
+            raise ValueError(
+                "the naming protocol needs a scheduler that pairs mobiles: "
+                "adversarial, uniform or roundrobin"
+            )
         if self.bound is not None and not gros:
             raise ValueError("the name bound only applies to the naming protocol")
         if self.init in (InitPolicy.WORST_CASE_UNNAMED, InitPolicy.EXPLICIT_VECTOR):
@@ -138,8 +145,10 @@ def derive_seed(base: int, *key: int) -> int:
     return int(words[0]) | (int(words[1]) << 32)
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), mirrored so
-# trial_rng can seed PCG64 without building a SeedSequence per trial.
+# The last steps of numpy's SeedSequence hash (numpy/random/bit_generator.pyx),
+# mirrored so trial_rng can seed PCG64 without building a SeedSequence per
+# trial: numpy supplies the pool, the mirror mixes in the spawn word and
+# hashes the output.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -148,70 +157,39 @@ _POOL_SIZE = 4
 _BLOCK = 1024  # trial indices whose seed words are hashed at once
 
 
-def _hash_steps(hash_const: int, mult: int, count: int) -> list[tuple[int, int]]:
-    """The (xor, multiplier) pairs of `count` successive hash steps; they
-    do not depend on the data hashed."""
+def _hash_steps(hash_const: int, mult: int, count: int) -> np.ndarray:
+    """The (xor, multiplier) pairs of `count` successive hash steps, one row
+    each; they do not depend on the data hashed."""
     steps = []
     for _ in range(count):
         nxt = hash_const * mult & _MASK32
         steps.append((hash_const, nxt))
         hash_const = nxt
-    return steps
-
-
-def _hash(value: int, step: tuple[int, int]) -> int:
-    value = (value ^ step[0]) * step[1] & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x: int, y: int) -> int:
-    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return value ^ value >> 16
+    return np.array(steps, dtype=np.uint32)
 
 
 # generate_state(4, uint64): 8 words, word j hashes pool word j % 4
-_OUTPUT_STEPS = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-
-
-@lru_cache(maxsize=64)
-def _seed_pool(seed: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """SeedSequence(seed, spawn_key=(i,))'s pool before the spawn word i is
-    mixed in, and the hash steps that mix it into each pool word.
-
-    The seed's 32-bit words are zero-padded to the pool size and lead the
-    entropy, so everything up to the spawn word depends on the seed alone.
-    """
-    shifts = range(0, max(seed.bit_length(), 1), 32)
-    words = [seed >> shift & _MASK32 for shift in shifts]
-    words += [0] * (_POOL_SIZE - len(words))
-    # one step per pool word, 12 for the pool's cross-mix, then 4 for each
-    # word after the pool's, the spawn word included
-    steps = iter(_hash_steps(_INIT_A, _MULT_A, 4 * len(words) + 4))
-    pool = [_hash(word, next(steps)) for word in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], next(steps)))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hash(word, next(steps)))
-    return tuple(pool), tuple(steps)
+_OUTPUT_XORS, _OUTPUT_MULTS = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE).T
 
 
 @lru_cache(maxsize=8)
 def _seed_block(seed: int, block: int) -> np.ndarray:
     """PCG64's 4 uint64 seed words for trials block*_BLOCK .. +_BLOCK-1 of
-    `seed`, one row per trial (indices below 2^32: one spawn word)."""
-    pool, steps = _seed_pool(seed)
-    xors, mults = np.array(steps, dtype=np.uint32).T
+    `seed`, one row per trial (indices below 2^32: one spawn word).
+
+    The seed's w 32-bit words, zero-padded to the pool size, lead the
+    entropy, so SeedSequence(seed).pool is the pool before the spawn word;
+    its mix took 4 * max(4, w) hash steps and the spawn word takes the next 4.
+    """
+    pool = np.random.SeedSequence(seed).pool
+    width = max(_POOL_SIZE, (max(seed.bit_length(), 1) + 31) // 32)
+    xors, mults = _hash_steps(_INIT_A, _MULT_A, 4 * width + 4)[-4:].T
     index = np.arange(_BLOCK, dtype=np.uint32) + np.uint32(block * _BLOCK)
     spawn = (index[:, None] ^ xors) * mults
     spawn ^= spawn >> 16
-    scaled = np.array([_MIX_MULT_L * word & _MASK32 for word in pool], dtype=np.uint32)
-    mixed = scaled - np.uint32(_MIX_MULT_R) * spawn
+    mixed = pool * np.uint32(_MIX_MULT_L) - np.uint32(_MIX_MULT_R) * spawn
     mixed ^= mixed >> 16
-    xors, mults = np.array(_OUTPUT_STEPS, dtype=np.uint32).T
-    state = (np.concatenate((mixed, mixed), axis=1) ^ xors) * mults
+    state = (np.concatenate((mixed, mixed), axis=1) ^ _OUTPUT_XORS) * _OUTPUT_MULTS
     state ^= state >> 16
     words = state.view(np.uint64)
     words.flags.writeable = False  # cached: shared by every later call

@@ -16,7 +16,6 @@ their protocol's convergence predicate.  The phased protocol's streak
 thresholds are protocols.phase_threshold's values, tabled once per n.
 """
 
-import heapq
 from functools import lru_cache
 
 import numpy as np
@@ -228,29 +227,26 @@ def simulate_gros_adversarial(names, bound, metric_budget, total_cap, check=True
     """Naming protocol under the deterministic adversarial schedule.
 
     Serves the lowest-indexed sink agent to the base station, else collides
-    the lowest-indexed homonym pair, and stops at silence.  Returns the run
-    record and the final name vector.
+    the lowest-indexed homonym pair, and stops at silence.  Every step is
+    non-null.  Returns the run record and the final name vector.
     """
     names = list(names)
     n = len(names)
-    zeros = [i for i, v in enumerate(names) if v == 0]
-    heapq.heapify(zeros)
-    counts = [0] * bound
+    counts = [0] * bound  # agents per name, sinks included
     for v in names:
-        if v:
-            counts[v] += 1
-    dups = {v for v in range(1, bound) if counts[v] >= 2}
+        counts[v] += 1
+    homonyms = sum(c >= 2 for c in counts[1:])  # names held by two or more
     k = 1
-    total = bst_count = non_null = 0
+    total = bst_count = 0
     conv_bst = conv_nn = None
     while True:
-        if not zeros and not dups:
-            conv_bst, conv_nn = bst_count, non_null
+        if not counts[0] and not homonyms:
+            conv_bst, conv_nn = bst_count, total
             break
-        if non_null >= metric_budget or total >= total_cap:
+        if total >= metric_budget or total >= total_cap:
             break
-        if zeros:
-            i = heapq.heappop(zeros)
+        if counts[0]:
+            i = names.index(0)
             term = (k & -k).bit_length()
             if term > bound - 1:
                 raise NameOverflow(
@@ -258,27 +254,19 @@ def simulate_gros_adversarial(names, bound, metric_budget, total_cap, check=True
                 )
             k += 1
             names[i] = term
+            counts[0] -= 1
             counts[term] += 1
-            if counts[term] >= 2:
-                dups.add(term)
-            total += 1
+            homonyms += counts[term] == 2
             bst_count += 1
-            non_null += 1
         else:
-            name = None
-            for i, v in enumerate(names):
-                if v in dups:
-                    name = v
-                    break
-            j = next(m for m in range(i + 1, n) if names[m] == name)
+            i = next(i for i, v in enumerate(names) if counts[v] >= 2)
+            name = names[i]
+            j = names.index(name, i + 1)
             names[i] = names[j] = 0
+            counts[0] += 2
             counts[name] -= 2
-            if counts[name] < 2:
-                dups.discard(name)
-            heapq.heappush(zeros, i)
-            heapq.heappush(zeros, j)
-            total += 1
-            non_null += 1
+            homonyms -= counts[name] < 2
+        total += 1
     distinct = len({v for v in names if v})
     if check and conv_bst is not None and (distinct != n or 0 in names):
         raise InvariantViolation(
@@ -287,7 +275,7 @@ def simulate_gros_adversarial(names, bound, metric_budget, total_cap, check=True
     record = RunRecord(
         total_interactions=total,
         bst_interactions=bst_count,
-        non_null_transitions=non_null,
+        non_null_transitions=total,
         converged_at_bst_interaction=conv_bst,
         converged_at_non_null=conv_nn,
         final_c=distinct,

@@ -88,8 +88,12 @@ TINY = dataclasses.replace(
 )
 
 
-@pytest.mark.parametrize("error", [AllTrialsTruncated, InvariantViolation])
-def test_a_run_that_raises_fails_its_check(monkeypatch, error):
+@pytest.mark.parametrize(
+    "error,tally",
+    [(AllTrialsTruncated, "2 truncated batches"), (InvariantViolation, "2 violations")],
+    ids=["AllTrialsTruncated", "InvariantViolation"],
+)
+def test_a_run_that_raises_fails_its_check(monkeypatch, error, tally):
     monkeypatch.setitem(acceptance.PARAMS, "tiny", TINY)
     clean = {r.name: r for r in acceptance.run_all("tiny", 1)}
     assert clean["run-invariants"].passed
@@ -104,5 +108,5 @@ def test_a_run_that_raises_fails_its_check(monkeypatch, error):
     assert {name: (r.passed, r.detail) for name, r in failed.items()} == {
         "flip-mean-vs-exact": (False, "flip n=2: planted"),
         "timeopt-exact-vs-montecarlo": (False, "exact-vs-mc n=1: planted"),
-        "run-invariants": (False, "2 violations, first: flip n=2: planted"),
+        "run-invariants": (False, f"{tally}, first: flip n=2: planted"),
     }

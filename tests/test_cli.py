@@ -198,6 +198,10 @@ class TestSimulateCommand:
         )
         assert code == 1 and "naming-protocol only" in err
 
+    def test_naming_under_bst_only_exits_one(self, capsys):
+        code, _, err = invoke(capsys, "simulate", "--protocol", "gros", "--n", "12")
+        assert code == 1 and "pairs mobiles" in err
+
     def test_unparseable_inits_exit_one(self, capsys):
         for init in ("vector=1,a", "bogus"):
             code, _, err = invoke(

@@ -153,8 +153,8 @@ class TestStopAndLimits:
         assert cap == 64 + 8 * 5 * budget
 
     def test_default_budgets(self):
-        assert default_budget(ProtocolId.FLIP, 3) == 64 * 10
-        assert default_budget(ProtocolId.FLIP, 4) == 64 * 22  # ceil(64/3) = 22
+        assert default_budget(ProtocolId.FLIP, 3) == 64 * 16
+        assert default_budget(ProtocolId.FLIP, 4) == 64 * 32
         assert default_budget(ProtocolId.GROS_NAMING, 4) == 16 * 16
         assert default_budget(ProtocolId.TIME_OPT, 8) == math.ceil(
             64 * 8 * math.log(9)

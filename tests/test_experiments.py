@@ -14,7 +14,7 @@ from scipy import stats
 
 from popcountlab import experiments, kernels, oracle
 
-from popcountlab.engine import StopCondition, StopKind
+from popcountlab.engine import StopCondition, StopKind, resolve_limits
 from popcountlab.experiments import (
     AllTrialsTruncated,
     InitPolicy,
@@ -33,7 +33,7 @@ from popcountlab.experiments import (
     worst_unnamed_start,
 )
 from popcountlab.oracle import Intractable
-from popcountlab.protocols import ProtocolId
+from popcountlab.protocols import NameOverflow, ProtocolId
 from popcountlab.schedulers import SchedulerKind
 
 REPLAY_CASES = [
@@ -132,6 +132,55 @@ class TestReplayEquality:
         )
         assert run_trial(spec, 0) == run_trial(spec, 0, force_engine=True)
 
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_naming_kernel_replays_from_any_start(self, data):
+        # name bounds below n + 1 can overflow: both routes must raise alike
+        n = data.draw(st.integers(1, 8))
+        bound = data.draw(st.integers(1, n + 2))
+        names = data.draw(st.lists(st.integers(0, bound - 1), min_size=n, max_size=n))
+        cap = data.draw(st.sampled_from([None, 1, 7, 50]))
+        spec = TrialBatchSpec(
+            protocol=ProtocolId.GROS_NAMING,
+            n=n,
+            trials=1,
+            scheduler=SchedulerKind.WEAK_ADVERSARIAL,
+            init=InitPolicy.EXPLICIT_VECTOR,
+            vector=tuple(names),
+            bound=bound,
+            stop=None if cap is None else StopCondition(StopKind.COUNT_REACHES_N, cap),
+        )
+        outcomes = []
+        for force_engine in (False, True):
+            try:
+                outcomes.append(run_trial(spec, 0, force_engine=force_engine))
+            except NameOverflow as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_bit_kernel_records_do_not_depend_on_block_size(self, data):
+        # a block only buffers draws: its length must not show in the record
+        protocol, step = data.draw(
+            st.sampled_from(
+                [(ProtocolId.FLIP, kernels._step_flip),
+                 (ProtocolId.TIME_OPT, kernels._step_timeopt)]
+            )
+        )
+        draw = data.draw(st.sampled_from([kernels._bst_draw, kernels._uniform_draw]))
+        n = data.draw(st.integers(1, 12))
+        marks = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        cap = data.draw(st.sampled_from([None, 1, 31, 33]))
+        stop = StopCondition(StopKind.COUNT_REACHES_N, cap)
+        limits = resolve_limits(protocol, n, stop)[:2]
+        seed = data.draw(st.integers(0, 2 ** 32))
+        records = [
+            step(draw, size, n, marks, trial_rng(seed, 0), *limits, True)
+            for size in (1, 3, 32, 4096)
+        ]
+        assert records[1:] == records[:-1]
+
 
 class TestSeeding:
     def test_derive_seed_is_frozen(self):
@@ -156,10 +205,7 @@ class TestSeeding:
         assert_numpy_child_stream(seed, index)
 
     def test_child_streams_survive_cache_eviction(self):
-        held = max(
-            experiments._seed_pool.cache_info().maxsize,
-            experiments._seed_block.cache_info().maxsize,
-        )
+        held = experiments._seed_block.cache_info().maxsize
         for index in (0, 1500, 1, 1500, 0):
             for seed in range(held + 3):
                 assert_numpy_child_stream(seed * 2 ** 61 + 5, index)
@@ -328,6 +374,7 @@ class TestSpecValidation:
                 protocol=ProtocolId.GROS_NAMING,
                 n=2,
                 trials=1,
+                scheduler=SchedulerKind.ROUND_ROBIN,
                 init=InitPolicy.UNIFORM_RANDOM_MARKS,
             )
         with pytest.raises(ValueError):
@@ -339,6 +386,8 @@ class TestSpecValidation:
             )
         with pytest.raises(ValueError):
             TrialBatchSpec(protocol=ProtocolId.FLIP, n=2, trials=1, bound=5)
+        with pytest.raises(ValueError, match="pairs mobiles"):
+            TrialBatchSpec(protocol=ProtocolId.GROS_NAMING, n=2, trials=1)
 
     def test_initial_values_must_fit_the_state_space(self):
         with pytest.raises(ValueError):
