@@ -255,6 +255,14 @@ def resolve_limits(
     return budget, total_cap, True
 
 
+# bst-only scheduling never pairs two mobiles, so naming homonyms would
+# stay forever
+NAMING_NEEDS_PAIRS = (
+    "the naming protocol needs a scheduler that pairs mobiles: "
+    "adversarial, uniform or roundrobin"
+)
+
+
 def _count(config: Configuration) -> int:
     """The run's count: the base station's estimate under the bit
     protocols, the number of distinct non-sink names under naming, where
@@ -278,6 +286,11 @@ def run(
     `stop`.  Returns the final configuration and the metrics record.
     """
     _bst_rule(protocol, config)
+    from .schedulers import SchedulerKind  # schedulers imports this module
+
+    kind = getattr(scheduler, "kind", None)
+    if protocol is ProtocolId.GROS_NAMING and kind is SchedulerKind.BST_ONLY:
+        raise ValueError(NAMING_NEEDS_PAIRS)
     n = config.n
     bit = protocol is not ProtocolId.GROS_NAMING
     metric_budget, total_cap, halt_on_predicate = resolve_limits(protocol, n, stop)

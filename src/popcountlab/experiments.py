@@ -9,6 +9,10 @@ built 1024 trial indices at a time: numpy's SeedSequence(seed) supplies the
 pool, and a mirror of SeedSequence's last hash steps mixes in each spawn
 word and hashes the output with numpy, so a trial pays only for PCG64's
 setup.
+
+Large BST-only batches of the bit protocols step up to a seed block of
+trials together as lanes (kernels.*_lanes), drawing from a numpy mirror of
+PCG64 seeded from the same words; their records equal run_trial's.
 """
 
 import math
@@ -25,6 +29,8 @@ from numpy.random.bit_generator import ISeedSequence
 
 from . import kernels
 from .engine import (
+    NAMING_NEEDS_PAIRS,
+    InvariantViolation,
     RunRecord,
     StopCondition,
     StopKind,
@@ -89,11 +95,7 @@ class TrialBatchSpec:
         if self.scheduler is SchedulerKind.WEAK_ADVERSARIAL and not gros:
             raise ValueError("the adversarial scheduler is naming-protocol only")
         if self.scheduler is SchedulerKind.BST_ONLY and gros:
-            # homonyms meet only each other: under bst they stay forever
-            raise ValueError(
-                "the naming protocol needs a scheduler that pairs mobiles: "
-                "adversarial, uniform or roundrobin"
-            )
+            raise ValueError(NAMING_NEEDS_PAIRS)
         if self.bound is not None and not gros:
             raise ValueError("the name bound only applies to the naming protocol")
         if self.init in (InitPolicy.WORST_CASE_UNNAMED, InitPolicy.EXPLICIT_VECTOR):
@@ -196,6 +198,62 @@ def _seed_block(seed: int, block: int) -> np.ndarray:
     return words
 
 
+# numpy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG stepped before each
+# output, XSL-RR output, doubles (x >> 11) * 2**-53, mirrored in uint64
+# limbs so that many trials' streams step together in numpy.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U64 = np.uint64
+_MULT_HI, _MULT_LO = _U64(_PCG_MULT >> 64), _U64(_PCG_MULT & (1 << 64) - 1)
+_MULT_LO_LOW, _MULT_LO_HIGH = _U64(_PCG_MULT & _MASK32), _U64(_PCG_MULT >> 32 & _MASK32)
+_LOW32 = _U64(_MASK32)
+_1, _11, _32, _58, _63, _64 = map(_U64, (1, 11, 32, 58, 63, 64))
+
+
+class _PCG64Lanes:
+    """One PCG64 stream per lane, stepped together: lane r draws the
+    doubles of Generator(PCG64(words[r])), bit for bit.
+
+    `words` are PCG64's 4 uint64 seed words per lane (rows of _seed_block):
+    the first two make the initial state, the last two the stream.  The
+    128-bit state and increment are kept as (high, low) uint64 limbs.
+    """
+
+    def __init__(self, words: np.ndarray):
+        w = words.T
+        self.inc_hi = (w[2] << _1) | (w[3] >> _63)
+        self.inc_lo = (w[3] << _1) | _1
+        # numpy's seeding: state = inc + seed, then one LCG step
+        self.lo = self.inc_lo + w[1]
+        self.hi = self.inc_hi + w[0] + (self.lo < w[1])
+        self._step()
+
+    def _step(self):
+        """state = state * multiplier + inc (mod 2^128)."""
+        hi, lo = self.hi, self.lo
+        # the high word of lo * _MULT_LO, from 32-bit halves
+        lo_low, lo_high = lo & _LOW32, lo >> _32
+        mid = lo_high * _MULT_LO_LOW + (lo_low * _MULT_LO_LOW >> _32)
+        mid2 = lo_low * _MULT_LO_HIGH + (mid & _LOW32)
+        carry = lo_high * _MULT_LO_HIGH + (mid >> _32) + (mid2 >> _32)
+        new_lo = lo * _MULT_LO + self.inc_lo
+        self.hi = hi * _MULT_LO + lo * _MULT_HI + carry + self.inc_hi
+        self.hi += new_lo < self.inc_lo
+        self.lo = new_lo
+
+    def random(self) -> np.ndarray:
+        """The next double of every lane."""
+        self._step()
+        x = self.hi ^ self.lo
+        rot = self.hi >> _58
+        x = (x >> rot) | (x << (_64 - rot))  # numpy shifts by 64 give 0
+        return (x >> _11).astype(np.float64) * 2.0**-53
+
+    def keep(self, lanes: np.ndarray):
+        """Drop every lane not in `lanes` (indices, in order)."""
+        self.hi, self.lo = self.hi[lanes], self.lo[lanes]
+        self.inc_hi, self.inc_lo = self.inc_hi[lanes], self.inc_lo[lanes]
+
+
 class _TrialWords(ISeedSequence):
     """Precomputed seed words standing in for a SeedSequence: PCG64 asks
     for exactly 4 uint64 words, and nothing else is served."""
@@ -291,8 +349,88 @@ def run_trial(spec: TrialBatchSpec, index: int, force_engine: bool = False) -> R
     return record
 
 
+_OWN_RUN_TRIAL = run_trial  # see _takes_lanes
+
+
+_LANE_KERNELS = {
+    ProtocolId.FLIP: kernels.flip_bst_lanes,
+    ProtocolId.TIME_OPT: kernels.timeopt_bst_lanes,
+}
+# A lane step makes some 60 numpy calls, whatever the number of lanes: as
+# long as 200-300 steps of a scalar kernel.  On a 2-core x86-64 machine a
+# chunk of long trials (flip at n = 8-12, the phased protocol at n = 16-64)
+# lost to the scalar kernels at 512 lanes, broke even at 768 and won at
+# 1024; trials of a few steps win from 64 lanes.
+_LANE_MIN_TRIALS = 768
+_LANE_MIN_LIVE = 32  # stepping stops once fewer lanes are left
+# Flip's run length has a long, nearly memoryless tail and its mean doubles
+# with each agent: from n = 11 (over 2000 meetings) lanes spend most steps
+# on a few long runs, and a 1024-lane chunk was 8-17% slower than the
+# scalar kernel at n = 11-13.
+_FLIP_LANE_MAX_N = 10
+
+
+def _takes_lanes(spec: TrialBatchSpec, hi: int) -> bool:
+    """Whether trials below `hi` of this spec can be stepped as lanes.
+
+    Lanes bypass run_trial, so a run_trial replaced from outside (a tracer
+    or a test spy, observing each trial) keeps getting every trial.
+    """
+    return (
+        run_trial is _OWN_RUN_TRIAL
+        and spec.protocol in _LANE_KERNELS
+        and (spec.protocol is ProtocolId.TIME_OPT or spec.n <= _FLIP_LANE_MAX_N)
+        and spec.scheduler is SchedulerKind.BST_ONLY
+        and spec.resolved_stop() == NATURAL_STOP
+        and type(spec.seed) is int
+        and spec.seed >= 0
+        and hi <= 1 << 32
+    )
+
+
+def _lane_chunk(spec: TrialBatchSpec, lo: int, hi: int) -> list[RunRecord]:
+    """Trials lo..hi-1, inside one seed block, stepped as lanes.
+
+    Lanes still live when stepping stops, and every trial of a chunk in
+    which a lane broke an invariant, run again through run_trial; records
+    depend only on (spec, index), so nothing is handed over.
+    """
+    start = lo % _BLOCK
+    stream = _PCG64Lanes(_seed_block(spec.seed, lo // _BLOCK)[start : start + hi - lo])
+    if spec.init is InitPolicy.UNIFORM_RANDOM_MARKS:
+        # initial_mobiles' floor(2u), on the lanes' first n doubles
+        marks = np.stack([stream.random() for _ in range(spec.n)], axis=1) >= 0.5
+    else:
+        start_marks = np.array(initial_mobiles(spec, None), dtype=bool)
+        marks = np.tile(start_marks, (hi - lo, 1))
+    budget = min(resolve_limits(spec.protocol, spec.n, NATURAL_STOP)[:2])
+    try:
+        records = _LANE_KERNELS[spec.protocol](
+            spec.n, marks, stream, budget, _LANE_MIN_LIVE, spec.check_invariants
+        )
+    except InvariantViolation:
+        # run_trial raises at the lowest failing trial
+        return [run_trial(spec, i) for i in range(lo, hi)]
+    return [
+        run_trial(spec, i) if record is None else record
+        for i, record in zip(range(lo, hi), records)
+    ]
+
+
 def _run_range(spec: TrialBatchSpec, lo: int, hi: int) -> list[RunRecord]:
-    return [run_trial(spec, i) for i in range(lo, hi)]
+    """Trials lo..hi-1, stepped as lanes one seed block at a time where the
+    spec and the block's share of the range allow."""
+    if not _takes_lanes(spec, hi):
+        return [run_trial(spec, i) for i in range(lo, hi)]
+    records = []
+    while lo < hi:
+        end = min(hi, (lo // _BLOCK + 1) * _BLOCK)
+        if end - lo >= _LANE_MIN_TRIALS:
+            records += _lane_chunk(spec, lo, end)
+        else:
+            records += [run_trial(spec, i) for i in range(lo, end)]
+        lo = end
+    return records
 
 
 def _metric_stats(values: list[int]) -> MetricStats:

@@ -14,6 +14,10 @@ mobile/mobile pairs cannot change a bit configuration.
 All kernels take the limits produced by engine.resolve_limits and halt at
 their protocol's convergence predicate.  The phased protocol's streak
 thresholds are protocols.phase_threshold's values, tabled once per n.
+
+The lane kernels step many BST-only trials together, one numpy operation
+per rule for all live lanes, and give each trial the record its scalar
+kernel gives.
 """
 
 from functools import lru_cache
@@ -221,6 +225,169 @@ def simulate_timeopt_uniform(n, marks, rng, metric_budget, total_cap, check=True
     return _step_timeopt(
         _uniform_draw, 4096, n, marks, rng, metric_budget, total_cap, check
     )
+
+
+def flip_bst_lanes(n, marks, stream, budget, min_live, check=True):
+    """Flip protocol under base-station-only scheduling, one trial per lane,
+    all lanes stepped together.
+
+    `marks` is a C-contiguous (lanes, n) bool array, consumed;
+    `stream.random()` gives the next double of every row and
+    `stream.keep(rows)` drops the others.  A lane stops at convergence or
+    after `budget` meetings, with the record simulate_flip_bst gives on its
+    stream.  Once fewer than `min_live` lanes are left, stepping stops and
+    those lanes get None.  Raises InvariantViolation if a lane breaks an
+    invariant.
+
+    Finished lanes keep stepping, unread, until at most half the rows are
+    live; then the rows are compacted.  Few distinct array sizes keep the
+    allocator from fragmenting.
+    """
+    records = [None] * len(marks)
+    live = np.arange(len(marks))  # the lane of each row
+    offsets = live * n  # each row's first mark in marks.ravel()
+    running = np.ones(len(marks), dtype=bool)  # rows whose trial goes on
+    count = len(marks)
+    ones = marks.sum(axis=1)
+    c0 = np.zeros_like(ones)
+    c1 = np.zeros_like(ones)
+    c = c0
+    zero_seen, one_seen = ones == 0, ones == n
+    flat = marks.ravel()
+    step = 0
+    while count >= min_live and step < budget:
+        step += 1
+        cell = offsets + (stream.random() * n).astype(np.int64)
+        one = flat[cell]
+        zero = ~one
+        flat[cell] = zero
+        c1 = c1 + zero - (one & (c1 > 0))
+        c0 = c0 + one - (zero & (c0 > 0))
+        ones = ones + zero - one
+        new_c = c0 + c1
+        done = (new_c == n) & running
+        if check:
+            bad = (new_c < c) | (new_c > n) | (c1 > ones) | (c0 > n - ones)
+            if done.any():
+                # converged: all marks equal, and all were opposite before
+                opposite_seen = np.where(ones == n, zero_seen, one_seen)
+                bad |= done & (((ones != 0) & (ones != n)) | ~opposite_seen)
+            if (bad & running).any():
+                raise InvariantViolation(
+                    f"a flip lane broke an invariant at step {step}"
+                )
+            zero_seen |= ones == 0
+            one_seen |= ones == n
+        c = new_c
+        if step == budget:
+            for lane, final in zip(live[running].tolist(), c[running].tolist()):
+                conv = step if final == n else None
+                records[lane] = RunRecord(step, step, step, conv, conv, final)
+            break
+        if done.any():
+            for lane in live[done].tolist():
+                records[lane] = RunRecord(step, step, step, step, step, n)
+            running &= ~done
+            count = np.count_nonzero(running)
+            if 2 * count <= len(live):
+                keep = np.flatnonzero(running)
+                state = (live, running, marks, ones, c0, c1, c, zero_seen, one_seen)
+                live, running, marks, ones, c0, c1, c, zero_seen, one_seen = (
+                    a[keep] for a in state
+                )
+                flat = marks.ravel()
+                offsets = np.arange(0, len(live) * n, n)
+                stream.keep(keep)
+    return records
+
+
+def timeopt_bst_lanes(n, marks, stream, budget, min_live, check=True):
+    """Phased protocol under base-station-only scheduling, lanes stepped
+    together as in flip_bst_lanes, with simulate_timeopt_bst's records.
+
+    Counters are kept relative to each lane's phase: `rem` is the credit
+    on the phase's own mark (c0 in phase 0), `cvt` the credit on the
+    converted mark, `unconv` the agents still carrying the phase's mark.
+    A phase flip swaps the roles.
+    """
+    records = [None] * len(marks)
+    live = np.arange(len(marks))
+    offsets = live * n
+    running = np.ones(len(marks), dtype=bool)
+    count = len(marks)
+    thresholds = np.array(_phase_thresholds(n))
+    phase = np.zeros(len(marks), dtype=bool)
+    unconv = n - marks.sum(axis=1)
+    rem = np.zeros_like(unconv)
+    cvt = np.zeros_like(unconv)
+    cnt = np.zeros_like(unconv)
+    non_null = np.zeros_like(unconv)
+    flips = np.zeros_like(unconv)
+    flat = marks.ravel()
+    step = 0
+    while count >= min_live and step < budget:
+        step += 1
+        cell = offsets + (stream.random() * n).astype(np.int64)
+        mark = flat[cell]
+        hit = mark == phase
+        flat[cell] = mark ^ hit
+        miss = ~hit
+        flip = miss & (cnt >= thresholds[cvt])
+        streak = miss & (rem == 0) & ~flip
+        c = rem + cvt
+        rem = rem - (hit & (rem > 0))
+        cvt = cvt + hit
+        unconv = unconv - hit
+        cnt = (cnt + streak) * miss
+        non_null = non_null + (hit | flip | streak)
+        if flip.any():
+            if check and (flip & (rem != 0) & running).any():
+                raise InvariantViolation(
+                    f"a phased lane flipped with credit at step {step}"
+                )
+            cnt = cnt * ~flip
+            flips = flips + flip
+            swap = (cvt - rem) * flip
+            rem, cvt = rem + swap, cvt - swap
+            unconv = np.where(flip, n - unconv, unconv)
+            phase = phase ^ flip
+        new_c = rem + cvt
+        if check:
+            bad = (new_c < c) | (new_c > n) | (rem > unconv) | (cvt > n - unconv)
+            if (bad & running).any():
+                raise InvariantViolation(
+                    f"a phased lane broke an invariant at step {step}"
+                )
+        done = (new_c == n) & running
+        if step == budget:
+            for lane, final, nn, fl in zip(
+                live[running].tolist(),
+                new_c[running].tolist(),
+                non_null[running].tolist(),
+                flips[running].tolist(),
+            ):
+                conv, conv_nn = (step, nn) if final == n else (None, None)
+                records[lane] = RunRecord(step, step, nn, conv, conv_nn, final, fl)
+            break
+        if done.any():
+            for lane, nn, fl in zip(
+                live[done].tolist(), non_null[done].tolist(), flips[done].tolist()
+            ):
+                records[lane] = RunRecord(step, step, nn, step, nn, n, fl)
+            running &= ~done
+            count = np.count_nonzero(running)
+            if 2 * count <= len(live):
+                keep = np.flatnonzero(running)
+                state = (
+                    live, running, marks, phase, unconv, rem, cvt, cnt, non_null, flips
+                )
+                live, running, marks, phase, unconv, rem, cvt, cnt, non_null, flips = (
+                    a[keep] for a in state
+                )
+                flat = marks.ravel()
+                offsets = np.arange(0, len(live) * n, n)
+                stream.keep(keep)
+    return records
 
 
 def simulate_gros_adversarial(names, bound, metric_budget, total_cap, check=True):

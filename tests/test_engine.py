@@ -260,3 +260,19 @@ class TestRun:
             check_invariants=False,
         )
         assert record.total_interactions == 10
+
+    def test_naming_under_bst_only_is_rejected_before_the_loop(self):
+        # bst-only scheduling never pairs two mobiles: the homonyms of
+        # [1, 1, 0, 0] would stay until the cap
+        config = initial_configuration(ProtocolId.GROS_NAMING, [1, 1, 0, 0])
+        scheduler = make_scheduler(SchedulerKind.BST_ONLY, seed=0)
+        with pytest.raises(ValueError, match="adversarial, uniform or roundrobin"):
+            run(
+                ProtocolId.GROS_NAMING,
+                scheduler,
+                config,
+                StopCondition(StopKind.COUNT_REACHES_N),
+            )
+        assert scheduler.rng.random() == make_scheduler(
+            SchedulerKind.BST_ONLY, seed=0
+        ).rng.random()  # nothing was drawn

@@ -4,7 +4,9 @@ parallel equivalence, and the adversarial worst-case sweep."""
 import hashlib
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +16,12 @@ from scipy import stats
 
 from popcountlab import experiments, kernels, oracle
 
-from popcountlab.engine import StopCondition, StopKind, resolve_limits
+from popcountlab.engine import (
+    InvariantViolation,
+    StopCondition,
+    StopKind,
+    resolve_limits,
+)
 from popcountlab.experiments import (
     AllTrialsTruncated,
     InitPolicy,
@@ -204,6 +211,27 @@ class TestSeeding:
     def test_trial_rng_is_numpys_child_stream(self, seed, index):
         assert_numpy_child_stream(seed, index)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 200),
+        block=st.sampled_from([0, 1, 2 ** 22 - 1]) | st.integers(0, 2 ** 22 - 1),
+        rows=st.lists(
+            st.sampled_from([0, 1, 1023]) | st.integers(0, 1023),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ),
+        k=st.integers(1, 64),
+    )
+    def test_lane_mirror_is_pcg64(self, seed, block, rows, k):
+        # block 2^22 - 1, row 1023 is trial index 2^32 - 1
+        lanes = experiments._PCG64Lanes(experiments._seed_block(seed, block)[rows])
+        drawn = np.array([lanes.random() for _ in range(k)]).T
+        for row, doubles, hi, lo in zip(rows, drawn, lanes.hi, lanes.lo):
+            rng = trial_rng(seed, block * 1024 + row)
+            assert doubles.tolist() == rng.random(k).tolist()
+            assert int(hi) << 64 | int(lo) == rng.bit_generator.state["state"]["state"]
+
     def test_child_streams_survive_cache_eviction(self):
         held = experiments._seed_block.cache_info().maxsize
         for index in (0, 1500, 1, 1500, 0):
@@ -287,6 +315,175 @@ class TestGoldenRecords:
             "4b602938e363ba20cc5340a216d10d7deb1f3c2f3897a6e7789ed8f5c728e05f"
         )
         assert estimate_allflip_probability(2, 2000, 7) == sum(verdicts) / 2000 == 0.992
+
+
+BIT_STARTS = [
+    InitPolicy.ALL_ZERO,
+    InitPolicy.ALL_ONE,
+    InitPolicy.UNIFORM_RANDOM_MARKS,
+    InitPolicy.EXPLICIT_VECTOR,
+]
+
+
+class TestLanes:
+    """Large BST-only bit batches step their trials as lanes; the records
+    must be run_trial's, trial for trial."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_lanes_equal_trial_by_trial(self, data):
+        protocol = data.draw(st.sampled_from([ProtocolId.FLIP, ProtocolId.TIME_OPT]))
+        n = data.draw(st.integers(1, 14))
+        init = data.draw(st.sampled_from(BIT_STARTS))
+        vector = None
+        if init is InitPolicy.EXPLICIT_VECTOR:
+            marks = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+            vector = tuple(data.draw(marks))
+        spec = TrialBatchSpec(
+            protocol=protocol,
+            n=n,
+            trials=1,
+            init=init,
+            vector=vector,
+            seed=data.draw(st.integers(0, 2 ** 64)),
+            check_invariants=data.draw(st.booleans()),
+        )
+        # the real cut-offs where trials are cheap; for long flip trials
+        # cut-offs of a few lanes, and from n = 11 stepping stops as soon
+        # as fewer lanes than the cut-off are live
+        if protocol is ProtocolId.FLIP and n > 6:
+            min_trials = data.draw(st.integers(2, 8))
+            min_live = data.draw(st.integers(1, min_trials)) if n <= 10 else min_trials
+            most = 2 * min_trials + 2
+        else:
+            min_trials = experiments._LANE_MIN_TRIALS
+            min_live = experiments._LANE_MIN_LIVE
+            most = 2 * min_trials + 40
+        size = data.draw(
+            st.sampled_from([min_trials - 1, min_trials, most]) | st.integers(1, most)
+        )
+        # the range's trials before a seed-block edge: none, all, or some
+        before = data.draw(
+            st.sampled_from([0, size, min_trials, size - min_trials])
+            | st.integers(0, size)
+        )
+        lo = max(0, 1024 * data.draw(st.integers(1, 3)) - before)
+        with mock.patch.multiple(
+            experiments,
+            _LANE_MIN_TRIALS=min_trials,
+            _LANE_MIN_LIVE=min_live,
+            _FLIP_LANE_MAX_N=14,
+        ):
+            lanes = experiments._run_range(spec, lo, lo + size)
+        assert lanes == [run_trial(spec, i) for i in range(lo, lo + size)]
+        fields = [v for record in lanes for v in vars(record).values()]
+        assert all(type(v) in (int, type(None)) for v in fields)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_lane_kernels_stop_at_the_budget_like_the_scalar_kernels(self, data):
+        # natural budgets are far beyond any lane's run: cut them short
+        lanes, scalar = data.draw(
+            st.sampled_from(
+                [(kernels.flip_bst_lanes, kernels.simulate_flip_bst),
+                 (kernels.timeopt_bst_lanes, kernels.simulate_timeopt_bst)]
+            )
+        )
+        n = data.draw(st.integers(1, 8))
+        rows = data.draw(st.integers(1, 40))
+        marks = np.array(
+            data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                               min_size=rows, max_size=rows))
+        )
+        budget = data.draw(st.integers(1, 60))
+        seed = data.draw(st.integers(0, 2 ** 64))
+        check = data.draw(st.booleans())
+        stream = experiments._PCG64Lanes(experiments._seed_block(seed, 0)[:rows])
+        got = lanes(n, marks.copy(), stream, budget, 1, check)
+        assert got == [
+            scalar(n, [int(m) for m in row], trial_rng(seed, i), budget, 2 * budget, check)
+            for i, row in enumerate(marks)
+        ]
+
+    def test_which_batches_take_lanes(self):
+        base = TrialBatchSpec(protocol=ProtocolId.FLIP, n=10, trials=1, seed=3)
+        assert experiments._takes_lanes(base, 1 << 32)
+        phased = replace(base, protocol=ProtocolId.TIME_OPT, n=64)
+        assert experiments._takes_lanes(phased, 1024)
+        for spec, hi in [
+            (replace(base, n=11), 1024),
+            (replace(base, scheduler=SchedulerKind.UNIFORM_PAIR), 1024),
+            (replace(base, stop=StopCondition(StopKind.COUNT_REACHES_N, 99)), 1024),
+            (replace(base, seed=-1), 1024),
+            (base, (1 << 32) + 1),
+        ]:
+            assert not experiments._takes_lanes(spec, hi)
+
+    def test_worker_count_does_not_change_lane_records(self):
+        # each of the 8 worker ranges is one whole seed block of lanes
+        spec = TrialBatchSpec(
+            protocol=ProtocolId.TIME_OPT,
+            n=2,
+            trials=8 * 1024,
+            init=InitPolicy.UNIFORM_RANDOM_MARKS,
+            seed=23,
+        )
+        assert run_batch(spec, threads=1).records == run_batch(spec, threads=2).records
+
+    def test_a_replaced_run_trial_sees_every_trial(self, monkeypatch):
+        spec = TrialBatchSpec(
+            protocol=ProtocolId.FLIP, n=2, trials=experiments._LANE_MIN_TRIALS, seed=8
+        )
+        seen = []
+
+        def spied(spec, index):
+            seen.append(index)
+            return run_trial(spec, index)
+
+        monkeypatch.setattr(experiments, "run_trial", spied)
+        run_batch(spec, threads=1)
+        assert seen == list(range(spec.trials))
+
+    def test_a_lane_violation_reruns_the_chunk_trial_by_trial(self, monkeypatch):
+        # a streak threshold of 0 once one agent is converted flips some
+        # phases with credit left, on both paths
+        monkeypatch.setattr(
+            kernels,
+            "_phase_thresholds",
+            lambda n: tuple(0.0 if c == 1 else 6.0 for c in range(n + 1)),
+        )
+        spec = TrialBatchSpec(protocol=ProtocolId.TIME_OPT, n=3, trials=1024, seed=4)
+        failures = []
+        for index in range(spec.trials):
+            try:
+                run_trial(spec, index)
+            except InvariantViolation as exc:
+                failures.append((index, str(exc)))
+        lowest, message = failures[0]
+        assert lowest > 0
+        lane_errors, rerun = [], []
+        lanes = kernels.timeopt_bst_lanes
+
+        def spied_lanes(*args):
+            try:
+                return lanes(*args)
+            except InvariantViolation as exc:
+                lane_errors.append(str(exc))
+                raise
+
+        def spied_rng(seed, index):
+            rerun.append(index)
+            return trial_rng(seed, index)
+
+        monkeypatch.setattr(
+            experiments, "_LANE_KERNELS", {ProtocolId.TIME_OPT: spied_lanes}
+        )
+        monkeypatch.setattr(experiments, "trial_rng", spied_rng)
+        with pytest.raises(InvariantViolation) as caught:
+            run_batch(spec, threads=1)
+        assert str(caught.value) == message
+        assert len(lane_errors) == 1 and lane_errors[0] != message
+        assert rerun == list(range(lowest + 1))
 
 
 class TestBatch:
