@@ -16,6 +16,7 @@ PCG64 seeded from the same words; their records equal run_trial's.
 """
 
 import math
+import operator
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
@@ -82,6 +83,13 @@ class TrialBatchSpec:
             raise ValueError("n must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            seed = None
+        if seed is None or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
         gros = self.protocol is ProtocolId.GROS_NAMING
         if self.init is InitPolicy.EXPLICIT_VECTOR:
             if self.vector is None or len(self.vector) != self.n:
@@ -382,8 +390,6 @@ def _takes_lanes(spec: TrialBatchSpec, hi: int) -> bool:
         and (spec.protocol is ProtocolId.TIME_OPT or spec.n <= _FLIP_LANE_MAX_N)
         and spec.scheduler is SchedulerKind.BST_ONLY
         and spec.resolved_stop() == NATURAL_STOP
-        and type(spec.seed) is int
-        and spec.seed >= 0
         and hi <= 1 << 32
     )
 

@@ -15,12 +15,13 @@ All kernels take the limits produced by engine.resolve_limits and halt at
 their protocol's convergence predicate.  The phased protocol's streak
 thresholds are protocols.phase_threshold's values, tabled once per n.
 
-The lane kernels step many BST-only trials together, one numpy operation
-per rule for all live lanes, and give each trial the record its scalar
-kernel gives.
+The lane kernels step many BST-only trials together and give each trial
+the record its scalar kernel gives: one lane loop draws the agents, writes
+their marks back, builds the records and compacts the rows, and each
+protocol supplies its per-row state and a step applying its rule and checks.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -227,17 +228,22 @@ def simulate_timeopt_uniform(n, marks, rng, metric_budget, total_cap, check=True
     )
 
 
-def flip_bst_lanes(n, marks, stream, budget, min_live, check=True):
-    """Flip protocol under base-station-only scheduling, one trial per lane,
-    all lanes stepped together.
+def _lanes(protocol, n, marks, stream, budget, min_live, check=True):
+    """A bit protocol under base-station-only scheduling, one trial per
+    lane, all lanes stepped together.
 
     `marks` is a C-contiguous (lanes, n) bool array, consumed;
     `stream.random()` gives the next double of every row and
     `stream.keep(rows)` drops the others.  A lane stops at convergence or
-    after `budget` meetings, with the record simulate_flip_bst gives on its
-    stream.  Once fewer than `min_live` lanes are left, stepping stops and
-    those lanes get None.  Raises InvariantViolation if a lane breaks an
-    invariant.
+    after `budget` meetings, with the record the protocol's scalar BST-only
+    kernel gives on its stream.  Once fewer than `min_live` lanes are left,
+    stepping stops and those lanes get None.  Raises InvariantViolation if
+    a lane breaks an invariant.
+
+    `protocol(n, marks, check)` gives the rows' state, arrays led by c, the
+    null meetings and the phase flips, and `meet(mark, state, running)`,
+    which applies the rule and checks to the drawn agents and returns
+    their new marks, the running rows that converged and the new state.
 
     Finished lanes keep stepping, unread, until at most half the rows are
     live; then the rows are compacted.  Few distinct array sizes keep the
@@ -248,19 +254,50 @@ def flip_bst_lanes(n, marks, stream, budget, min_live, check=True):
     offsets = live * n  # each row's first mark in marks.ravel()
     running = np.ones(len(marks), dtype=bool)  # rows whose trial goes on
     count = len(marks)
-    ones = marks.sum(axis=1)
-    c0 = np.zeros_like(ones)
-    c1 = np.zeros_like(ones)
-    c = c0
-    zero_seen, one_seen = ones == 0, ones == n
+    state, meet = protocol(n, marks, check)
     flat = marks.ravel()
     step = 0
+
+    def finish(rows, conv):  # conv: step if `rows` converged, None at the budget
+        (rows,) = rows.nonzero()
+        columns = live[rows], state[0][rows], step - state[1][rows], state[2][rows]
+        for lane, final, nn, fl in zip(*(a.tolist() for a in columns)):
+            conv_nn = nn if conv else None
+            records[lane] = RunRecord(step, step, nn, conv, conv_nn, final, fl)
+
     while count >= min_live and step < budget:
         step += 1
         cell = offsets + (stream.random() * n).astype(np.int64)
-        one = flat[cell]
+        flat[cell], done, state = meet(flat[cell], state, running)
+        # on a bool array, np.count_nonzero is a cheaper any() than .any()
+        if np.count_nonzero(done):
+            finish(done, step)
+            running &= ~done
+            count = np.count_nonzero(running)
+            if 2 * count <= len(live):
+                keep = np.flatnonzero(running)
+                live, running, marks = live[keep], running[keep], marks[keep]
+                state = tuple(a[keep] for a in state)
+                flat = marks.ravel()
+                offsets = np.arange(0, len(live) * n, n)
+                stream.keep(keep)
+        if step == budget:
+            finish(running, None)
+    return records
+
+
+def _flip_lanes(n, marks, check):
+    """Flip's lane state and step (see _lanes).  After c, the null meetings
+    (none: every meeting flips a mark) and the phase flips (None: flip has
+    no phases), a row keeps c0, c1, its count of ones and whether all-zero
+    and all-one marks were seen."""
+    ones = marks.sum(axis=1)
+    c, null, c0, c1 = np.zeros((4, len(ones)), ones.dtype)
+    flips = np.full(len(ones), None)
+
+    def meet(one, state, running):
+        c, null, flips, c0, c1, ones, zero_seen, one_seen = state
         zero = ~one
-        flat[cell] = zero
         c1 = c1 + zero - (one & (c1 > 0))
         c0 = c0 + one - (zero & (c0 > 0))
         ones = ones + zero - one
@@ -268,83 +305,46 @@ def flip_bst_lanes(n, marks, stream, budget, min_live, check=True):
         done = (new_c == n) & running
         if check:
             bad = (new_c < c) | (new_c > n) | (c1 > ones) | (c0 > n - ones)
-            if done.any():
+            if np.count_nonzero(done):
                 # converged: all marks equal, and all were opposite before
                 opposite_seen = np.where(ones == n, zero_seen, one_seen)
                 bad |= done & (((ones != 0) & (ones != n)) | ~opposite_seen)
-            if (bad & running).any():
-                raise InvariantViolation(
-                    f"a flip lane broke an invariant at step {step}"
-                )
+            if np.count_nonzero(bad & running):
+                raise InvariantViolation("a flip lane broke an invariant")
             zero_seen |= ones == 0
             one_seen |= ones == n
-        c = new_c
-        if step == budget:
-            for lane, final in zip(live[running].tolist(), c[running].tolist()):
-                conv = step if final == n else None
-                records[lane] = RunRecord(step, step, step, conv, conv, final)
-            break
-        if done.any():
-            for lane in live[done].tolist():
-                records[lane] = RunRecord(step, step, step, step, step, n)
-            running &= ~done
-            count = np.count_nonzero(running)
-            if 2 * count <= len(live):
-                keep = np.flatnonzero(running)
-                state = (live, running, marks, ones, c0, c1, c, zero_seen, one_seen)
-                live, running, marks, ones, c0, c1, c, zero_seen, one_seen = (
-                    a[keep] for a in state
-                )
-                flat = marks.ravel()
-                offsets = np.arange(0, len(live) * n, n)
-                stream.keep(keep)
-    return records
+        state = new_c, null, flips, c0, c1, ones, zero_seen, one_seen
+        return zero, done, state
+
+    return (c, null, flips, c0, c1, ones, ones == 0, ones == n), meet
 
 
-def timeopt_bst_lanes(n, marks, stream, budget, min_live, check=True):
-    """Phased protocol under base-station-only scheduling, lanes stepped
-    together as in flip_bst_lanes, with simulate_timeopt_bst's records.
-
-    Counters are kept relative to each lane's phase: `rem` is the credit
-    on the phase's own mark (c0 in phase 0), `cvt` the credit on the
-    converted mark, `unconv` the agents still carrying the phase's mark.
-    A phase flip swaps the roles.
-    """
-    records = [None] * len(marks)
-    live = np.arange(len(marks))
-    offsets = live * n
-    running = np.ones(len(marks), dtype=bool)
-    count = len(marks)
+def _timeopt_lanes(n, marks, check):
+    """The phased protocol's lane state and step (see _lanes).  After c,
+    the null meetings and the phase flips, counters are relative to each
+    row's phase: `rem` is the credit on the phase's own mark (c0 in phase
+    0), `cvt` the credit on the converted mark, `cnt` the streak, `unconv`
+    the agents still carrying the phase's mark.  A flip swaps the roles."""
     thresholds = np.array(_phase_thresholds(n))
-    phase = np.zeros(len(marks), dtype=bool)
     unconv = n - marks.sum(axis=1)
-    rem = np.zeros_like(unconv)
-    cvt = np.zeros_like(unconv)
-    cnt = np.zeros_like(unconv)
-    non_null = np.zeros_like(unconv)
-    flips = np.zeros_like(unconv)
-    flat = marks.ravel()
-    step = 0
-    while count >= min_live and step < budget:
-        step += 1
-        cell = offsets + (stream.random() * n).astype(np.int64)
-        mark = flat[cell]
+    c, null, flips, rem, cvt, cnt = np.zeros((6, len(unconv)), unconv.dtype)
+    phase = np.zeros(len(unconv), dtype=bool)
+
+    def meet(mark, state, running):
+        c, null, flips, rem, cvt, cnt, unconv, phase = state
         hit = mark == phase
-        flat[cell] = mark ^ hit
         miss = ~hit
         flip = miss & (cnt >= thresholds[cvt])
-        streak = miss & (rem == 0) & ~flip
-        c = rem + cvt
+        idle = miss & ~flip
+        streak = idle & (rem == 0)  # the rest of idle is null
         rem = rem - (hit & (rem > 0))
         cvt = cvt + hit
         unconv = unconv - hit
         cnt = (cnt + streak) * miss
-        non_null = non_null + (hit | flip | streak)
-        if flip.any():
-            if check and (flip & (rem != 0) & running).any():
-                raise InvariantViolation(
-                    f"a phased lane flipped with credit at step {step}"
-                )
+        null = null + (idle ^ streak)
+        if np.count_nonzero(flip):
+            if check and np.count_nonzero(flip & (rem != 0) & running):
+                raise InvariantViolation("a phased lane flipped with credit")
             cnt = cnt * ~flip
             flips = flips + flip
             swap = (cvt - rem) * flip
@@ -354,40 +354,19 @@ def timeopt_bst_lanes(n, marks, stream, budget, min_live, check=True):
         new_c = rem + cvt
         if check:
             bad = (new_c < c) | (new_c > n) | (rem > unconv) | (cvt > n - unconv)
-            if (bad & running).any():
-                raise InvariantViolation(
-                    f"a phased lane broke an invariant at step {step}"
-                )
+            if np.count_nonzero(bad & running):
+                raise InvariantViolation("a phased lane broke an invariant")
         done = (new_c == n) & running
-        if step == budget:
-            for lane, final, nn, fl in zip(
-                live[running].tolist(),
-                new_c[running].tolist(),
-                non_null[running].tolist(),
-                flips[running].tolist(),
-            ):
-                conv, conv_nn = (step, nn) if final == n else (None, None)
-                records[lane] = RunRecord(step, step, nn, conv, conv_nn, final, fl)
-            break
-        if done.any():
-            for lane, nn, fl in zip(
-                live[done].tolist(), non_null[done].tolist(), flips[done].tolist()
-            ):
-                records[lane] = RunRecord(step, step, nn, step, nn, n, fl)
-            running &= ~done
-            count = np.count_nonzero(running)
-            if 2 * count <= len(live):
-                keep = np.flatnonzero(running)
-                state = (
-                    live, running, marks, phase, unconv, rem, cvt, cnt, non_null, flips
-                )
-                live, running, marks, phase, unconv, rem, cvt, cnt, non_null, flips = (
-                    a[keep] for a in state
-                )
-                flat = marks.ravel()
-                offsets = np.arange(0, len(live) * n, n)
-                stream.keep(keep)
-    return records
+        state = new_c, null, flips, rem, cvt, cnt, unconv, phase
+        return mark ^ hit, done, state
+
+    return (c, null, flips, rem, cvt, cnt, unconv, phase), meet
+
+
+# one lane per trial, each lane's record simulate_flip_bst's or
+# simulate_timeopt_bst's on its stream
+flip_bst_lanes = partial(_lanes, _flip_lanes)
+timeopt_bst_lanes = partial(_lanes, _timeopt_lanes)
 
 
 def simulate_gros_adversarial(names, bound, metric_budget, total_cap, check=True):

@@ -306,6 +306,14 @@ class TestGoldenRecords:
             "acec9e2f008a4b6c916ef984c89be29368ea2473a1387ac4d8911b1f118de8c9"
         )
 
+    def test_flip_bst_lanes(self):
+        # two whole seed blocks, both stepped as lanes
+        spec = TrialBatchSpec(protocol=ProtocolId.FLIP, n=6, trials=2048, seed=9)
+        assert experiments._takes_lanes(spec, spec.trials)
+        assert records_digest(run_batch(spec, threads=1).records) == (
+            "993f6dd8feca82dfc9c1a8734300d05a6ab0458c9f219c69966af1dd30c5717b"
+        )
+
     def test_first_phase_verdicts(self):
         # the per-trial verdicts behind estimate_allflip_probability(2, 2000, 7)
         verdicts = [
@@ -414,7 +422,6 @@ class TestLanes:
             (replace(base, n=11), 1024),
             (replace(base, scheduler=SchedulerKind.UNIFORM_PAIR), 1024),
             (replace(base, stop=StopCondition(StopKind.COUNT_REACHES_N, 99)), 1024),
-            (replace(base, seed=-1), 1024),
             (base, (1 << 32) + 1),
         ]:
             assert not experiments._takes_lanes(spec, hi)
@@ -557,6 +564,20 @@ class TestSpecValidation:
             )
         with pytest.raises(ValueError):
             TrialBatchSpec(protocol=ProtocolId.FLIP, n=2, trials=1, vector=(0, 1))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_seed_must_be_an_integer_at_least_zero(self, seed):
+        with pytest.raises(ValueError, match=f"seed .*{seed!r}"):
+            TrialBatchSpec(protocol=ProtocolId.FLIP, n=2, trials=1, seed=seed)
+
+    def test_numpy_integer_seed_is_stored_as_int_and_takes_lanes(self):
+        spec = TrialBatchSpec(
+            protocol=ProtocolId.TIME_OPT, n=2, trials=1024, seed=np.uint64(7)
+        )
+        assert type(spec.seed) is int
+        assert experiments._takes_lanes(spec, spec.trials)
+        plain = replace(spec, seed=7)
+        assert run_batch(spec, threads=1).records == run_batch(plain, threads=1).records
 
     def test_protocol_pairings(self):
         with pytest.raises(ValueError):
