@@ -12,13 +12,14 @@ setup.
 
 Large BST-only batches of the bit protocols step up to a seed block of
 trials together as lanes (kernels.*_lanes), drawing from a numpy mirror of
-PCG64 seeded from the same words; their records equal run_trial's.
+PCG64 seeded from the same words; their records equal run_trial's.  The
+first-phase estimate steps its trials the same way, with verdicts equal to
+the scalar first-phase kernel's.
 """
 
 import math
 import operator
 import os
-import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum, unique
@@ -368,7 +369,9 @@ _LANE_KERNELS = {
 # long as 200-300 steps of a scalar kernel.  On a 2-core x86-64 machine a
 # chunk of long trials (flip at n = 8-12, the phased protocol at n = 16-64)
 # lost to the scalar kernels at 512 lanes, broke even at 768 and won at
-# 1024; trials of a few steps win from 64 lanes.
+# 1024; trials of a few steps win from 64 lanes.  First phases (about 45
+# numpy calls a step) at n = 8-64 lost at 256 lanes, and at n = 64 at 512
+# too, and won from 768 (0.5-0.75 of the scalar time).
 _LANE_MIN_TRIALS = 768
 _LANE_MIN_LIVE = 32  # stepping stops once fewer lanes are left
 # Flip's run length has a long, nearly memoryless tail and its mean doubles
@@ -394,6 +397,12 @@ def _takes_lanes(spec: TrialBatchSpec, hi: int) -> bool:
     )
 
 
+def _lane_stream(seed: int, lo: int, hi: int) -> _PCG64Lanes:
+    """The streams of trials lo..hi-1, inside one seed block, as lanes."""
+    start = lo % _BLOCK
+    return _PCG64Lanes(_seed_block(seed, lo // _BLOCK)[start : start + hi - lo])
+
+
 def _lane_chunk(spec: TrialBatchSpec, lo: int, hi: int) -> list[RunRecord]:
     """Trials lo..hi-1, inside one seed block, stepped as lanes.
 
@@ -401,8 +410,7 @@ def _lane_chunk(spec: TrialBatchSpec, lo: int, hi: int) -> list[RunRecord]:
     which a lane broke an invariant, run again through run_trial; records
     depend only on (spec, index), so nothing is handed over.
     """
-    start = lo % _BLOCK
-    stream = _PCG64Lanes(_seed_block(spec.seed, lo // _BLOCK)[start : start + hi - lo])
+    stream = _lane_stream(spec.seed, lo, hi)
     if spec.init is InitPolicy.UNIFORM_RANDOM_MARKS:
         # initial_mobiles' floor(2u), on the lanes' first n doubles
         marks = np.stack([stream.random() for _ in range(spec.n)], axis=1) >= 0.5
@@ -439,9 +447,29 @@ def _run_range(spec: TrialBatchSpec, lo: int, hi: int) -> list[RunRecord]:
     return records
 
 
+def _sqrt_of_ratio(num: int, den: int) -> float:
+    """sqrt(num / den), correctly rounded, for ints num >= 0 and den > 0.
+
+    The integer root of num/den, scaled by 4^k to at least 55 bits, is
+    rounded to odd (its last bit set when inexact); rounding that to a
+    double gives the exact root's nearest double.
+    """
+    k = max(0, (den.bit_length() - num.bit_length() + 111) // 2 + 1)
+    scaled = num << 2 * k
+    root = math.isqrt(scaled // den)
+    root |= root * root * den != scaled
+    return root / (1 << k)
+
+
 def _metric_stats(values: list[int]) -> MetricStats:
-    mean = statistics.fmean(values)
-    stddev = statistics.stdev(values) if len(values) > 1 else 0.0
+    """fmean, stdev, min and max of `values`, the stdev from exact integer
+    sums: the same floats as statistics.fmean and statistics.stdev."""
+    n = len(values)
+    mean = math.fsum(values) / n
+    stddev = 0.0
+    if n > 1:
+        squares = n * sum(map(operator.mul, values, values)) - sum(values) ** 2
+        stddev = _sqrt_of_ratio(squares, n * (n - 1))
     return MetricStats(
         mean=mean,
         stddev=stddev,
@@ -514,13 +542,43 @@ def sweep_n(base: TrialBatchSpec, n_values) -> list[tuple[int, Summary]]:
     return out
 
 
+_OWN_FIRST_PHASE = kernels.simulate_timeopt_first_phase  # see _first_phase_range
+
+
+def _first_phase_range(n: int, seed: int, lo: int, hi: int) -> list[bool]:
+    """First-phase verdicts of trials lo..hi-1, stepped as lanes one seed
+    block at a time where the block's share of the range allows.
+
+    Lanes bypass the scalar kernel, so they are off while it is replaced
+    from outside (a tracer observing each first phase).  A chunk in which a
+    lane broke an invariant, and lanes still running at the cap, run again
+    trial by trial, so the scalar kernel raises at the lowest failing trial.
+    """
+    scalar = kernels.simulate_timeopt_first_phase
+    take_lanes = scalar is _OWN_FIRST_PHASE and type(seed) is int and seed >= 0
+    verdicts = []
+    while lo < hi:
+        end = min(hi, (lo // _BLOCK + 1) * _BLOCK)
+        chunk = [None] * (end - lo)
+        if take_lanes and end - lo >= _LANE_MIN_TRIALS and end <= 1 << 32:
+            try:
+                chunk = kernels.timeopt_first_phase_lanes(
+                    n, _lane_stream(seed, lo, end), end - lo
+                )
+            except InvariantViolation:
+                pass  # every trial of the chunk runs again below
+        verdicts += [
+            scalar(n, trial_rng(seed, i)) if verdict is None else verdict
+            for i, verdict in zip(range(lo, end), chunk)
+        ]
+        lo = end
+    return verdicts
+
+
 def estimate_allflip_probability(n: int, trials: int, seed: int) -> float:
     """Fraction of first phases (all-zero start) that convert every agent
     before flipping."""
-    hits = 0
-    for index in range(trials):
-        hits += kernels.simulate_timeopt_first_phase(n, trial_rng(seed, index))
-    return hits / trials
+    return sum(_first_phase_range(n, seed, 0, trials)) / trials
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ The lane kernels step many BST-only trials together and give each trial
 the record its scalar kernel gives: one lane loop draws the agents, writes
 their marks back, builds the records and compacts the rows, and each
 protocol supplies its per-row state and a step applying its rule and checks.
+The first phase of the phased protocol has its own lane kernel, giving each
+lane the verdict simulate_timeopt_first_phase gives on its stream.
 """
 
 from functools import lru_cache, partial
@@ -429,10 +431,15 @@ def simulate_gros_adversarial(names, bound, metric_budget, total_cap, check=True
     return record, names
 
 
+def _first_phase_cap(n):
+    """Meetings after which a first phase that has not flipped is an error."""
+    return 1 << 24 if n < 1024 else 1 << 40
+
+
 def simulate_timeopt_first_phase(n, rng, check=True):
     """Run the phased protocol's first phase from an all-zero population
     until the phase flips; True iff every agent was converted by then."""
-    cap = 1 << 24 if n < 1024 else 1 << 40
+    cap = _first_phase_cap(n)
     thresholds = _phase_thresholds(n)
     ones = c1 = cnt = 0
     size = min(4096, max(32, 8 * n))
@@ -453,3 +460,43 @@ def simulate_timeopt_first_phase(n, rng, check=True):
                         f"first phase counted {c1} conversions over {ones}/{n} ones"
                     )
     raise RuntimeError(f"first phase still running after {cap} meetings")
+
+
+def timeopt_first_phase_lanes(n, stream, lanes):
+    """simulate_timeopt_first_phase on `lanes` streams, one per lane, all
+    lanes stepped together: `stream.random()` gives the next double of
+    every row and `stream.keep(rows)` drops the others.
+
+    Returns each lane's verdict; a lane still running after the scalar
+    kernel's cap gets None.  Raises InvariantViolation if a lane breaks an
+    invariant.  Finished lanes keep stepping, unread, until at most half
+    the rows are live, as in _lanes.
+    """
+    thresholds = np.array(_phase_thresholds(n))
+    verdicts = [None] * lanes
+    live = np.arange(lanes)  # the lane of each row
+    running = np.ones(lanes, dtype=bool)
+    ones, c1, cnt = np.zeros((3, lanes), dtype=np.int64)
+    for _ in range(_first_phase_cap(n)):
+        # converted agents taken as indices 0..ones-1, as in the scalar kernel
+        hit = (stream.random() * n).astype(np.int64) < ones
+        done = hit & (cnt >= thresholds[c1]) & running
+        cnt = (cnt + 1) * hit
+        c1 = c1 + ~hit
+        ones = ones + ~hit
+        if np.count_nonzero(((ones > n) | (c1 != ones)) & running):
+            raise InvariantViolation("a first-phase lane broke an invariant")
+        if np.count_nonzero(done):
+            for lane, full in zip(live[done].tolist(), (ones[done] == n).tolist()):
+                verdicts[lane] = full
+            running &= ~done
+            count = np.count_nonzero(running)
+            if not count:
+                break
+            if 2 * count <= len(live):
+                keep = np.flatnonzero(running)
+                live, running, ones, c1, cnt = (
+                    a[keep] for a in (live, running, ones, c1, cnt)
+                )
+                stream.keep(keep)
+    return verdicts

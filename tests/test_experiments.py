@@ -2,7 +2,9 @@
 parallel equivalence, and the adversarial worst-case sweep."""
 
 import hashlib
+import itertools
 import math
+import statistics
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -493,6 +495,105 @@ class TestLanes:
         assert rerun == list(range(lowest + 1))
 
 
+class TestFirstPhaseLanes:
+    """The first-phase estimate steps its seed blocks as lanes; the
+    verdicts must be the scalar kernel's, trial for trial."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_lane_verdicts_equal_the_scalar_kernel(self, data):
+        n = data.draw(st.integers(1, 40))
+        seed = data.draw(st.integers(0, 2 ** 64))
+        # cut-offs of a few lanes keep the scalar reference cheap at n = 40
+        min_trials = data.draw(st.integers(1, 16))
+        size = data.draw(
+            st.sampled_from([min_trials - 1, min_trials, 40]) | st.integers(1, 40)
+        )
+        # the range's trials before a seed-block edge: none, all, or some
+        before = data.draw(
+            st.sampled_from([0, size, min_trials]) | st.integers(0, size)
+        )
+        lo = max(0, 1024 * data.draw(st.integers(1, 3)) - before)
+        with mock.patch.object(experiments, "_LANE_MIN_TRIALS", min_trials):
+            verdicts = experiments._first_phase_range(n, seed, lo, lo + size)
+        assert verdicts == [
+            kernels.simulate_timeopt_first_phase(n, trial_rng(seed, i))
+            for i in range(lo, lo + size)
+        ]
+
+    @pytest.mark.parametrize(
+        "n,trials,hits", [(2, 10000, 9927), (3, 5000, 4989), (5, 3000, 2999)]
+    )
+    def test_hit_counts_are_frozen(self, n, trials, hits):
+        # the allflip-probability check's seeds at verify seed 42
+        seed = derive_seed(42, 5, n)
+        assert sum(experiments._first_phase_range(n, seed, 0, trials)) == hits
+        assert estimate_allflip_probability(n, trials, seed) == hits / trials
+
+    def test_a_replaced_first_phase_kernel_sees_every_trial(self, monkeypatch):
+        scalar = kernels.simulate_timeopt_first_phase
+        seen = []
+
+        def spied(n, rng, check=True):
+            seen.append(rng.bit_generator.state)
+            return scalar(n, rng, check)
+
+        monkeypatch.setattr(kernels, "simulate_timeopt_first_phase", spied)
+        assert estimate_allflip_probability(2, 2048, 8) == sum(
+            scalar(2, trial_rng(8, i)) for i in range(2048)
+        ) / 2048
+        assert seen == [trial_rng(8, i).bit_generator.state for i in range(2048)]
+
+    def test_a_lane_violation_raises_the_scalar_kernels_message(self, monkeypatch):
+        # doubles below 1e-3 read as 1.5 on both paths: an agent index of n
+        # or more is a conversion too many once every agent is converted
+        def corrupt(doubles):
+            return np.where(doubles < 1e-3, 1.5, doubles)
+
+        class CorruptRng:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, size=None):
+                return corrupt(self.rng.random(size))
+
+        n, trials, seed = 2, 1024, 3
+        failures = []
+        for index in range(trials):
+            try:
+                rng = CorruptRng(trial_rng(seed, index))
+                kernels.simulate_timeopt_first_phase(n, rng)
+            except InvariantViolation as exc:
+                failures.append((index, str(exc)))
+        lowest, message = failures[0]
+        assert lowest > 0
+        lane_errors, rerun = [], []
+        lanes = kernels.timeopt_first_phase_lanes
+        draw = experiments._PCG64Lanes.random
+
+        def spied_lanes(*args):
+            try:
+                return lanes(*args)
+            except InvariantViolation as exc:
+                lane_errors.append(str(exc))
+                raise
+
+        def spied_rng(seed, index):
+            rerun.append(index)
+            return CorruptRng(trial_rng(seed, index))
+
+        monkeypatch.setattr(kernels, "timeopt_first_phase_lanes", spied_lanes)
+        monkeypatch.setattr(
+            experiments._PCG64Lanes, "random", lambda stream: corrupt(draw(stream))
+        )
+        monkeypatch.setattr(experiments, "trial_rng", spied_rng)
+        with pytest.raises(InvariantViolation) as caught:
+            estimate_allflip_probability(n, trials, seed)
+        assert str(caught.value) == message
+        assert len(lane_errors) == 1 and lane_errors[0] != message
+        assert rerun == list(range(lowest + 1))
+
+
 class TestBatch:
     def test_batches_are_deterministic(self):
         spec = TrialBatchSpec(protocol=ProtocolId.FLIP, n=4, trials=16, seed=11)
@@ -544,6 +645,30 @@ class TestBatch:
         again = sweep_n(base, [2, 4])
         assert once == again
         assert [n for n, _ in once] == [2, 4]
+
+
+class TestSummaries:
+    """_metric_stats from exact integer sums: statistics' floats."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 2 ** 80), min_size=1, max_size=300)
+        | st.builds(lambda v, k: [v] * k, st.integers(0, 2 ** 80), st.integers(1, 300))
+    )
+    def test_metric_stats_are_the_statistics_modules(self, values):
+        got = experiments._metric_stats(values)
+        stddev = statistics.stdev(values) if len(values) > 1 else 0.0
+        assert got.mean == statistics.fmean(values)
+        assert got.stddev == stddev
+        assert got.standard_error == stddev / math.sqrt(len(values))
+        assert (got.min, got.max) == (min(values), max(values))
+
+    def test_every_four_value_sample_from_1_to_11(self):
+        for values in itertools.product(range(1, 12), repeat=4):
+            stddev = experiments._metric_stats(list(values)).stddev
+            assert stddev == statistics.stdev(values)
+        # a sample whose stdev Python 3.10's statistics rounded differently
+        assert experiments._metric_stats([1, 1, 2, 8]).stddev == 3.3665016461206925
 
 
 class TestSpecValidation:
