@@ -10,11 +10,12 @@ pool, and a mirror of SeedSequence's last hash steps mixes in each spawn
 word and hashes the output with numpy, so a trial pays only for PCG64's
 setup.
 
-Large BST-only batches of the bit protocols step up to a seed block of
-trials together as lanes (kernels.*_lanes), drawing from a numpy mirror of
-PCG64 seeded from the same words; their records equal run_trial's.  The
-first-phase estimate steps its trials the same way, with verdicts equal to
-the scalar first-phase kernel's.
+Large BST-only batches of the phased protocol, and of flip below
+kernels.FLIP_BLOCK_MIN_N agents, step up to a seed block of trials together
+as lanes (kernels.*_lanes), drawing from a numpy mirror of PCG64 seeded from
+the same words; their records equal run_trial's.  The first-phase estimate
+steps its trials the same way, with verdicts equal to the scalar first-phase
+kernel's.
 """
 
 import math
@@ -107,6 +108,17 @@ class TrialBatchSpec:
             raise ValueError(NAMING_NEEDS_PAIRS)
         if self.bound is not None and not gros:
             raise ValueError("the name bound only applies to the naming protocol")
+        if (
+            self.protocol is ProtocolId.FLIP
+            and self.n > kernels.FLIP_MAX_N
+            and (self.protocol, self.scheduler) in _KERNELS
+            and self.resolved_stop().kind is not StopKind.MAX_INTERACTIONS
+        ):
+            raise ValueError(
+                f"flip with n > {kernels.FLIP_MAX_N} is out of range: its kernel "
+                "holds the marks as the bits of one 64-bit integer, and a run "
+                f"to its natural stop would take about 2^{self.n + 1} meetings"
+            )
         if self.init in (InitPolicy.WORST_CASE_UNNAMED, InitPolicy.EXPLICIT_VECTOR):
             # a fixed start is every trial's start: check its state space once
             initial_configuration(
@@ -374,11 +386,6 @@ _LANE_KERNELS = {
 # too, and won from 768 (0.5-0.75 of the scalar time).
 _LANE_MIN_TRIALS = 768
 _LANE_MIN_LIVE = 32  # stepping stops once fewer lanes are left
-# Flip's run length has a long, nearly memoryless tail and its mean doubles
-# with each agent: from n = 11 (over 2000 meetings) lanes spend most steps
-# on a few long runs, and a 1024-lane chunk was 8-17% slower than the
-# scalar kernel at n = 11-13.
-_FLIP_LANE_MAX_N = 10
 
 
 def _takes_lanes(spec: TrialBatchSpec, hi: int) -> bool:
@@ -390,7 +397,12 @@ def _takes_lanes(spec: TrialBatchSpec, hi: int) -> bool:
     return (
         run_trial is _OWN_RUN_TRIAL
         and spec.protocol in _LANE_KERNELS
-        and (spec.protocol is ProtocolId.TIME_OPT or spec.n <= _FLIP_LANE_MAX_N)
+        # flip's run length has a long, nearly memoryless tail: lanes spend
+        # most steps on a few long runs, and lose to the block kernel
+        and (
+            spec.protocol is ProtocolId.TIME_OPT
+            or spec.n < kernels.FLIP_BLOCK_MIN_N
+        )
         and spec.scheduler is SchedulerKind.BST_ONLY
         and spec.resolved_stop() == NATURAL_STOP
         and hi <= 1 << 32

@@ -2,14 +2,18 @@
 
 The bit kernels are event source x transition.  Each random scheduler has a
 draw function, `draw(rng, n, start, k)`, returning the (step, mobile)
-base-station events of interactions start+1..start+k; it consumes random
-doubles in exactly the scheduler's documented order (batched numpy draws
-yield the same stream as single draws).  Each bit protocol has one stepping
-loop applying its base-station rule and invariant checks to those events.
-So a kernel run and an engine run seeded identically produce identical
-RunRecords; the tests pin that down, and the engine stays the reference.
-The uniform-pair source classifies whole blocks of pairs with numpy:
-mobile/mobile pairs cannot change a bit configuration.
+base-station events of interactions start+1..start+k as a sequence of
+steps and an int64 array of mobile indices; it consumes random doubles in
+exactly the scheduler's documented order (batched numpy draws yield the
+same stream as single draws).  Each bit protocol has one stepping loop
+applying its base-station rule and invariant checks to those events, one
+at a time.  Flip from FLIP_BLOCK_MIN_N agents instead works out a whole
+block of events in numpy (_block_flip): the marks are the bits of one
+int64, updated by a prefix XOR, and both counters are Lindley recursions of
+one running sum.  So a kernel run and an engine run seeded identically
+produce identical RunRecords; the tests pin that down, and the engine stays
+the reference.  The uniform-pair source classifies whole blocks of pairs
+with numpy: mobile/mobile pairs cannot change a bit configuration.
 
 All kernels take the limits produced by engine.resolve_limits and halt at
 their protocol's convergence predicate.  The phased protocol's streak
@@ -48,8 +52,8 @@ def _phase_thresholds(n: int) -> tuple[float, ...]:
 def _bst_draw(rng, n, start, k):
     """BST-only events: every interaction meets the base station, one
     double per draw, index = floor(u * n)."""
-    mobiles = (rng.random(k) * n).astype(np.int64).tolist()
-    return zip(range(start + 1, start + k + 1), mobiles)
+    mobiles = (rng.random(k) * n).astype(np.int64)
+    return range(start + 1, start + k + 1), mobiles
 
 
 def _uniform_draw(rng, n, start, k):
@@ -61,7 +65,7 @@ def _uniform_draw(rng, n, start, k):
     second += second >= first
     events = np.flatnonzero((first == n) | (second == n))
     mobiles = np.where(first[events] == n, second[events], first[events])
-    return zip((events + (start + 1)).tolist(), mobiles.tolist())
+    return events + (start + 1), mobiles
 
 
 def _step_flip(draw, size, n, marks, rng, metric_budget, total_cap, check):
@@ -79,7 +83,8 @@ def _step_flip(draw, size, n, marks, rng, metric_budget, total_cap, check):
     all_one_seen = ones == n
     total = total_cap
     for start in range(0, total_cap, size):
-        for step, i in draw(rng, n, start, min(size, total_cap - start)):
+        steps, mobiles = draw(rng, n, start, min(size, total_cap - start))
+        for j, i in enumerate(mobiles.tolist()):
             bst_count += 1
             if marks[i]:
                 if c1:
@@ -117,9 +122,89 @@ def _step_flip(draw, size, n, marks, rng, metric_budget, total_cap, check):
                 break
         else:
             continue
-        # the inner loop stopped the run at `step`
-        total = step
+        # the inner loop stopped the run at its j-th event
+        total = int(steps[j])
         break
+    return RunRecord(
+        total_interactions=total,
+        bst_interactions=bst_count,
+        non_null_transitions=bst_count,
+        converged_at_bst_interaction=conv,
+        converged_at_non_null=conv,
+        final_c=c,
+    )
+
+
+def _block_flip(draw, size, n, marks, rng, metric_budget, total_cap, check):
+    """_step_flip's record, worked out `size` draws at a time.
+
+    Every meeting flips the drawn agent's mark.  With the marks as the bits
+    of one int64 (so n <= 63), a prefix XOR of the drawn agents' bits gives
+    the marks after every meeting.  Let X = +1 for a meeting with a 0-mark,
+    -1 with a 1-mark, and S its running sum from the block's start: then
+    ones = ones_0 + S, and the counters are Lindley recursions, c1 rising
+    on X = +1 and falling to a floor of 0 on X = -1, c0 the mirror image:
+        c1 = S - min(-c1_0, min_{s<=t} S_s)
+        c0 = max(c0_0, max_{s<=t} S_s) - S
+    Each invariant check is one compare over the block's meetings up to
+    the one that stops the run.  The structure at convergence is read from
+    the marks themselves, not from S.
+    """
+    mask = sum(m << i for i, m in enumerate(marks))
+    full = (1 << n) - 1
+    ones = sum(marks)
+    c0 = c1 = c = 0
+    bst_count = 0
+    conv = None
+    zero_seen, one_seen = mask == 0, mask == full
+    total = total_cap
+    for start in range(0, total_cap, size):
+        steps, mobiles = draw(rng, n, start, min(size, total_cap - start))
+        mobiles = mobiles[: metric_budget - bst_count]
+        if not len(mobiles):
+            continue
+        after = np.bitwise_xor.accumulate(np.left_shift(1, mobiles)) ^ mask
+        s = np.cumsum(2 * (np.right_shift(after, mobiles) & 1) - 1)
+        c1s = s - np.minimum(np.minimum.accumulate(s), -c1)
+        c0s = np.maximum(np.maximum.accumulate(s), c0) - s
+        cs = c0s + c1s
+        hits = np.flatnonzero(cs == n)
+        converged = len(hits) > 0
+        end = int(hits[0]) + 1 if converged else len(mobiles)
+        if check:
+            ones_s = s[:end] + ones
+            bad = np.diff(cs[:end], prepend=c) < 0
+            bad |= cs[:end] > n
+            bad |= c1s[:end] > ones_s
+            bad |= c0s[:end] + ones_s > n
+            if bad.any():
+                t = int(bad.argmax())
+                raise InvariantViolation(
+                    f"flip counters c0={c0s[t]} c1={c1s[t]} invalid with "
+                    f"{ones_s[t]}/{n} ones"
+                )
+            if converged:
+                # all marks equal, and all were opposite before
+                final = int(after[end - 1])
+                opposite, seen = (0, zero_seen) if final == full else (full, one_seen)
+                if final not in (0, full) or not (
+                    seen or (after[: end - 1] == opposite).any()
+                ):
+                    raise InvariantViolation(
+                        "flip converged without the all-same/all-opposite "
+                        f"structure: {final.bit_count()}/{n} ones"
+                    )
+            zero_seen |= bool((after[:end] == 0).any())
+            one_seen |= bool((after[:end] == full).any())
+        bst_count += end
+        c = int(cs[end - 1])
+        if converged or bst_count >= metric_budget:
+            conv = bst_count if converged else None
+            total = int(steps[end - 1])
+            break
+        c0, c1 = int(c0s[-1]), int(c1s[-1])
+        ones += int(s[-1])
+        mask = int(after[-1])
     return RunRecord(
         total_interactions=total,
         bst_interactions=bst_count,
@@ -142,7 +227,8 @@ def _step_timeopt(draw, size, n, marks, rng, metric_budget, total_cap, check):
     conv_nn = None
     total = total_cap
     for start in range(0, total_cap, size):
-        for step, i in draw(rng, n, start, min(size, total_cap - start)):
+        steps, mobiles = draw(rng, n, start, min(size, total_cap - start))
+        for j, i in enumerate(mobiles.tolist()):
             bst_count += 1
             mark = marks[i]
             if mark == phase:
@@ -188,8 +274,8 @@ def _step_timeopt(draw, size, n, marks, rng, metric_budget, total_cap, check):
                 break
         else:
             continue
-        # the inner loop stopped the run at `step`
-        total = step
+        # the inner loop stopped the run at its j-th event
+        total = int(steps[j])
         break
     return RunRecord(
         total_interactions=total,
@@ -202,8 +288,28 @@ def _step_timeopt(draw, size, n, marks, rng, metric_budget, total_cap, check):
     )
 
 
+# Flip from this many agents is worked out a block of meetings at a time
+# (_block_flip), under both random schedulers and for every trial.  Below
+# it a trial steps one meeting at a time (_step_flip), and large BST-only
+# batches step as lanes (experiments._takes_lanes).  A numpy pass over a
+# block costs some 25 calls, as long as 100-200 scalar meetings, so short
+# runs lose.  On a 2-core x86-64 machine, BST-only single trials took 0.58
+# of _step_flip's time at n = 9, 0.34 at n = 10 and 0.22 at n = 12, but
+# 0.97 at n = 8 and 1.45 at n = 7; uniform-pair trials took 0.85 at n = 9,
+# 0.66 at n = 10 and 1.0 at n = 8; a 1024-trial BST-only batch took 0.67
+# of the lanes' time at n = 9 and 1.16 at n = 8.
+FLIP_BLOCK_MIN_N = 9
+# The block kernel holds the marks as the bits of one int64.
+FLIP_MAX_N = 63
+
+
 def simulate_flip_bst(n, marks, rng, metric_budget, total_cap, check=True):
     """Flip protocol under base-station-only scheduling (1 double/step)."""
+    if n >= FLIP_BLOCK_MIN_N:
+        # blocks of 2^(n+1) draws, about twice the mean run, were fastest
+        return _block_flip(
+            _bst_draw, min(4096, 2 << n), n, marks, rng, metric_budget, total_cap, check
+        )
     size = _batch_size(min(metric_budget, total_cap))
     return _step_flip(_bst_draw, size, n, marks, rng, metric_budget, total_cap, check)
 
@@ -218,9 +324,8 @@ def simulate_timeopt_bst(n, marks, rng, metric_budget, total_cap, check=True):
 
 def simulate_flip_uniform(n, marks, rng, metric_budget, total_cap, check=True):
     """Flip protocol under uniform-pair scheduling (2 doubles/step)."""
-    return _step_flip(
-        _uniform_draw, 4096, n, marks, rng, metric_budget, total_cap, check
-    )
+    step = _block_flip if n >= FLIP_BLOCK_MIN_N else _step_flip
+    return step(_uniform_draw, 4096, n, marks, rng, metric_budget, total_cap, check)
 
 
 def simulate_timeopt_uniform(n, marks, rng, metric_budget, total_cap, check=True):
@@ -446,7 +551,7 @@ def simulate_timeopt_first_phase(n, rng, check=True):
     for start in range(0, cap, size):
         # the drawn index only matters through its mark: the `ones`
         # converted agents can be taken to be indices 0..ones-1
-        for _, i in _bst_draw(rng, n, start, min(size, cap - start)):
+        for i in _bst_draw(rng, n, start, min(size, cap - start))[1].tolist():
             if i < ones:
                 if cnt >= thresholds[c1]:
                     return ones == n

@@ -77,6 +77,49 @@ def flip_expected_recurrence(n: int) -> Fraction:
     return flip_hitting_times(n)[n]
 
 
+def flip_uniform_total_expected(n: int) -> Fraction:
+    """Expected total interactions for the flip protocol under uniform-pair
+    scheduling, from an all-same-mark start: E[bst] * (n + 1) / 2.
+
+    Each uniform draw includes the base station with probability
+    2 / (n + 1), independently of the agent it meets, so the draws up to
+    each base-station meeting are i.i.d. geometric with mean (n + 1) / 2,
+    and Wald's identity multiplies the expected meetings
+    (flip_expected_closed_form) by that mean.
+    """
+    return flip_expected_closed_form(n) * Fraction(n + 1, 2)
+
+
+def flip_hitting_law(n: int, horizon: int) -> list[Fraction]:
+    """P(T = t) for t < horizon, where T counts the flip protocol's
+    base-station meetings from all zeros until c = n, under uniform agent
+    choice per meeting.
+
+    A DP over (ones, c0, c1) that keeps integer path counts, each step
+    weighting a move by the number of agents carrying the drawn mark; its
+    mean over an unbounded horizon is flip_expected_closed_form(n).
+    """
+    if n < 1:
+        raise ValueError(f"population size must be >= 1, got {n}")
+    paths = {(0, 0, 0): 1}
+    law = [Fraction(0)]
+    for t in range(1, horizon):
+        after: dict = {}
+        hits = 0
+        for (ones, c0, c1), count in paths.items():
+            for state, ways in (
+                ((ones - 1, c0 + 1, max(c1 - 1, 0)), ones),
+                ((ones + 1, max(c0 - 1, 0), c1 + 1), n - ones),
+            ):
+                if state[1] + state[2] == n:
+                    hits += count * ways
+                elif ways:
+                    after[state] = after.get(state, 0) + count * ways
+        paths = after
+        law.append(Fraction(hits, n ** t))
+    return law
+
+
 def gros_sequence(depth: int) -> list[int]:
     """Brute-force expansion of the naming sequence.
 

@@ -333,6 +333,16 @@ class TestArgumentErrors:
                 cli.main(argv)
             assert exc.value.code == 1
 
+    @pytest.mark.parametrize("extra", [[], ["--max-interactions", "50"]])
+    def test_flip_above_63_agents_exits_one(self, capsys, extra):
+        # a run would not end: the natural stop is about 2^65 meetings away
+        code, out, err = invoke(
+            capsys, "simulate", "--protocol", "flip", "--n", "64", *extra
+        )
+        assert code == 1 and out == ""
+        assert "n > 63" in err and "64-bit integer" in err and "2^65" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv,flag",
         [

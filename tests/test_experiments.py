@@ -7,7 +7,6 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import replace
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -117,7 +116,9 @@ class TestReplayEquality:
     @settings(max_examples=600, deadline=None)
     @given(data=st.data())
     def test_bit_kernels_replay_as_a_property(self, data):
-        # Caps sit on both sides of the 32- and 4096-draw block edges; the
+        # Caps sit on both sides of the 32-, 1024-, 2048- and 4096-draw block
+        # edges (flip from n = kernels.FLIP_BLOCK_MIN_N takes the block
+        # kernel, in blocks of 1024 draws at n = 9 and 2048 at n = 10); the
         # default stop is only affordable on the engine for small n.
         protocol = data.draw(st.sampled_from([ProtocolId.FLIP, ProtocolId.TIME_OPT]))
         scheduler = data.draw(
@@ -125,7 +126,8 @@ class TestReplayEquality:
         )
         n = data.draw(st.integers(1, 40))
         marks = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-        bounds = [1, 31, 32, 33, 4095, 4096, 4097, 8191, 8192, 8193]
+        bounds = [1, 31, 32, 33, 1023, 1024, 1025, 2047, 2048, 2049, 4095, 4096,
+                  4097, 8191, 8192, 8193]
         bound = data.draw(st.sampled_from(bounds + [None] if n <= 6 else bounds))
         stop = None if bound is None else StopCondition(StopKind.COUNT_REACHES_N, bound)
         spec = TrialBatchSpec(
@@ -174,6 +176,7 @@ class TestReplayEquality:
         protocol, step = data.draw(
             st.sampled_from(
                 [(ProtocolId.FLIP, kernels._step_flip),
+                 (ProtocolId.FLIP, kernels._block_flip),
                  (ProtocolId.TIME_OPT, kernels._step_timeopt)]
             )
         )
@@ -189,6 +192,49 @@ class TestReplayEquality:
             for size in (1, 3, 32, 4096)
         ]
         assert records[1:] == records[:-1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_block_flip_equals_the_scalar_loop(self, data):
+        # budgets and caps on both sides of the block edges, or the natural
+        # limits where the run stays affordable
+        draw = data.draw(st.sampled_from([kernels._bst_draw, kernels._uniform_draw]))
+        n = data.draw(st.integers(1, kernels.FLIP_MAX_N))
+        marks = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        edges = [1, 31, 32, 33, 63, 64, 65, 4095, 4096, 4097]
+        budget = data.draw(st.sampled_from(edges + [None]))
+        cap = data.draw(
+            st.sampled_from(edges + [None] if budget is not None or n <= 12 else edges)
+        )
+        natural = resolve_limits(ProtocolId.FLIP, n, experiments.NATURAL_STOP)
+        limits = (
+            natural[0] if budget is None else budget,
+            natural[1] if cap is None else cap,
+        )
+        size = data.draw(st.sampled_from([32, 64, 4096, min(4096, 2 << n)]))
+        seed = data.draw(st.integers(0, 2 ** 32))
+        check = data.draw(st.booleans())
+        scalar, block = (
+            step(draw, size, n, marks, trial_rng(seed, 0), *limits, check)
+            for step in (kernels._step_flip, kernels._block_flip)
+        )
+        assert block == scalar
+        assert all(type(v) in (int, type(None)) for v in vars(block).values())
+
+    def test_block_flip_reads_the_structure_from_the_marks(self, monkeypatch):
+        # A prefix OR in place of the prefix XOR never flips a mark back:
+        # every meeting then counts as one with a 0-mark, so c1 reaches n at
+        # the n-th meeting with every counter check passing, while the marks
+        # are not all equal.  Only the structure check can see that.
+        class OrForXor:
+            bitwise_xor = np.bitwise_or
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(kernels, "np", OrForXor())
+        with pytest.raises(InvariantViolation, match="all-same/all-opposite"):
+            kernels.simulate_flip_bst(12, [0] * 12, trial_rng(3, 0), 10 ** 6, 10 ** 7)
 
 
 class TestSeeding:
@@ -379,11 +425,8 @@ class TestLanes:
         )
         lo = max(0, 1024 * data.draw(st.integers(1, 3)) - before)
         with mock.patch.multiple(
-            experiments,
-            _LANE_MIN_TRIALS=min_trials,
-            _LANE_MIN_LIVE=min_live,
-            _FLIP_LANE_MAX_N=14,
-        ):
+            experiments, _LANE_MIN_TRIALS=min_trials, _LANE_MIN_LIVE=min_live
+        ), mock.patch.object(kernels, "FLIP_BLOCK_MIN_N", 15):
             lanes = experiments._run_range(spec, lo, lo + size)
         assert lanes == [run_trial(spec, i) for i in range(lo, lo + size)]
         fields = [v for record in lanes for v in vars(record).values()]
@@ -416,12 +459,14 @@ class TestLanes:
         ]
 
     def test_which_batches_take_lanes(self):
-        base = TrialBatchSpec(protocol=ProtocolId.FLIP, n=10, trials=1, seed=3)
+        # flip below the block kernel's cut-off
+        largest = kernels.FLIP_BLOCK_MIN_N - 1
+        base = TrialBatchSpec(protocol=ProtocolId.FLIP, n=largest, trials=1, seed=3)
         assert experiments._takes_lanes(base, 1 << 32)
         phased = replace(base, protocol=ProtocolId.TIME_OPT, n=64)
         assert experiments._takes_lanes(phased, 1024)
         for spec, hi in [
-            (replace(base, n=11), 1024),
+            (replace(base, n=largest + 1), 1024),
             (replace(base, scheduler=SchedulerKind.UNIFORM_PAIR), 1024),
             (replace(base, stop=StopCondition(StopKind.COUNT_REACHES_N, 99)), 1024),
             (base, (1 << 32) + 1),
@@ -732,6 +777,33 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="pairs mobiles"):
             TrialBatchSpec(protocol=ProtocolId.GROS_NAMING, n=2, trials=1)
 
+    def test_flip_above_63_agents_is_rejected_where_a_kernel_would_run_it(self):
+        # the block kernel holds flip's marks in one int64, and a natural run
+        # at n = 64 would last about 2^65 meetings; the engine takes any n
+        big = kernels.FLIP_MAX_N + 1
+        for scheduler in (SchedulerKind.BST_ONLY, SchedulerKind.UNIFORM_PAIR):
+            for stop in (None, StopCondition(StopKind.COUNT_REACHES_N, 50)):
+                with pytest.raises(ValueError, match="n > 63 .* 64-bit integer"):
+                    TrialBatchSpec(
+                        protocol=ProtocolId.FLIP,
+                        n=big,
+                        trials=1,
+                        scheduler=scheduler,
+                        stop=stop,
+                    )
+        capped = TrialBatchSpec(
+            protocol=ProtocolId.FLIP,
+            n=big,
+            trials=1,
+            stop=StopCondition(StopKind.MAX_INTERACTIONS, 50),
+        )
+        assert run_trial(capped, 0).total_interactions == 50
+        TrialBatchSpec(
+            protocol=ProtocolId.FLIP, n=big, trials=1, scheduler=SchedulerKind.ROUND_ROBIN
+        )
+        TrialBatchSpec(protocol=ProtocolId.FLIP, n=big - 1, trials=1)
+        TrialBatchSpec(protocol=ProtocolId.TIME_OPT, n=big, trials=1)
+
     def test_initial_values_must_fit_the_state_space(self):
         with pytest.raises(ValueError):
             TrialBatchSpec(
@@ -796,32 +868,6 @@ class TestAdversarialNaming:
         assert subset_start(3, 0b111) == [1, 2, 3]
 
 
-def flip_hitting_law(n: int, horizon: int) -> list[Fraction]:
-    """P(T = t) for t < horizon, where T counts the flip protocol's
-    base-station meetings from all zeros until c = n.
-
-    A DP over (ones, c0, c1) that keeps integer path counts, each step
-    weighting a move by the number of agents carrying the drawn mark.
-    """
-    paths = {(0, 0, 0): 1}
-    law = [Fraction(0)]
-    for t in range(1, horizon):
-        after: dict = {}
-        hits = 0
-        for (ones, c0, c1), count in paths.items():
-            for state, ways in (
-                ((ones - 1, c0 + 1, max(c1 - 1, 0)), ones),
-                ((ones + 1, max(c0 - 1, 0), c1 + 1), n - ones),
-            ):
-                if state[1] + state[2] == n:
-                    hits += count * ways
-                elif ways:
-                    after[state] = after.get(state, 0) + count * ways
-        paths = after
-        law.append(Fraction(hits, n ** t))
-    return law
-
-
 class TestStatisticalCrossChecks:
     @pytest.mark.parametrize(
         "n,seed,trials",
@@ -835,7 +881,7 @@ class TestStatisticalCrossChecks:
         ],
     )
     def test_flip_meeting_counts_follow_the_exact_law(self, n, seed, trials):
-        law = flip_hitting_law(n, 400)
+        law = oracle.flip_hitting_law(n, 400)
         mean = sum(t * p for t, p in enumerate(law))
         assert abs(mean - oracle.flip_expected_closed_form(n)) < 1e-6
         spec = TrialBatchSpec(protocol=ProtocolId.FLIP, n=n, trials=trials, seed=seed)
@@ -892,6 +938,21 @@ class TestStatisticalCrossChecks:
             )
         ).summary.bst_interactions
         assert zeros.mean + 3 * zeros.standard_error < mixed.mean - 3 * mixed.standard_error
+
+    def test_uniform_pair_flip_totals_match_walds_identity(self):
+        # n = 10 runs through the block kernel; the reference is exact
+        n, trials = 10, 3000
+        spec = TrialBatchSpec(
+            protocol=ProtocolId.FLIP,
+            n=n,
+            trials=trials,
+            scheduler=SchedulerKind.UNIFORM_PAIR,
+            seed=derive_seed(71, n),
+        )
+        total = run_batch(spec).summary.total_interactions
+        exact = float(oracle.flip_uniform_total_expected(n))
+        z = (total.mean - exact) / total.standard_error
+        assert abs(z) < 4, (total.mean, exact, z)
 
     def test_uniform_pair_interaction_overhead(self):
         # a pair involves the base station with probability 2 / (n + 1), so

@@ -14,7 +14,9 @@ from popcountlab.oracle import (
     first_phase_full_conversion,
     flip_expected_closed_form,
     flip_expected_recurrence,
+    flip_hitting_law,
     flip_hitting_times,
+    flip_uniform_total_expected,
     gros_length,
     gros_sequence,
     gros_term,
@@ -36,11 +38,27 @@ class TestFlipExpectation:
     def test_frozen_hitting_times(self):
         assert flip_hitting_times(3) == [0, 7, 9, 10]
 
+    def test_frozen_hitting_law(self):
+        # n = 3: the first three meetings hit three distinct agents, 3!/3^3
+        assert flip_hitting_law(3, 8) == [
+            0, 0, 0, Fraction(2, 9), 0, Fraction(14, 81), 0, Fraction(98, 729)
+        ]
+
+    def test_frozen_uniform_pair_totals(self):
+        # E[bst] * (n + 1) / 2; at n = 1 every pair meets the base station
+        assert [flip_uniform_total_expected(n) for n in (1, 2, 3, 4, 10)] == [
+            1, 6, 20, Fraction(160, 3), Fraction(411136, 63)
+        ]
+
     def test_rejects_empty_population(self):
         with pytest.raises(ValueError):
             flip_expected_closed_form(0)
         with pytest.raises(ValueError):
             flip_hitting_times(0)
+        with pytest.raises(ValueError):
+            flip_hitting_law(0, 4)
+        with pytest.raises(ValueError):
+            flip_uniform_total_expected(0)
 
     @given(st.integers(min_value=1, max_value=48))
     @settings(max_examples=30, deadline=None)
