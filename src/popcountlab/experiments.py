@@ -15,7 +15,8 @@ kernels.FLIP_BLOCK_MIN_N agents, step up to a seed block of trials together
 as lanes (kernels.*_lanes), drawing from a numpy mirror of PCG64 seeded from
 the same words; their records equal run_trial's.  The first-phase estimate
 steps its trials the same way, with verdicts equal to the scalar first-phase
-kernel's.
+kernel's.  One runner, _by_seed_block, cuts both at seed-block edges and
+sends what lanes cannot finish back one trial at a time.
 """
 
 import math
@@ -24,7 +25,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum, unique
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -61,6 +62,22 @@ class AllTrialsTruncated(RuntimeError):
     """Every trial of a batch hit its interaction cap without converging."""
 
 
+def _checked_batch(n: int, trials: int, seed) -> int:
+    """Checks a batch's population, trial count and seed; returns the seed
+    as an int (numpy integers included)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or value < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return value
+
+
 # Every run halts when its count reaches n, within the default budget.
 NATURAL_STOP = StopCondition(StopKind.COUNT_REACHES_N)
 
@@ -81,16 +98,7 @@ class TrialBatchSpec:
     check_invariants: bool = True
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            seed = None
-        if seed is None or seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        seed = _checked_batch(self.n, self.trials, self.seed)
         object.__setattr__(self, "seed", seed)
         gros = self.protocol is ProtocolId.GROS_NAMING
         if self.init is InitPolicy.EXPLICIT_VECTOR:
@@ -388,8 +396,8 @@ _LANE_MIN_TRIALS = 768
 _LANE_MIN_LIVE = 32  # stepping stops once fewer lanes are left
 
 
-def _takes_lanes(spec: TrialBatchSpec, hi: int) -> bool:
-    """Whether trials below `hi` of this spec can be stepped as lanes.
+def _takes_lanes(spec: TrialBatchSpec) -> bool:
+    """Whether this spec's trials can be stepped as lanes.
 
     Lanes bypass run_trial, so a run_trial replaced from outside (a tracer
     or a test spy, observing each trial) keeps getting every trial.
@@ -405,58 +413,51 @@ def _takes_lanes(spec: TrialBatchSpec, hi: int) -> bool:
         )
         and spec.scheduler is SchedulerKind.BST_ONLY
         and spec.resolved_stop() == NATURAL_STOP
-        and hi <= 1 << 32
     )
 
 
-def _lane_stream(seed: int, lo: int, hi: int) -> _PCG64Lanes:
-    """The streams of trials lo..hi-1, inside one seed block, as lanes."""
-    start = lo % _BLOCK
-    return _PCG64Lanes(_seed_block(seed, lo // _BLOCK)[start : start + hi - lo])
-
-
-def _lane_chunk(spec: TrialBatchSpec, lo: int, hi: int) -> list[RunRecord]:
-    """Trials lo..hi-1, inside one seed block, stepped as lanes.
-
-    Lanes still live when stepping stops, and every trial of a chunk in
-    which a lane broke an invariant, run again through run_trial; records
-    depend only on (spec, index), so nothing is handed over.
+def _by_seed_block(seed: int, lo: int, hi: int, lanes, scalar) -> list:
+    """Trials lo..hi-1 of `seed`, cut at seed-block edges.  A share of at
+    least _LANE_MIN_TRIALS trials that ends at or below index 2^32 (one
+    spawn word) goes to `lanes(stream, size)` unless `lanes` is None; every
+    other trial, each None the lanes return, and every trial of a share in
+    which a lane broke an invariant go to `scalar(index)`, which raises at
+    the lowest failing trial.  Results depend only on (seed, index).
     """
-    stream = _lane_stream(spec.seed, lo, hi)
+    out = []
+    while lo < hi:
+        end = min(hi, (lo // _BLOCK + 1) * _BLOCK)
+        share = [None] * (end - lo)
+        if lanes is not None and end - lo >= _LANE_MIN_TRIALS and end <= 1 << 32:
+            start = lo % _BLOCK
+            words = _seed_block(seed, lo // _BLOCK)[start : start + end - lo]
+            try:
+                share = lanes(_PCG64Lanes(words), end - lo)
+            except InvariantViolation:
+                pass  # every trial of the share runs again below
+        out += [scalar(i) if r is None else r for i, r in zip(range(lo, end), share)]
+        lo = end
+    return out
+
+
+def _lane_chunk(spec: TrialBatchSpec, stream: _PCG64Lanes, size: int) -> list:
+    """`size` trials of `spec` stepped as lanes on `stream`: run_trial's
+    records, and None for each lane still running when stepping stopped."""
     if spec.init is InitPolicy.UNIFORM_RANDOM_MARKS:
         # initial_mobiles' floor(2u), on the lanes' first n doubles
         marks = np.stack([stream.random() for _ in range(spec.n)], axis=1) >= 0.5
     else:
-        start_marks = np.array(initial_mobiles(spec, None), dtype=bool)
-        marks = np.tile(start_marks, (hi - lo, 1))
+        marks = np.tile(np.array(initial_mobiles(spec, None), dtype=bool), (size, 1))
     budget = min(resolve_limits(spec.protocol, spec.n, NATURAL_STOP)[:2])
-    try:
-        records = _LANE_KERNELS[spec.protocol](
-            spec.n, marks, stream, budget, _LANE_MIN_LIVE, spec.check_invariants
-        )
-    except InvariantViolation:
-        # run_trial raises at the lowest failing trial
-        return [run_trial(spec, i) for i in range(lo, hi)]
-    return [
-        run_trial(spec, i) if record is None else record
-        for i, record in zip(range(lo, hi), records)
-    ]
+    return _LANE_KERNELS[spec.protocol](
+        spec.n, marks, stream, budget, _LANE_MIN_LIVE, spec.check_invariants
+    )
 
 
 def _run_range(spec: TrialBatchSpec, lo: int, hi: int) -> list[RunRecord]:
-    """Trials lo..hi-1, stepped as lanes one seed block at a time where the
-    spec and the block's share of the range allow."""
-    if not _takes_lanes(spec, hi):
-        return [run_trial(spec, i) for i in range(lo, hi)]
-    records = []
-    while lo < hi:
-        end = min(hi, (lo // _BLOCK + 1) * _BLOCK)
-        if end - lo >= _LANE_MIN_TRIALS:
-            records += _lane_chunk(spec, lo, end)
-        else:
-            records += [run_trial(spec, i) for i in range(lo, end)]
-        lo = end
-    return records
+    """Trials lo..hi-1 of a batch, as lanes where the spec allows."""
+    lanes = partial(_lane_chunk, spec) if _takes_lanes(spec) else None
+    return _by_seed_block(spec.seed, lo, hi, lanes, partial(run_trial, spec))
 
 
 def _sqrt_of_ratio(num: int, den: int) -> float:
@@ -558,38 +559,22 @@ _OWN_FIRST_PHASE = kernels.simulate_timeopt_first_phase  # see _first_phase_rang
 
 
 def _first_phase_range(n: int, seed: int, lo: int, hi: int) -> list[bool]:
-    """First-phase verdicts of trials lo..hi-1, stepped as lanes one seed
-    block at a time where the block's share of the range allows.
+    """First-phase verdicts of trials lo..hi-1, as lanes where the range
+    allows (see _by_seed_block).
 
     Lanes bypass the scalar kernel, so they are off while it is replaced
-    from outside (a tracer observing each first phase).  A chunk in which a
-    lane broke an invariant, and lanes still running at the cap, run again
-    trial by trial, so the scalar kernel raises at the lowest failing trial.
+    from outside (a tracer observing each first phase).
     """
     scalar = kernels.simulate_timeopt_first_phase
-    take_lanes = scalar is _OWN_FIRST_PHASE and type(seed) is int and seed >= 0
-    verdicts = []
-    while lo < hi:
-        end = min(hi, (lo // _BLOCK + 1) * _BLOCK)
-        chunk = [None] * (end - lo)
-        if take_lanes and end - lo >= _LANE_MIN_TRIALS and end <= 1 << 32:
-            try:
-                chunk = kernels.timeopt_first_phase_lanes(
-                    n, _lane_stream(seed, lo, end), end - lo
-                )
-            except InvariantViolation:
-                pass  # every trial of the chunk runs again below
-        verdicts += [
-            scalar(n, trial_rng(seed, i)) if verdict is None else verdict
-            for i, verdict in zip(range(lo, end), chunk)
-        ]
-        lo = end
-    return verdicts
+    own = scalar is _OWN_FIRST_PHASE
+    lanes = partial(kernels.timeopt_first_phase_lanes, n) if own else None
+    return _by_seed_block(seed, lo, hi, lanes, lambda i: scalar(n, trial_rng(seed, i)))
 
 
 def estimate_allflip_probability(n: int, trials: int, seed: int) -> float:
     """Fraction of first phases (all-zero start) that convert every agent
     before flipping."""
+    seed = _checked_batch(n, trials, seed)
     return sum(_first_phase_range(n, seed, 0, trials)) / trials
 
 

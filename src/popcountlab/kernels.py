@@ -37,9 +37,7 @@ from .protocols import NameOverflow, phase_threshold
 
 def _batch_size(limit: int) -> int:
     """Buffer length for pre-drawn doubles, small when runs are short."""
-    if limit >= 1 << 17:
-        return 4096
-    return max(32, int(limit) >> 5)
+    return max(32, min(4096, int(limit) >> 5))
 
 
 @lru_cache(maxsize=64)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from popcountlab import cli
+from popcountlab import cli, oracle
 from popcountlab.engine import StopCondition, StopKind
 
 
@@ -48,7 +48,7 @@ class TestOracleCommand:
         assert code == 1 and "--n" in err
 
     def test_out_of_range_exact_solve_fails(self, capsys):
-        code, _, err = invoke(capsys, "oracle", "--which", "timeopt-exact", "--n", "5")
+        code, _, err = invoke(capsys, "oracle", "--which", "timeopt-exact", "--n", "9")
         assert code == 1 and "exact solve" in err
 
 
@@ -174,6 +174,17 @@ class TestSimulateCommand:
         if expected:
             gap = float(payload["bst_mean"]) - float(Fraction(expected))
             assert abs(gap) <= 4 * float(payload["bst_se"])
+
+    @pytest.mark.parametrize("n,solved", [(5, True), (9, False)])
+    def test_timeopt_oracle_value_is_solved_up_to_eight_agents(self, capsys, n, solved):
+        code, out, _ = invoke(
+            capsys, "simulate", "--protocol", "timeopt", "--n", str(n), "--trials", "20",
+            "--format", "json",
+        )
+        (payload,) = json.loads(out)
+        assert code == 0
+        expected = str(oracle.timeopt_exact_expected(n, 0)) if solved else ""
+        assert payload["oracle_value"] == expected
 
     def test_explicit_vector_init(self, capsys):
         code, out, _ = invoke(

@@ -4,6 +4,7 @@ parallel equivalence, and the adversarial worst-case sweep."""
 import hashlib
 import itertools
 import math
+import re
 import statistics
 from collections import Counter
 from dataclasses import replace
@@ -357,7 +358,7 @@ class TestGoldenRecords:
     def test_flip_bst_lanes(self):
         # two whole seed blocks, both stepped as lanes
         spec = TrialBatchSpec(protocol=ProtocolId.FLIP, n=6, trials=2048, seed=9)
-        assert experiments._takes_lanes(spec, spec.trials)
+        assert experiments._takes_lanes(spec)
         assert records_digest(run_batch(spec, threads=1).records) == (
             "993f6dd8feca82dfc9c1a8734300d05a6ab0458c9f219c69966af1dd30c5717b"
         )
@@ -462,16 +463,37 @@ class TestLanes:
         # flip below the block kernel's cut-off
         largest = kernels.FLIP_BLOCK_MIN_N - 1
         base = TrialBatchSpec(protocol=ProtocolId.FLIP, n=largest, trials=1, seed=3)
-        assert experiments._takes_lanes(base, 1 << 32)
+        assert experiments._takes_lanes(base)
         phased = replace(base, protocol=ProtocolId.TIME_OPT, n=64)
-        assert experiments._takes_lanes(phased, 1024)
-        for spec, hi in [
-            (replace(base, n=largest + 1), 1024),
-            (replace(base, scheduler=SchedulerKind.UNIFORM_PAIR), 1024),
-            (replace(base, stop=StopCondition(StopKind.COUNT_REACHES_N, 99)), 1024),
-            (base, (1 << 32) + 1),
+        assert experiments._takes_lanes(phased)
+        for spec in [
+            replace(base, n=largest + 1),
+            replace(base, scheduler=SchedulerKind.UNIFORM_PAIR),
+            replace(base, stop=StopCondition(StopKind.COUNT_REACHES_N, 99)),
         ]:
-            assert not experiments._takes_lanes(spec, hi)
+            assert not experiments._takes_lanes(spec)
+
+    def test_no_lane_share_ends_above_index_2_to_the_32(self, monkeypatch):
+        # trial indices from 2^32 hash two spawn words, which the seed
+        # blocks do not cover: only the share below the edge takes lanes
+        edge = 1 << 32
+        spec = TrialBatchSpec(protocol=ProtocolId.TIME_OPT, n=3, trials=1, seed=12)
+        lanes = kernels.timeopt_bst_lanes
+        shares = []
+
+        def spied_lanes(n, marks, stream, *rest):
+            shares.append(stream.lo.copy())
+            return lanes(n, marks, stream, *rest)
+
+        monkeypatch.setattr(
+            experiments, "_LANE_KERNELS", {ProtocolId.TIME_OPT: spied_lanes}
+        )
+        with mock.patch.multiple(experiments, _LANE_MIN_TRIALS=4, _LANE_MIN_LIVE=1):
+            got = experiments._run_range(spec, edge - 6, edge + 6)
+        assert got == [run_trial(spec, i) for i in range(edge - 6, edge + 6)]
+        below = experiments._seed_block(spec.seed, edge // 1024 - 1)[-6:]
+        assert len(shares) == 1
+        assert (shares[0] == experiments._PCG64Lanes(below).lo).all()
 
     def test_worker_count_does_not_change_lane_records(self):
         # each of the 8 worker ranges is one whole seed block of lanes
@@ -574,6 +596,52 @@ class TestFirstPhaseLanes:
         seed = derive_seed(42, 5, n)
         assert sum(experiments._first_phase_range(n, seed, 0, trials)) == hits
         assert estimate_allflip_probability(n, trials, seed) == hits / trials
+
+    def test_no_lane_share_ends_above_index_2_to_the_32(self, monkeypatch):
+        edge, n, seed = 1 << 32, 5, 13
+        lanes = kernels.timeopt_first_phase_lanes
+        shares = []
+
+        def spied_lanes(n, stream, size):
+            shares.append(stream.lo.copy())
+            return lanes(n, stream, size)
+
+        monkeypatch.setattr(kernels, "timeopt_first_phase_lanes", spied_lanes)
+        monkeypatch.setattr(experiments, "_LANE_MIN_TRIALS", 4)
+        got = experiments._first_phase_range(n, seed, edge - 6, edge + 6)
+        assert got == [
+            kernels.simulate_timeopt_first_phase(n, trial_rng(seed, i))
+            for i in range(edge - 6, edge + 6)
+        ]
+        below = experiments._seed_block(seed, edge // 1024 - 1)[-6:]
+        assert len(shares) == 1
+        assert (shares[0] == experiments._PCG64Lanes(below).lo).all()
+
+    @pytest.mark.parametrize(
+        "n,trials,seed,message",
+        [
+            (2, 0, 1, "trials must be >= 1"),
+            (0, 10, 1, "n must be >= 1"),
+            (2, 10, -1, "seed must be an integer >= 0, got -1"),
+            (2, 10, 1.5, "seed must be an integer >= 0, got 1.5"),
+        ],
+    )
+    def test_estimate_checks_its_inputs(self, n, trials, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_allflip_probability(n, trials, seed)
+
+    def test_a_numpy_integer_seed_takes_the_lanes(self, monkeypatch):
+        lanes = kernels.timeopt_first_phase_lanes
+        calls = []
+
+        def spied_lanes(*args):
+            calls.append(args[2])
+            return lanes(*args)
+
+        monkeypatch.setattr(kernels, "timeopt_first_phase_lanes", spied_lanes)
+        p = estimate_allflip_probability(2, 1024, np.uint64(7))
+        assert calls == [1024]
+        assert p == estimate_allflip_probability(2, 1024, 7)
 
     def test_a_replaced_first_phase_kernel_sees_every_trial(self, monkeypatch):
         scalar = kernels.simulate_timeopt_first_phase
@@ -745,7 +813,7 @@ class TestSpecValidation:
             protocol=ProtocolId.TIME_OPT, n=2, trials=1024, seed=np.uint64(7)
         )
         assert type(spec.seed) is int
-        assert experiments._takes_lanes(spec, spec.trials)
+        assert experiments._takes_lanes(spec)
         plain = replace(spec, seed=7)
         assert run_batch(spec, threads=1).records == run_batch(plain, threads=1).records
 
@@ -951,6 +1019,36 @@ class TestStatisticalCrossChecks:
         )
         total = run_batch(spec).summary.total_interactions
         exact = float(oracle.flip_uniform_total_expected(n))
+        z = (total.mean - exact) / total.standard_error
+        assert abs(z) < 4, (total.mean, exact, z)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_phased_means_match_the_exact_solve(self, n):
+        # BST-only batches from random marks, stepped as lanes
+        spec = TrialBatchSpec(
+            protocol=ProtocolId.TIME_OPT,
+            n=n,
+            trials=4096,
+            init=InitPolicy.UNIFORM_RANDOM_MARKS,
+            seed=derive_seed(73, n),
+        )
+        bst = run_batch(spec).summary.bst_interactions
+        exact = float(oracle.timeopt_exact_expected(n))
+        z = (bst.mean - exact) / bst.standard_error
+        assert abs(z) < 4, (bst.mean, exact, z)
+
+    def test_uniform_pair_phased_totals_match_walds_identity(self):
+        n, trials = 6, 3000
+        spec = TrialBatchSpec(
+            protocol=ProtocolId.TIME_OPT,
+            n=n,
+            trials=trials,
+            scheduler=SchedulerKind.UNIFORM_PAIR,
+            init=InitPolicy.UNIFORM_RANDOM_MARKS,
+            seed=derive_seed(79, n),
+        )
+        total = run_batch(spec).summary.total_interactions
+        exact = float(oracle.timeopt_uniform_total_expected(n))
         z = (total.mean - exact) / total.standard_error
         assert abs(z) < 4, (total.mean, exact, z)
 

@@ -23,6 +23,7 @@ from popcountlab.oracle import (
     gros_worst_case,
     harmonic_bound,
     timeopt_exact_expected,
+    timeopt_uniform_total_expected,
 )
 from popcountlab.protocols import phase_threshold
 
@@ -142,6 +143,17 @@ class TestTimeOptExact:
     def test_frozen_larger_floats(self):
         assert float(timeopt_exact_expected(3)) == 18.11626241553054
         assert float(timeopt_exact_expected(4)) == 29.85430390080107
+        assert float(timeopt_exact_expected(5)) == 43.717869908274245
+        assert float(timeopt_exact_expected(6)) == 58.57337124763068
+        assert float(timeopt_exact_expected(7)) == 73.84033748153917
+        assert float(timeopt_exact_expected(8)) == 89.25553858745312
+
+    def test_uniform_pair_totals_scale_by_walds_identity(self):
+        assert timeopt_uniform_total_expected(1, initial_ones=1) == 8
+        assert timeopt_uniform_total_expected(2) == Fraction(4739, 508) * Fraction(3, 2)
+        assert timeopt_uniform_total_expected(3, 0) == timeopt_exact_expected(3, 0) * 2
+        with pytest.raises(Intractable):
+            timeopt_uniform_total_expected(EXACT_TIMEOPT_MAX_N + 1)
 
     def test_mixture_is_binomial_average_of_conditionals(self):
         for n in (1, 2, 3):
