@@ -10,6 +10,13 @@ pool, and a mirror of SeedSequence's last hash steps mixes in each spawn
 word and hashes the output with numpy, so a trial pays only for PCG64's
 setup.
 
+run_trial sends every (protocol, scheduler) pairing that stops at its
+count reaching n through a kernel: the bit protocols through an event
+source and a stepping loop, naming under uniform and round-robin pairs
+through one naming loop (kernels._step_gros), and naming under the
+adversarial schedule through its own.  engine.run, the reference, takes
+force_engine and StopKind.MAX_INTERACTIONS.
+
 Large BST-only batches of the phased protocol, and of flip below
 kernels.FLIP_BLOCK_MIN_N agents, step up to a seed block of trials together
 as lanes (kernels.*_lanes), drawing from a numpy mirror of PCG64 seeded from
@@ -119,7 +126,8 @@ class TrialBatchSpec:
         if (
             self.protocol is ProtocolId.FLIP
             and self.n > kernels.FLIP_MAX_N
-            and (self.protocol, self.scheduler) in _KERNELS
+            # the round-robin kernel steps one meeting at a time, for any n
+            and self.scheduler is not SchedulerKind.ROUND_ROBIN
             and self.resolved_stop().kind is not StopKind.MAX_INTERACTIONS
         ):
             raise ValueError(
@@ -339,15 +347,22 @@ def initial_mobiles(spec: TrialBatchSpec, rng: np.random.Generator) -> list[int]
 _KERNELS = {
     (ProtocolId.FLIP, SchedulerKind.BST_ONLY): kernels.simulate_flip_bst,
     (ProtocolId.FLIP, SchedulerKind.UNIFORM_PAIR): kernels.simulate_flip_uniform,
+    (ProtocolId.FLIP, SchedulerKind.ROUND_ROBIN): kernels.simulate_flip_roundrobin,
     (ProtocolId.TIME_OPT, SchedulerKind.BST_ONLY): kernels.simulate_timeopt_bst,
     (ProtocolId.TIME_OPT, SchedulerKind.UNIFORM_PAIR): kernels.simulate_timeopt_uniform,
+    (ProtocolId.TIME_OPT, SchedulerKind.ROUND_ROBIN): kernels.simulate_timeopt_roundrobin,
+}
+_NAMING_KERNELS = {
+    SchedulerKind.UNIFORM_PAIR: kernels.simulate_gros_uniform,
+    SchedulerKind.ROUND_ROBIN: kernels.simulate_gros_roundrobin,
 }
 
 
 def run_trial(spec: TrialBatchSpec, index: int, force_engine: bool = False) -> RunRecord:
-    """One seeded trial, through a kernel when one matches the spec.
+    """One seeded trial, through the kernel of its protocol and scheduler,
+    or through the reference engine under StopKind.MAX_INTERACTIONS.
 
-    force_engine routes through the reference engine instead; both paths
+    force_engine routes through the reference engine too; both paths
     consume the trial's random stream identically and must produce the same
     record (the tests rely on exactly that).
     """
@@ -358,18 +373,16 @@ def run_trial(spec: TrialBatchSpec, index: int, force_engine: bool = False) -> R
 
     if not force_engine and stop.kind is not StopKind.MAX_INTERACTIONS:
         limits = resolve_limits(protocol, spec.n, stop)[:2]
-        if protocol is ProtocolId.GROS_NAMING:
-            if spec.scheduler is SchedulerKind.WEAK_ADVERSARIAL:
-                record, _ = kernels.simulate_gros_adversarial(
-                    mobiles, spec.resolved_bound, *limits, spec.check_invariants
-                )
-                return record
-        else:
-            kernel = _KERNELS.get((protocol, spec.scheduler))
-            if kernel is not None:
-                return kernel(
-                    spec.n, mobiles, rng, *limits, spec.check_invariants
-                )
+        if protocol is not ProtocolId.GROS_NAMING:
+            kernel = _KERNELS[protocol, spec.scheduler]
+            return kernel(spec.n, mobiles, rng, *limits, spec.check_invariants)
+        if spec.scheduler is SchedulerKind.WEAK_ADVERSARIAL:
+            record, _ = kernels.simulate_gros_adversarial(
+                mobiles, spec.resolved_bound, *limits, spec.check_invariants
+            )
+            return record
+        kernel = _NAMING_KERNELS[spec.scheduler]
+        return kernel(mobiles, spec.resolved_bound, rng, *limits)
 
     bound = spec.resolved_bound if protocol is ProtocolId.GROS_NAMING else None
     config = initial_configuration(protocol, mobiles, bound=bound)
@@ -534,9 +547,10 @@ def run_batch(spec: TrialBatchSpec, threads: int | None = None) -> BatchResult:
     """
     threads = resolve_threads(threads)
     if threads > 1 and spec.trials >= 2 * threads:
-        edges = np.linspace(0, spec.trials, threads * 4 + 1, dtype=int)
+        # whole seed blocks where the trials take lanes, so each range can take them
+        step = _BLOCK if _takes_lanes(spec) else -(-spec.trials // (threads * 4))
         ranges = [
-            (int(lo), int(hi)) for lo, hi in zip(edges, edges[1:]) if lo < hi
+            (lo, min(lo + step, spec.trials)) for lo in range(0, spec.trials, step)
         ]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunks = pool.map(_run_range, *zip(*((spec, lo, hi) for lo, hi in ranges)))

@@ -1,19 +1,29 @@
 """Tight per-protocol simulation loops used by the batch harness.
 
-The bit kernels are event source x transition.  Each random scheduler has a
-draw function, `draw(rng, n, start, k)`, returning the (step, mobile)
-base-station events of interactions start+1..start+k as a sequence of
-steps and an int64 array of mobile indices; it consumes random doubles in
-exactly the scheduler's documented order (batched numpy draws yield the
-same stream as single draws).  Each bit protocol has one stepping loop
-applying its base-station rule and invariant checks to those events, one
-at a time.  Flip from FLIP_BLOCK_MIN_N agents instead works out a whole
-block of events in numpy (_block_flip): the marks are the bits of one
-int64, updated by a prefix XOR, and both counters are Lindley recursions of
-one running sum.  So a kernel run and an engine run seeded identically
-produce identical RunRecords; the tests pin that down, and the engine stays
-the reference.  The uniform-pair source classifies whole blocks of pairs
-with numpy: mobile/mobile pairs cannot change a bit configuration.
+The bit kernels are event source x transition.  Each scheduler but the
+adversarial one has an event source, `draw(rng, n, start, k)`, returning
+the (step, mobile) base-station events of interactions start+1..start+k as
+a sequence of steps and an int64 array of mobile indices:
+
+- _bst_draw: every interaction meets the base station, one double each;
+- _uniform_draw: uniform pairs, two doubles each; mobile/mobile pairs
+  cannot change a bit configuration, so only base-station pairs are kept;
+- _roundrobin_draw: the scheduler's fixed cycle, no doubles.
+
+A random source consumes doubles in exactly the scheduler's documented
+order (batched numpy draws yield the same stream as single draws).  Each
+bit protocol has one stepping loop applying its base-station rule and
+invariant checks to those events, one at a time.  Flip from
+FLIP_BLOCK_MIN_N agents under the random schedulers instead works out a
+whole block of events in numpy (_block_flip): the marks are the bits of
+one int64, updated by a prefix XOR, and both counters are Lindley
+recursions of one running sum.  So a kernel run and an engine run seeded
+identically produce identical RunRecords; the tests pin that down, and the
+engine stays the reference.
+
+The naming protocol has one stepping loop over every pair, mobile/mobile
+pairs included (_step_gros), fed by _uniform_pairs or _roundrobin_pairs,
+and a loop of its own under the adversarial schedule.
 
 All kernels take the limits produced by engine.resolve_limits and halt at
 their protocol's convergence predicate.  The phased protocol's streak
@@ -54,16 +64,58 @@ def _bst_draw(rng, n, start, k):
     return range(start + 1, start + k + 1), mobiles
 
 
-def _uniform_draw(rng, n, start, k):
-    """Uniform-pair events: two doubles per draw, in scheduler order; only
-    the pairs that include the base station (index n) are returned."""
+def _uniform_pairs(rng, n, start, k):
+    """The uniform pairs (first, second) of interactions start+1..start+k:
+    two doubles per draw, in scheduler order; index n is the base station."""
     buf = rng.random(2 * k)
     first = (buf[0::2] * (n + 1)).astype(np.int64)
     second = (buf[1::2] * n).astype(np.int64)
     second += second >= first
+    return first, second
+
+
+def _uniform_draw(rng, n, start, k):
+    """Uniform-pair events: only the pairs that include the base station."""
+    first, second = _uniform_pairs(rng, n, start, k)
     events = np.flatnonzero((first == n) | (second == n))
     mobiles = np.where(first[events] == n, second[events], first[events])
     return events + (start + 1), mobiles
+
+
+def _roundrobin_draw(rng, n, start, k):
+    """Round-robin events: the cycle of P = n(n+1)/2 pairs opens with the
+    base station meeting mobiles 0..n-1, so interaction t meets mobile
+    (t-1) mod P when that is below n.  No doubles are consumed."""
+    pairs = n * (n + 1) // 2
+    cycles = np.arange(start // pairs, (start + k - 1) // pairs + 1)
+    slots = (cycles[:, None] * pairs + np.arange(n)).ravel()
+    slots = slots[(slots >= start) & (slots < start + k)]
+    return slots + 1, slots % pairs
+
+
+@lru_cache(maxsize=64)
+def _cycle(n):
+    """RoundRobinScheduler's cycle as rows (first, second), index n for
+    the base station."""
+    pairs = [(n, i) for i in range(n)]
+    pairs += [(i, j) for i in range(n) for j in range(i + 1, n)]
+    cycle = np.array(pairs).T
+    cycle.flags.writeable = False  # cached: shared by every later call
+    return cycle
+
+
+def _roundrobin_pairs(rng, n, start, k):
+    """The round-robin pairs of interactions start+1..start+k: the fixed
+    cycle from position start mod P.  No doubles are consumed."""
+    first, second = _cycle(n)
+    slots = np.arange(start, start + k) % len(first)
+    return first[slots], second[slots]
+
+
+def _cycles(n, per_cycle):
+    """Whole round-robin cycles of n(n+1)/2 interactions, enough for some
+    4096 of the `per_cycle` meetings or pairs a cycle holds."""
+    return n * (n + 1) // 2 * max(1, 4096 // per_cycle)
 
 
 def _step_flip(draw, size, n, marks, rng, metric_budget, total_cap, check):
@@ -333,6 +385,21 @@ def simulate_timeopt_uniform(n, marks, rng, metric_budget, total_cap, check=True
     )
 
 
+def simulate_flip_roundrobin(n, marks, rng, metric_budget, total_cap, check=True):
+    """Flip protocol under round-robin scheduling (no doubles).  It steps
+    one meeting at a time, which takes any n."""
+    return _step_flip(
+        _roundrobin_draw, _cycles(n, n), n, marks, rng, metric_budget, total_cap, check
+    )
+
+
+def simulate_timeopt_roundrobin(n, marks, rng, metric_budget, total_cap, check=True):
+    """Phased protocol under round-robin scheduling (no doubles)."""
+    return _step_timeopt(
+        _roundrobin_draw, _cycles(n, n), n, marks, rng, metric_budget, total_cap, check
+    )
+
+
 def _lanes(protocol, n, marks, stream, budget, min_live, check=True):
     """A bit protocol under base-station-only scheduling, one trial per
     lane, all lanes stepped together.
@@ -500,9 +567,7 @@ def simulate_gros_adversarial(names, bound, metric_budget, total_cap, check=True
             i = names.index(0)
             term = (k & -k).bit_length()
             if term > bound - 1:
-                raise NameOverflow(
-                    f"naming term {term} at index {k} does not fit below bound {bound}"
-                )
+                raise NameOverflow.at(term, k, bound)
             k += 1
             names[i] = term
             counts[0] -= 1
@@ -532,6 +597,87 @@ def simulate_gros_adversarial(names, bound, metric_budget, total_cap, check=True
         final_c=distinct,
     )
     return record, names
+
+
+def _step_gros(pairs, size, names, bound, rng, metric_budget, total_cap):
+    """Naming protocol over the pairs of `pairs`, `size` pairs per block.
+
+    `pairs(rng, n, start, k)` gives the pairs of interactions start+1..
+    start+k as two int64 arrays, index n standing for the base station.
+    Per-name counts and the count of names held twice or more tell silence,
+    as in simulate_gros_adversarial.  Stops where engine.run does: at
+    silence (a silent start converges at 0), after metric_budget non-null
+    transitions, or after total_cap interactions.
+    """
+    names = list(names)
+    n = len(names)
+    counts = [0] * bound  # agents per name, sinks included
+    for v in names:
+        counts[v] += 1
+    homonyms = sum(c >= 2 for c in counts[1:])  # names held by two or more
+    if not counts[0] and not homonyms:
+        return RunRecord(0, 0, 0, 0, 0, n)
+    k = 1
+    bst_count = non_null = 0
+    conv = None
+    total = total_cap
+    for start in range(0, total_cap, size):
+        first, second = pairs(rng, n, start, min(size, total_cap - start))
+        for j, (a, b) in enumerate(zip(first.tolist(), second.tolist())):
+            if a == n or b == n:
+                bst_count += 1
+                i = a + b - n  # the pair's mobile
+                if names[i]:
+                    continue
+                term = (k & -k).bit_length()
+                if term > bound - 1:
+                    raise NameOverflow.at(term, k, bound)
+                k += 1
+                names[i] = term
+                counts[0] -= 1
+                counts[term] += 1
+                homonyms += counts[term] == 2
+            else:
+                name = names[a]
+                if name != names[b] or not name:
+                    continue
+                names[a] = names[b] = 0
+                counts[0] += 2
+                counts[name] -= 2
+                homonyms -= counts[name] < 2
+            non_null += 1
+            if not counts[0] and not homonyms:
+                conv = bst_count
+                break
+            if non_null >= metric_budget:
+                break
+        else:
+            continue
+        # the inner loop stopped the run at its j-th pair
+        total = start + j + 1
+        break
+    return RunRecord(
+        total_interactions=total,
+        bst_interactions=bst_count,
+        non_null_transitions=non_null,
+        converged_at_bst_interaction=conv,
+        converged_at_non_null=None if conv is None else non_null,
+        final_c=sum(c > 0 for c in counts[1:]),
+    )
+
+
+def simulate_gros_uniform(names, bound, rng, metric_budget, total_cap):
+    """Naming protocol under uniform-pair scheduling (2 doubles/step)."""
+    return _step_gros(_uniform_pairs, 4096, names, bound, rng, metric_budget, total_cap)
+
+
+def simulate_gros_roundrobin(names, bound, rng, metric_budget, total_cap):
+    """Naming protocol under round-robin scheduling (no doubles)."""
+    n = len(names)
+    size = _cycles(n, n * (n + 1) // 2)
+    return _step_gros(
+        _roundrobin_pairs, size, names, bound, rng, metric_budget, total_cap
+    )
 
 
 def _first_phase_cap(n):

@@ -33,6 +33,11 @@ class NameOverflow(ValueError):
     bound allows, so counting by naming cannot proceed.
     """
 
+    @classmethod
+    def at(cls, term: int, k: int, bound: int) -> "NameOverflow":
+        """The error for term `term`, handed out at sequence index k."""
+        return cls(f"naming term {term} at index {k} does not fit below bound {bound}")
+
 
 @dataclass(frozen=True)
 class FlipBst:
@@ -181,9 +186,7 @@ def gros_bst_step(bst: GrosBst, name: int) -> tuple[GrosBst, int]:
         return bst, name
     term = gros_term(bst.k)
     if term > bst.bound - 1:
-        raise NameOverflow(
-            f"naming term {term} at index {bst.k} does not fit below bound {bst.bound}"
-        )
+        raise NameOverflow.at(term, bst.k, bst.bound)
     return GrosBst(k=bst.k + 1, bound=bst.bound), term
 
 

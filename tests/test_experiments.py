@@ -57,6 +57,16 @@ REPLAY_CASES = [
         SchedulerKind.WEAK_ADVERSARIAL,
         InitPolicy.WORST_CASE_UNNAMED,
     ),
+    (ProtocolId.GROS_NAMING, SchedulerKind.UNIFORM_PAIR, InitPolicy.ALL_ZERO),
+    (ProtocolId.GROS_NAMING, SchedulerKind.ROUND_ROBIN, InitPolicy.WORST_CASE_UNNAMED),
+    (ProtocolId.FLIP, SchedulerKind.ROUND_ROBIN, InitPolicy.ALL_ZERO),
+    (ProtocolId.TIME_OPT, SchedulerKind.ROUND_ROBIN, InitPolicy.UNIFORM_RANDOM_MARKS),
+]
+
+PAIR_SCHEDULERS = [
+    SchedulerKind.WEAK_ADVERSARIAL,
+    SchedulerKind.UNIFORM_PAIR,
+    SchedulerKind.ROUND_ROBIN,
 ]
 
 TRUNCATION_BOUNDS = (1, 3, 17, 100)
@@ -90,12 +100,13 @@ class TestReplayEquality:
         + [
             pytest.param(
                 ProtocolId.GROS_NAMING,
-                SchedulerKind.WEAK_ADVERSARIAL,
+                scheduler,
                 init,
                 n,
                 bound,
-                id=f"gros-{init.value}-n{n}-{bound}",
+                id=f"gros-{scheduler.value}-{init.value}-n{n}-{bound}",
             )
+            for scheduler in PAIR_SCHEDULERS
             for init in (InitPolicy.ALL_ZERO, InitPolicy.WORST_CASE_UNNAMED)
             for n in (1, 2, 5, 7)
             for bound in TRUNCATION_BOUNDS
@@ -119,11 +130,14 @@ class TestReplayEquality:
     def test_bit_kernels_replay_as_a_property(self, data):
         # Caps sit on both sides of the 32-, 1024-, 2048- and 4096-draw block
         # edges (flip from n = kernels.FLIP_BLOCK_MIN_N takes the block
-        # kernel, in blocks of 1024 draws at n = 9 and 2048 at n = 10); the
-        # default stop is only affordable on the engine for small n.
+        # kernel, in blocks of 1024 draws at n = 9 and 2048 at n = 10;
+        # round-robin blocks are whole cycles); the default stop is only
+        # affordable on the engine for small n.
         protocol = data.draw(st.sampled_from([ProtocolId.FLIP, ProtocolId.TIME_OPT]))
         scheduler = data.draw(
-            st.sampled_from([SchedulerKind.BST_ONLY, SchedulerKind.UNIFORM_PAIR])
+            st.sampled_from(
+                [SchedulerKind.BST_ONLY, SchedulerKind.UNIFORM_PAIR, SchedulerKind.ROUND_ROBIN]
+            )
         )
         n = data.draw(st.integers(1, 40))
         marks = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
@@ -148,6 +162,7 @@ class TestReplayEquality:
     @given(data=st.data())
     def test_naming_kernel_replays_from_any_start(self, data):
         # name bounds below n + 1 can overflow: both routes must raise alike
+        scheduler = data.draw(st.sampled_from(PAIR_SCHEDULERS))
         n = data.draw(st.integers(1, 8))
         bound = data.draw(st.integers(1, n + 2))
         names = data.draw(st.lists(st.integers(0, bound - 1), min_size=n, max_size=n))
@@ -156,10 +171,11 @@ class TestReplayEquality:
             protocol=ProtocolId.GROS_NAMING,
             n=n,
             trials=1,
-            scheduler=SchedulerKind.WEAK_ADVERSARIAL,
+            scheduler=scheduler,
             init=InitPolicy.EXPLICIT_VECTOR,
             vector=tuple(names),
             bound=bound,
+            seed=data.draw(st.integers(0, 2 ** 32)),
             stop=None if cap is None else StopCondition(StopKind.COUNT_REACHES_N, cap),
         )
         outcomes = []
@@ -181,10 +197,17 @@ class TestReplayEquality:
                  (ProtocolId.TIME_OPT, kernels._step_timeopt)]
             )
         )
-        draw = data.draw(st.sampled_from([kernels._bst_draw, kernels._uniform_draw]))
+        draw = data.draw(
+            st.sampled_from(
+                [kernels._bst_draw, kernels._uniform_draw, kernels._roundrobin_draw]
+            )
+        )
         n = data.draw(st.integers(1, 12))
         marks = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-        cap = data.draw(st.sampled_from([None, 1, 31, 33]))
+        # under round-robin, flip from most mixed starts runs its whole
+        # budget, 2^(n+7) meetings, with a draw call per interaction at size 1
+        natural = draw is not kernels._roundrobin_draw or n <= 6
+        cap = data.draw(st.sampled_from([None, 1, 31, 33] if natural else [1, 31, 33]))
         stop = StopCondition(StopKind.COUNT_REACHES_N, cap)
         limits = resolve_limits(protocol, n, stop)[:2]
         seed = data.draw(st.integers(0, 2 ** 32))
@@ -193,6 +216,29 @@ class TestReplayEquality:
             for size in (1, 3, 32, 4096)
         ]
         assert records[1:] == records[:-1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_naming_records_do_not_depend_on_block_size(self, data):
+        pairs = data.draw(
+            st.sampled_from([kernels._uniform_pairs, kernels._roundrobin_pairs])
+        )
+        n = data.draw(st.integers(1, 8))
+        bound = data.draw(st.integers(1, n + 2))
+        names = data.draw(st.lists(st.integers(0, bound - 1), min_size=n, max_size=n))
+        cap = data.draw(st.sampled_from([None, 1, 31, 33]))
+        stop = StopCondition(StopKind.COUNT_REACHES_N, cap)
+        limits = resolve_limits(ProtocolId.GROS_NAMING, n, stop)[:2]
+        seed = data.draw(st.integers(0, 2 ** 32))
+        outcomes = []
+        for size in (1, 3, 32, 4096):
+            try:
+                outcomes.append(
+                    kernels._step_gros(pairs, size, names, bound, trial_rng(seed, 0), *limits)
+                )
+            except NameOverflow as exc:
+                outcomes.append(str(exc))
+        assert outcomes[1:] == outcomes[:-1]
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -363,6 +409,69 @@ class TestGoldenRecords:
             "993f6dd8feca82dfc9c1a8734300d05a6ab0458c9f219c69966af1dd30c5717b"
         )
 
+    @pytest.mark.parametrize(
+        "protocol,n,trials,scheduler,init,vector,seed,expected",
+        [
+            pytest.param(
+                ProtocolId.GROS_NAMING, 6, 200, SchedulerKind.UNIFORM_PAIR,
+                InitPolicy.ALL_ZERO, None, 11,
+                "9ffbccf1e6ff05466bcdb92986aaf8bc9941175d2a2b20115fc3c385ac601726",
+                id="gros-uniform-zeros",
+            ),
+            pytest.param(
+                ProtocolId.GROS_NAMING, 6, 200, SchedulerKind.UNIFORM_PAIR,
+                InitPolicy.WORST_CASE_UNNAMED, None, 12,
+                "7795282b26f9f76d29580d36405169789a566ebe89c8778f1837b045c282dafa",
+                id="gros-uniform-worst",
+            ),
+            pytest.param(
+                ProtocolId.GROS_NAMING, 10, 2, SchedulerKind.ROUND_ROBIN,
+                InitPolicy.WORST_CASE_UNNAMED, None, 13,
+                "25b127ea673a1b4b72048fb21258a89168431a9904fc6dd7958b5f90a6e71998",
+                id="gros-roundrobin-worst",
+            ),
+            pytest.param(
+                ProtocolId.GROS_NAMING, 8, 1, SchedulerKind.ROUND_ROBIN,
+                InitPolicy.EXPLICIT_VECTOR, (3, 0, 3, 1, 7, 0, 1, 2), 14,
+                "026f2786b9c774614abf0a3fda0dbe4af0b03f1523aeb7ffa27a341d06d70b73",
+                id="gros-roundrobin-vector",
+            ),
+            pytest.param(
+                ProtocolId.TIME_OPT, 32, 20, SchedulerKind.ROUND_ROBIN,
+                InitPolicy.UNIFORM_RANDOM_MARKS, None, 15,
+                "4b799b10ec4280eb24726ab02ca0d33116c626ce88691ac9fe58b9e5cb3ff119",
+                id="timeopt-roundrobin-random",
+            ),
+            pytest.param(
+                ProtocolId.FLIP, 5, 3, SchedulerKind.ROUND_ROBIN,
+                InitPolicy.ALL_ZERO, None, 16,
+                "52c8a61b86daca4d2398c379a6c95404d40299318dec264a7c155b2b656a5220",
+                id="flip-roundrobin-zeros",
+            ),
+            # 25 of the 40 trials are truncated at the budget
+            pytest.param(
+                ProtocolId.FLIP, 5, 40, SchedulerKind.ROUND_ROBIN,
+                InitPolicy.UNIFORM_RANDOM_MARKS, None, 17,
+                "7008020b266623850cf916ff38d7cac242561f1552d2646fe2ac99fa5e7490c2",
+                id="flip-roundrobin-random",
+            ),
+        ],
+    )
+    def test_pairings_that_took_the_engine(
+        self, protocol, n, trials, scheduler, init, vector, seed, expected
+    ):
+        # hashes taken while these pairings still ran through engine.run
+        spec = TrialBatchSpec(
+            protocol=protocol,
+            n=n,
+            trials=trials,
+            scheduler=scheduler,
+            init=init,
+            vector=vector,
+            seed=seed,
+        )
+        assert records_digest(run_batch(spec, threads=1).records) == expected
+
     def test_first_phase_verdicts(self):
         # the per-trial verdicts behind estimate_allflip_probability(2, 2000, 7)
         verdicts = [
@@ -494,6 +603,30 @@ class TestLanes:
         below = experiments._seed_block(spec.seed, edge // 1024 - 1)[-6:]
         assert len(shares) == 1
         assert (shares[0] == experiments._PCG64Lanes(below).lo).all()
+
+    def test_pool_ranges_are_whole_seed_blocks_where_trials_take_lanes(
+        self, monkeypatch
+    ):
+        ranges = []
+
+        class InProcess:  # the pool's interface, run here so the ranges show
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+            def map(self, fn, *args):
+                ranges.extend(zip(args[1], args[2]))
+                return map(fn, *args)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcess)
+        spec = TrialBatchSpec(protocol=ProtocolId.FLIP, n=4, trials=4000, seed=3)
+        assert run_batch(spec, threads=2).records == run_batch(spec, threads=1).records
+        assert ranges == [(0, 1024), (1024, 2048), (2048, 3072), (3072, 4000)]
 
     def test_worker_count_does_not_change_lane_records(self):
         # each of the 8 worker ranges is one whole seed block of lanes
