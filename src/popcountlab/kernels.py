@@ -7,7 +7,9 @@ a sequence of steps and an int64 array of mobile indices:
 
 - _bst_draw: every interaction meets the base station, one double each;
 - _uniform_draw: uniform pairs, two doubles each; mobile/mobile pairs
-  cannot change a bit configuration, so only base-station pairs are kept;
+  cannot change a bit configuration, so only base-station pairs are kept:
+  a cut on the scaled doubles finds them, and only they become indices;
+  each draw is sized by the meetings it should hold (_uniform_block);
 - _roundrobin_draw: the scheduler's fixed cycle, no doubles.
 
 A random source consumes doubles in exactly the scheduler's documented
@@ -75,11 +77,48 @@ def _uniform_pairs(rng, n, start, k):
 
 
 def _uniform_draw(rng, n, start, k):
-    """Uniform-pair events: only the pairs that include the base station."""
-    first, second = _uniform_pairs(rng, n, start, k)
-    events = np.flatnonzero((first == n) | (second == n))
-    mobiles = np.where(first[events] == n, second[events], first[events])
+    """Uniform-pair events: only the pairs that include the base station,
+    found from the scaled doubles, with only those pairs made indices.
+
+    With a = u*(n+1) and b = v*n as in _uniform_pairs, first = floor(a) and
+    second = floor(b) + (floor(b) >= first).  Both products stay below their
+    factor (1 - 2^-53 times an integer m >= 1 rounds below m), so first <= n
+    and floor(b) <= n - 1.  Hence first == n iff a >= n, and then the mobile
+    is floor(b), which is below first.  second == n iff floor(b) == n - 1
+    and first <= n - 1, that is iff b >= n - 1 and first < n, and then the
+    mobile is floor(a).  So the event mask is (a >= n) | (b >= n - 1).
+    """
+    buf = rng.random(2 * k)
+    a = buf[0::2] * (n + 1)
+    b = buf[1::2] * n
+    first_bst = a >= n
+    events = np.flatnonzero(first_bst | (b >= n - 1))
+    mobiles = np.where(first_bst[events], b[events], a[events]).astype(np.int64)
     return events + (start + 1), mobiles
+
+
+def _uniform_block(events, n):
+    """Uniform pairs per draw that hold about `events` base-station
+    meetings, each pair meeting it with probability 2/(n+1)."""
+    return max(32, min(16384, events * (n + 1) // 2))
+
+
+def _flip_uniform_block(n, metric_budget):
+    """Pairs per flip draw: 2^n meetings, about the mean run, at most 4096.
+    On a 2-core x86-64 machine, 150 trials from zeros took 40.5 / 28.5 /
+    26.2 / 58.0 ms with 2^(n-1) / 2^n / 2^(n+1) / 4096 meetings per draw
+    at n = 9, and 55.4 / 47.8 / 49.8 / 64.2 ms at n = 10."""
+    return _uniform_block(min(4096, 1 << n, metric_budget), n)
+
+
+def _timeopt_uniform_block(n, metric_budget):
+    """Pairs per phased-protocol draw: 256 meetings.  A draw's fixed cost
+    is some ten numpy calls, and the phased run, about n ln n meetings,
+    ends part way into its last draw.  On a 2-core x86-64 machine, single
+    trials from random marks were fastest at 256-512 pairs per draw at
+    n = 8, 2048 at n = 16, 4096 at n = 32, 8192-16384 at n = 64 and 16384
+    at n = 128: about 250 meetings from n = 16 up."""
+    return _uniform_block(min(256, metric_budget), n)
 
 
 def _roundrobin_draw(rng, n, start, k):
@@ -345,9 +384,10 @@ def _step_timeopt(draw, size, n, marks, rng, metric_budget, total_cap, check):
 # block costs some 25 calls, as long as 100-200 scalar meetings, so short
 # runs lose.  On a 2-core x86-64 machine, BST-only single trials took 0.58
 # of _step_flip's time at n = 9, 0.34 at n = 10 and 0.22 at n = 12, but
-# 0.97 at n = 8 and 1.45 at n = 7; uniform-pair trials took 0.85 at n = 9,
-# 0.66 at n = 10 and 1.0 at n = 8; a 1024-trial BST-only batch took 0.67
-# of the lanes' time at n = 9 and 1.16 at n = 8.
+# 0.97 at n = 8 and 1.45 at n = 7; uniform-pair trials, in draws sized by
+# _uniform_block, took 0.89 at n = 9, 0.66 at n = 10 and 1.29 at n = 8; a
+# 1024-trial BST-only batch took 0.67 of the lanes' time at n = 9 and 1.16
+# at n = 8.
 FLIP_BLOCK_MIN_N = 9
 # The block kernel holds the marks as the bits of one int64.
 FLIP_MAX_N = 63
@@ -375,13 +415,15 @@ def simulate_timeopt_bst(n, marks, rng, metric_budget, total_cap, check=True):
 def simulate_flip_uniform(n, marks, rng, metric_budget, total_cap, check=True):
     """Flip protocol under uniform-pair scheduling (2 doubles/step)."""
     step = _block_flip if n >= FLIP_BLOCK_MIN_N else _step_flip
-    return step(_uniform_draw, 4096, n, marks, rng, metric_budget, total_cap, check)
+    size = _flip_uniform_block(n, metric_budget)
+    return step(_uniform_draw, size, n, marks, rng, metric_budget, total_cap, check)
 
 
 def simulate_timeopt_uniform(n, marks, rng, metric_budget, total_cap, check=True):
     """Phased protocol under uniform-pair scheduling (2 doubles/step)."""
+    size = _timeopt_uniform_block(n, metric_budget)
     return _step_timeopt(
-        _uniform_draw, 4096, n, marks, rng, metric_budget, total_cap, check
+        _uniform_draw, size, n, marks, rng, metric_budget, total_cap, check
     )
 
 

@@ -354,6 +354,27 @@ class TestArgumentErrors:
         assert "n > 63" in err and "64-bit integer" in err and "2^65" in err
         assert "Traceback" not in err
 
+    def test_roundrobin_flip_above_63_agents_exits_one(self, capsys):
+        # from random marks the run would last its whole 64 * 2^65 budget
+        code, out, err = invoke(
+            capsys, "simulate", "--protocol", "flip", "--scheduler", "roundrobin",
+            "--n", "64", "--init", "random",
+        )
+        assert code == 1 and out == ""
+        assert "n > 63" in err and "no bound" in err and "round-robin" in err
+        assert "64 * 2^65" in err and "Traceback" not in err
+
+    def test_roundrobin_flip_above_63_agents_runs_with_a_bound(self, capsys):
+        # from zeros the cycle's first 64 meetings converge; from random
+        # marks every trial reaches the bound (exit 2), with no hang
+        argv = ("simulate", "--protocol", "flip", "--scheduler", "roundrobin",
+                "--n", "64", "--trials", "2", "--max-interactions", "1000")
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].split(",")[11:17] == ["2", "0", "64.0", "0.0", "0.0", "64"]
+        code, out, err = invoke(capsys, *argv, "--init", "random")
+        assert code == 2 and "none of the 2 trials converged" in err
+
     @pytest.mark.parametrize(
         "argv,flag",
         [

@@ -72,6 +72,19 @@ PAIR_SCHEDULERS = [
 TRUNCATION_BOUNDS = (1, 3, 17, 100)
 
 
+class _Doubles:
+    """A generator stand-in serving a fixed sequence of doubles in order."""
+
+    def __init__(self, values):
+        self.values = values
+        self.taken = 0
+
+    def random(self, size=None):
+        lo = self.taken
+        self.taken += 1 if size is None else size
+        return self.values[lo] if size is None else self.values[lo : self.taken]
+
+
 class TestReplayEquality:
     @pytest.mark.parametrize("protocol,scheduler,init", REPLAY_CASES)
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
@@ -131,8 +144,10 @@ class TestReplayEquality:
         # Caps sit on both sides of the 32-, 1024-, 2048- and 4096-draw block
         # edges (flip from n = kernels.FLIP_BLOCK_MIN_N takes the block
         # kernel, in blocks of 1024 draws at n = 9 and 2048 at n = 10;
-        # round-robin blocks are whole cycles); the default stop is only
-        # affordable on the engine for small n.
+        # round-robin blocks are whole cycles), of the largest uniform-pair
+        # block (16384 pairs) and of the drawn n's uniform-pair blocks for
+        # either protocol; the default stop is only affordable on the engine
+        # for small n.
         protocol = data.draw(st.sampled_from([ProtocolId.FLIP, ProtocolId.TIME_OPT]))
         scheduler = data.draw(
             st.sampled_from(
@@ -142,7 +157,13 @@ class TestReplayEquality:
         n = data.draw(st.integers(1, 40))
         marks = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
         bounds = [1, 31, 32, 33, 1023, 1024, 1025, 2047, 2048, 2049, 4095, 4096,
-                  4097, 8191, 8192, 8193]
+                  4097, 8191, 8192, 8193, 16383, 16384, 16385]
+        budget = resolve_limits(protocol, n, StopCondition(StopKind.COUNT_REACHES_N, 1))[0]
+        for block in (
+            kernels._flip_uniform_block(n, budget),
+            kernels._timeopt_uniform_block(n, budget),
+        ):
+            bounds += [block - 1, block, block + 1]
         bound = data.draw(st.sampled_from(bounds + [None] if n <= 6 else bounds))
         stop = None if bound is None else StopCondition(StopKind.COUNT_REACHES_N, bound)
         spec = TrialBatchSpec(
@@ -211,9 +232,15 @@ class TestReplayEquality:
         stop = StopCondition(StopKind.COUNT_REACHES_N, cap)
         limits = resolve_limits(protocol, n, stop)[:2]
         seed = data.draw(st.integers(0, 2 ** 32))
+        # and the uniform-pair blocks: at most 16384 pairs, and by n
+        sizes = [1, 3, 32, 4096, 16384]
+        sizes += [
+            kernels._flip_uniform_block(n, limits[0]),
+            kernels._timeopt_uniform_block(n, limits[0]),
+        ]
         records = [
             step(draw, size, n, marks, trial_rng(seed, 0), *limits, True)
-            for size in (1, 3, 32, 4096)
+            for size in sizes
         ]
         assert records[1:] == records[:-1]
 
@@ -239,6 +266,51 @@ class TestReplayEquality:
             except NameOverflow as exc:
                 outcomes.append(str(exc))
         assert outcomes[1:] == outcomes[:-1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_uniform_draw_is_the_base_station_filter_of_the_pairs(self, data):
+        # Doubles a few ulps either side of the cuts, u*(n+1) >= n near
+        # n/(n+1) and v*n >= n-1 near (n-1)/n, and of the largest double
+        # below 1, mixed with uniform ones.
+        n = data.draw(
+            st.one_of(
+                st.integers(1, 2 ** 20),
+                st.sampled_from([2 ** j - 1 for j in range(1, 21)]),
+                st.sampled_from([2 ** j for j in range(21)]),
+            )
+        )
+        k = data.draw(st.sampled_from([1, 3, 31, 4096, 16384]))
+        near = []
+        for x in (n / (n + 1), (n - 1) / n, 1 - 2.0 ** -53):
+            for _ in range(4):
+                x = np.nextafter(x, 0.0)
+            for _ in range(9):
+                near.append(x)
+                x = np.nextafter(x, 1.0)
+        near = np.array([x for x in near if 0.0 <= x < 1.0])
+        pick = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+        edge = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+        doubles = np.where(
+            pick.random(2 * k + 1) < edge,
+            pick.choice(near, 2 * k + 1),
+            pick.random(2 * k + 1),
+        )
+        start = data.draw(st.integers(0, 2 ** 40))
+
+        steps, mobiles = kernels._uniform_draw(_Doubles(doubles), n, start, k)
+        source = _Doubles(doubles)
+        first, second = kernels._uniform_pairs(source, n, start, k)
+        events = np.flatnonzero((first == n) | (second == n))
+        assert np.array_equal(steps, events + (start + 1))
+        assert mobiles.dtype == np.int64
+        assert np.array_equal(
+            mobiles, np.where(first[events] == n, second[events], first[events])
+        )
+        # exactly 2k doubles were taken: the next one is the same
+        drawn = _Doubles(doubles)
+        kernels._uniform_draw(drawn, n, start, k)
+        assert drawn.random() == source.random() == doubles[2 * k]
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -999,11 +1071,62 @@ class TestSpecValidation:
             stop=StopCondition(StopKind.MAX_INTERACTIONS, 50),
         )
         assert run_trial(capped, 0).total_interactions == 50
+        # round-robin steps one meeting at a time at any n, but with no
+        # bound a run from mixed marks lasts its whole 64 * 2^65 budget
+        with pytest.raises(ValueError, match="n > 63 .* no bound.* 64 \\* 2\\^65"):
+            TrialBatchSpec(
+                protocol=ProtocolId.FLIP,
+                n=big,
+                trials=1,
+                scheduler=SchedulerKind.ROUND_ROBIN,
+                init=InitPolicy.UNIFORM_RANDOM_MARKS,
+            )
+        for stop in (
+            StopCondition(StopKind.MAX_INTERACTIONS, 50),
+            StopCondition(StopKind.COUNT_REACHES_N, 1000),
+        ):
+            bounded = TrialBatchSpec(
+                protocol=ProtocolId.FLIP,
+                n=big,
+                trials=1,
+                scheduler=SchedulerKind.ROUND_ROBIN,
+                init=InitPolicy.UNIFORM_RANDOM_MARKS,
+                stop=stop,
+            )
+            assert run_trial(bounded, 0) == run_trial(bounded, 0, force_engine=True)
+            assert run_trial(bounded, 0).total_interactions == stop.bound
+        # from zeros the first n meetings, one cycle's opening, converge
+        zeros = TrialBatchSpec(
+            protocol=ProtocolId.FLIP,
+            n=big,
+            trials=1,
+            scheduler=SchedulerKind.ROUND_ROBIN,
+            stop=StopCondition(StopKind.COUNT_REACHES_N, 1000),
+        )
+        assert run_trial(zeros, 0).converged_at_bst_interaction == big
         TrialBatchSpec(
-            protocol=ProtocolId.FLIP, n=big, trials=1, scheduler=SchedulerKind.ROUND_ROBIN
+            protocol=ProtocolId.FLIP, n=big - 1, trials=1, scheduler=SchedulerKind.ROUND_ROBIN
         )
         TrialBatchSpec(protocol=ProtocolId.FLIP, n=big - 1, trials=1)
         TrialBatchSpec(protocol=ProtocolId.TIME_OPT, n=big, trials=1)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_roundrobin_flip_converges_only_from_two_blocks_of_marks(self, n):
+        # Every cycle flips every mark.  Exactly the 2n starts 0^a 1^b and
+        # 1^a 0^b converge; every other start runs its whole budget, which
+        # is why flip above FLIP_MAX_N is rejected under round-robin too.
+        budget, cap, _ = resolve_limits(ProtocolId.FLIP, n, experiments.NATURAL_STOP)
+        blocks = {
+            tuple([x] * a + [1 - x] * (n - a)) for x in (0, 1) for a in range(n + 1)
+        }
+        assert len(blocks) == 2 * n
+        for marks in itertools.product((0, 1), repeat=n):
+            record = kernels.simulate_flip_roundrobin(n, marks, None, budget, cap)
+            if marks in blocks:
+                assert record.converged_at_bst_interaction is not None
+            else:
+                assert record.converged_at_bst_interaction is None
+                assert record.bst_interactions == budget == 64 << (n + 1)
 
     def test_initial_values_must_fit_the_state_space(self):
         with pytest.raises(ValueError):
