@@ -335,8 +335,11 @@ def _check_naming_sequence(params, seed, inst, shared):
     for k, term in enumerate(expansion, start=1):
         if oracle.gros_term(k) != term:
             return False, f"ruler term {k} mismatch"
+    length = 0
     for depth in range(1, params.sequence_length_max + 1):
-        if oracle.gros_length(depth) != 2 ** depth - 1:
+        # U_m = U_(m-1), m, U_(m-1): L_m = 2 L_(m-1) + 1 from L_1 = 1
+        length = 2 * length + 1
+        if oracle.gros_length(depth) != length:
             return False, f"length mismatch at depth {depth}"
         if depth <= 14 and len(oracle.gros_sequence(depth)) != oracle.gros_length(depth):
             return False, f"expansion length mismatch at {depth}"

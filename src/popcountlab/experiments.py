@@ -123,28 +123,16 @@ class TrialBatchSpec:
             raise ValueError(NAMING_NEEDS_PAIRS)
         if self.bound is not None and not gros:
             raise ValueError("the name bound only applies to the naming protocol")
-        if self.protocol is ProtocolId.FLIP and self.n > kernels.FLIP_MAX_N:
-            stop = self.resolved_stop()
-            reason = None
-            if self.scheduler is SchedulerKind.ROUND_ROBIN:
-                # the round-robin kernel takes any n, but every cycle flips
-                # every mark, so only 0^a1^b and 1^a0^b converge
-                if stop.bound is None:
-                    reason = (
-                        "with no bound, every start but 0..01..1 and 1..10..0 "
-                        "runs under round-robin for its whole budget of "
-                        f"64 * 2^{self.n + 1} meetings"
-                    )
-            elif stop.kind is not StopKind.MAX_INTERACTIONS:
-                reason = (
-                    "its kernel holds the marks as the bits of one 64-bit "
-                    "integer, and a run to its natural stop would take about "
-                    f"2^{self.n + 1} meetings"
-                )
-            if reason is not None:
-                raise ValueError(
-                    f"flip with n > {kernels.FLIP_MAX_N} is out of range: {reason}"
-                )
+        if (
+            self.protocol is ProtocolId.FLIP
+            and self.n > kernels.FLIP_MAX_N
+            and self.resolved_stop().bound is None
+        ):
+            raise ValueError(
+                f"flip with n > {kernels.FLIP_MAX_N} needs a bound "
+                "(--max-interactions): a run to the natural stop can take its "
+                f"whole budget of 64 * 2^{self.n + 1} meetings"
+            )
         if self.init in (InitPolicy.WORST_CASE_UNNAMED, InitPolicy.EXPLICIT_VECTOR):
             # a fixed start is every trial's start: check its state space once
             initial_configuration(

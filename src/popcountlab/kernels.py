@@ -15,9 +15,9 @@ a sequence of steps and an int64 array of mobile indices:
 A random source consumes doubles in exactly the scheduler's documented
 order (batched numpy draws yield the same stream as single draws).  Each
 bit protocol has one stepping loop applying its base-station rule and
-invariant checks to those events, one at a time.  Flip from
-FLIP_BLOCK_MIN_N agents under the random schedulers instead works out a
-whole block of events in numpy (_block_flip): the marks are the bits of
+invariant checks to those events, one at a time.  Flip at
+FLIP_BLOCK_MIN_N..FLIP_MAX_N agents under every scheduler instead works out
+a whole block of events in numpy (_block_flip): the marks are the bits of
 one int64, updated by a prefix XOR, and both counters are Lindley
 recursions of one running sum.  So a kernel run and an engine run seeded
 identically produce identical RunRecords; the tests pin that down, and the
@@ -378,8 +378,8 @@ def _step_timeopt(draw, size, n, marks, rng, metric_budget, total_cap, check):
 
 
 # Flip from this many agents is worked out a block of meetings at a time
-# (_block_flip), under both random schedulers and for every trial.  Below
-# it a trial steps one meeting at a time (_step_flip), and large BST-only
+# (_block_flip), under every scheduler and for every trial.  Below it a
+# trial steps one meeting at a time (_step_flip), and large BST-only
 # batches step as lanes (experiments._takes_lanes).  A numpy pass over a
 # block costs some 25 calls, as long as 100-200 scalar meetings, so short
 # runs lose.  On a 2-core x86-64 machine, BST-only single trials took 0.58
@@ -387,21 +387,30 @@ def _step_timeopt(draw, size, n, marks, rng, metric_budget, total_cap, check):
 # 0.97 at n = 8 and 1.45 at n = 7; uniform-pair trials, in draws sized by
 # _uniform_block, took 0.89 at n = 9, 0.66 at n = 10 and 1.29 at n = 8; a
 # 1024-trial BST-only batch took 0.67 of the lanes' time at n = 9 and 1.16
-# at n = 8.
+# at n = 8.  Round-robin runs from a mixed start last their whole budget:
+# 4.2 / 34.3 / 166.7 ms against _step_flip's 18.2 / 178.1 / 707.0 ms at
+# n = 9 / 12 / 14 (one run each); from zeros a run converges in n meetings,
+# in 0.24-0.28 ms against 0.08-0.12 ms (best of 3 x 200).
 FLIP_BLOCK_MIN_N = 9
-# The block kernel holds the marks as the bits of one int64.
+# The block kernel holds the marks as the bits of one int64; above this
+# flip steps one meeting at a time, and only with a bound (TrialBatchSpec).
 FLIP_MAX_N = 63
+
+
+def _flip_loop(n):
+    """Flip's stepping loop at n agents, the same under every scheduler."""
+    return _block_flip if FLIP_BLOCK_MIN_N <= n <= FLIP_MAX_N else _step_flip
 
 
 def simulate_flip_bst(n, marks, rng, metric_budget, total_cap, check=True):
     """Flip protocol under base-station-only scheduling (1 double/step)."""
-    if n >= FLIP_BLOCK_MIN_N:
+    step = _flip_loop(n)
+    if step is _block_flip:
         # blocks of 2^(n+1) draws, about twice the mean run, were fastest
-        return _block_flip(
-            _bst_draw, min(4096, 2 << n), n, marks, rng, metric_budget, total_cap, check
-        )
-    size = _batch_size(min(metric_budget, total_cap))
-    return _step_flip(_bst_draw, size, n, marks, rng, metric_budget, total_cap, check)
+        size = min(4096, 2 << n)
+    else:
+        size = _batch_size(min(metric_budget, total_cap))
+    return step(_bst_draw, size, n, marks, rng, metric_budget, total_cap, check)
 
 
 def simulate_timeopt_bst(n, marks, rng, metric_budget, total_cap, check=True):
@@ -414,7 +423,7 @@ def simulate_timeopt_bst(n, marks, rng, metric_budget, total_cap, check=True):
 
 def simulate_flip_uniform(n, marks, rng, metric_budget, total_cap, check=True):
     """Flip protocol under uniform-pair scheduling (2 doubles/step)."""
-    step = _block_flip if n >= FLIP_BLOCK_MIN_N else _step_flip
+    step = _flip_loop(n)
     size = _flip_uniform_block(n, metric_budget)
     return step(_uniform_draw, size, n, marks, rng, metric_budget, total_cap, check)
 
@@ -428,9 +437,9 @@ def simulate_timeopt_uniform(n, marks, rng, metric_budget, total_cap, check=True
 
 
 def simulate_flip_roundrobin(n, marks, rng, metric_budget, total_cap, check=True):
-    """Flip protocol under round-robin scheduling (no doubles).  It steps
-    one meeting at a time, which takes any n."""
-    return _step_flip(
+    """Flip protocol under round-robin scheduling (no doubles), in blocks
+    of whole cycles holding some 4096 meetings."""
+    return _flip_loop(n)(
         _roundrobin_draw, _cycles(n, n), n, marks, rng, metric_budget, total_cap, check
     )
 

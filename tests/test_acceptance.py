@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from popcountlab import acceptance
+from popcountlab import acceptance, oracle
 from popcountlab.engine import InvariantViolation
 from popcountlab.experiments import AllTrialsTruncated
 
@@ -110,3 +110,13 @@ def test_a_run_that_raises_fails_its_check(monkeypatch, error, tally):
         "timeopt-exact-vs-montecarlo": (False, "exact-vs-mc n=1: planted"),
         "run-invariants": (False, f"{tally}, first: flip n=2: planted"),
     }
+
+
+def test_naming_sequence_lengths_follow_the_recurrence(monkeypatch):
+    # the check derives L_m = 2 L_(m-1) + 1 itself, so an oracle that goes
+    # wrong only past the depths it expands still fails
+    true_length = oracle.gros_length
+    monkeypatch.setattr(oracle, "gros_length", lambda d: true_length(d) + (d >= 20))
+    params = acceptance.PARAMS[LEVEL]
+    passed, detail = acceptance._check_naming_sequence(params, SEED, None, {})
+    assert (passed, detail) == (False, "length mismatch at depth 20")

@@ -344,25 +344,26 @@ class TestArgumentErrors:
                 cli.main(argv)
             assert exc.value.code == 1
 
-    @pytest.mark.parametrize("extra", [[], ["--max-interactions", "50"]])
-    def test_flip_above_63_agents_exits_one(self, capsys, extra):
-        # a run would not end: the natural stop is about 2^65 meetings away
+    @pytest.mark.parametrize("scheduler", ["bst", "uniform", "roundrobin"])
+    def test_flip_above_63_agents_exits_one(self, capsys, scheduler):
+        # from random marks a run could last its whole 64 * 2^65 budget
         code, out, err = invoke(
-            capsys, "simulate", "--protocol", "flip", "--n", "64", *extra
-        )
-        assert code == 1 and out == ""
-        assert "n > 63" in err and "64-bit integer" in err and "2^65" in err
-        assert "Traceback" not in err
-
-    def test_roundrobin_flip_above_63_agents_exits_one(self, capsys):
-        # from random marks the run would last its whole 64 * 2^65 budget
-        code, out, err = invoke(
-            capsys, "simulate", "--protocol", "flip", "--scheduler", "roundrobin",
+            capsys, "simulate", "--protocol", "flip", "--scheduler", scheduler,
             "--n", "64", "--init", "random",
         )
         assert code == 1 and out == ""
-        assert "n > 63" in err and "no bound" in err and "round-robin" in err
-        assert "64 * 2^65" in err and "Traceback" not in err
+        assert "n > 63" in err and "--max-interactions" in err and "2^65" in err
+        assert "Traceback" not in err
+
+    def test_flip_above_63_agents_runs_with_a_bound_under_bst(self, capsys):
+        # the count rises by at most one a meeting, so 50 meetings cannot
+        # reach 64: the trial is truncated (exit 2), with no hang
+        code, out, err = invoke(
+            capsys, "simulate", "--protocol", "flip", "--n", "64",
+            "--max-interactions", "50",
+        )
+        assert code == 2 and out == ""
+        assert "none of the 1 trials converged" in err
 
     def test_roundrobin_flip_above_63_agents_runs_with_a_bound(self, capsys):
         # from zeros the cycle's first 64 meetings converge; from random

@@ -68,6 +68,11 @@ PAIR_SCHEDULERS = [
     SchedulerKind.UNIFORM_PAIR,
     SchedulerKind.ROUND_ROBIN,
 ]
+BIT_SCHEDULERS = [
+    SchedulerKind.BST_ONLY,
+    SchedulerKind.UNIFORM_PAIR,
+    SchedulerKind.ROUND_ROBIN,
+]
 
 TRUNCATION_BOUNDS = (1, 3, 17, 100)
 
@@ -143,17 +148,13 @@ class TestReplayEquality:
     def test_bit_kernels_replay_as_a_property(self, data):
         # Caps sit on both sides of the 32-, 1024-, 2048- and 4096-draw block
         # edges (flip from n = kernels.FLIP_BLOCK_MIN_N takes the block
-        # kernel, in blocks of 1024 draws at n = 9 and 2048 at n = 10;
-        # round-robin blocks are whole cycles), of the largest uniform-pair
-        # block (16384 pairs) and of the drawn n's uniform-pair blocks for
-        # either protocol; the default stop is only affordable on the engine
-        # for small n.
+        # kernel under every scheduler, in blocks of 1024 draws at n = 9 and
+        # 2048 at n = 10 under bst), of the largest uniform-pair block (16384
+        # pairs), of the drawn n's uniform-pair blocks for either protocol
+        # and of its round-robin block of whole cycles; the default stop is
+        # only affordable on the engine for small n.
         protocol = data.draw(st.sampled_from([ProtocolId.FLIP, ProtocolId.TIME_OPT]))
-        scheduler = data.draw(
-            st.sampled_from(
-                [SchedulerKind.BST_ONLY, SchedulerKind.UNIFORM_PAIR, SchedulerKind.ROUND_ROBIN]
-            )
-        )
+        scheduler = data.draw(st.sampled_from(BIT_SCHEDULERS))
         n = data.draw(st.integers(1, 40))
         marks = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
         bounds = [1, 31, 32, 33, 1023, 1024, 1025, 2047, 2048, 2049, 4095, 4096,
@@ -162,6 +163,7 @@ class TestReplayEquality:
         for block in (
             kernels._flip_uniform_block(n, budget),
             kernels._timeopt_uniform_block(n, budget),
+            kernels._cycles(n, n),
         ):
             bounds += [block - 1, block, block + 1]
         bound = data.draw(st.sampled_from(bounds + [None] if n <= 6 else bounds))
@@ -316,21 +318,32 @@ class TestReplayEquality:
     @given(data=st.data())
     def test_block_flip_equals_the_scalar_loop(self, data):
         # budgets and caps on both sides of the block edges, or the natural
-        # limits where the run stays affordable
-        draw = data.draw(st.sampled_from([kernels._bst_draw, kernels._uniform_draw]))
+        # limits where the run stays affordable; round-robin blocks are one
+        # cycle or whole cycles holding some 4096 meetings
+        draw = data.draw(
+            st.sampled_from(
+                [kernels._bst_draw, kernels._uniform_draw, kernels._roundrobin_draw]
+            )
+        )
         n = data.draw(st.integers(1, kernels.FLIP_MAX_N))
         marks = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
         edges = [1, 31, 32, 33, 63, 64, 65, 4095, 4096, 4097]
+        cycles = kernels._cycles(n, n)
         budget = data.draw(st.sampled_from(edges + [None]))
+        caps = edges + [cycles - 1, cycles, cycles + 1]
         cap = data.draw(
-            st.sampled_from(edges + [None] if budget is not None or n <= 12 else edges)
+            st.sampled_from(caps + [None] if budget is not None or n <= 12 else caps)
         )
         natural = resolve_limits(ProtocolId.FLIP, n, experiments.NATURAL_STOP)
         limits = (
             natural[0] if budget is None else budget,
             natural[1] if cap is None else cap,
         )
-        size = data.draw(st.sampled_from([32, 64, 4096, min(4096, 2 << n)]))
+        if draw is kernels._roundrobin_draw:
+            sizes = [n * (n + 1) // 2, cycles]
+        else:
+            sizes = [32, 64, 4096, min(4096, 2 << n)]
+        size = data.draw(st.sampled_from(sizes))
         seed = data.draw(st.integers(0, 2 ** 32))
         check = data.draw(st.booleans())
         scalar, block = (
@@ -1050,71 +1063,45 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="pairs mobiles"):
             TrialBatchSpec(protocol=ProtocolId.GROS_NAMING, n=2, trials=1)
 
-    def test_flip_above_63_agents_is_rejected_where_a_kernel_would_run_it(self):
-        # the block kernel holds flip's marks in one int64, and a natural run
-        # at n = 64 would last about 2^65 meetings; the engine takes any n
+    @pytest.mark.parametrize("scheduler", BIT_SCHEDULERS, ids=lambda s: s.value)
+    def test_flip_above_63_agents_needs_a_bound(self, scheduler):
+        # above 63 agents flip steps one meeting at a time, and with no
+        # bound a run from mixed marks can last its whole 64 * 2^65 budget
         big = kernels.FLIP_MAX_N + 1
-        for scheduler in (SchedulerKind.BST_ONLY, SchedulerKind.UNIFORM_PAIR):
-            for stop in (None, StopCondition(StopKind.COUNT_REACHES_N, 50)):
-                with pytest.raises(ValueError, match="n > 63 .* 64-bit integer"):
-                    TrialBatchSpec(
-                        protocol=ProtocolId.FLIP,
-                        n=big,
-                        trials=1,
-                        scheduler=scheduler,
-                        stop=stop,
-                    )
-        capped = TrialBatchSpec(
-            protocol=ProtocolId.FLIP,
-            n=big,
-            trials=1,
-            stop=StopCondition(StopKind.MAX_INTERACTIONS, 50),
-        )
-        assert run_trial(capped, 0).total_interactions == 50
-        # round-robin steps one meeting at a time at any n, but with no
-        # bound a run from mixed marks lasts its whole 64 * 2^65 budget
-        with pytest.raises(ValueError, match="n > 63 .* no bound.* 64 \\* 2\\^65"):
-            TrialBatchSpec(
-                protocol=ProtocolId.FLIP,
-                n=big,
-                trials=1,
-                scheduler=SchedulerKind.ROUND_ROBIN,
-                init=InitPolicy.UNIFORM_RANDOM_MARKS,
-            )
+        with pytest.raises(ValueError, match="n > 63 needs a bound .* 64 \\* 2\\^65"):
+            TrialBatchSpec(protocol=ProtocolId.FLIP, n=big, trials=1, scheduler=scheduler)
         for stop in (
-            StopCondition(StopKind.MAX_INTERACTIONS, 50),
             StopCondition(StopKind.COUNT_REACHES_N, 1000),
+            StopCondition(StopKind.MAX_INTERACTIONS, 50),
         ):
             bounded = TrialBatchSpec(
                 protocol=ProtocolId.FLIP,
                 n=big,
                 trials=1,
-                scheduler=SchedulerKind.ROUND_ROBIN,
+                scheduler=scheduler,
                 init=InitPolicy.UNIFORM_RANDOM_MARKS,
                 stop=stop,
             )
             assert run_trial(bounded, 0) == run_trial(bounded, 0, force_engine=True)
             assert run_trial(bounded, 0).total_interactions == stop.bound
-        # from zeros the first n meetings, one cycle's opening, converge
-        zeros = TrialBatchSpec(
-            protocol=ProtocolId.FLIP,
-            n=big,
-            trials=1,
-            scheduler=SchedulerKind.ROUND_ROBIN,
-            stop=StopCondition(StopKind.COUNT_REACHES_N, 1000),
-        )
-        assert run_trial(zeros, 0).converged_at_bst_interaction == big
-        TrialBatchSpec(
-            protocol=ProtocolId.FLIP, n=big - 1, trials=1, scheduler=SchedulerKind.ROUND_ROBIN
-        )
-        TrialBatchSpec(protocol=ProtocolId.FLIP, n=big - 1, trials=1)
-        TrialBatchSpec(protocol=ProtocolId.TIME_OPT, n=big, trials=1)
+        if scheduler is SchedulerKind.ROUND_ROBIN:
+            # from zeros the first n meetings, one cycle's opening, converge
+            zeros = TrialBatchSpec(
+                protocol=ProtocolId.FLIP,
+                n=big,
+                trials=1,
+                scheduler=scheduler,
+                stop=StopCondition(StopKind.COUNT_REACHES_N, 1000),
+            )
+            assert run_trial(zeros, 0).converged_at_bst_interaction == big
+        TrialBatchSpec(protocol=ProtocolId.FLIP, n=big - 1, trials=1, scheduler=scheduler)
+        TrialBatchSpec(protocol=ProtocolId.TIME_OPT, n=big, trials=1, scheduler=scheduler)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_roundrobin_flip_converges_only_from_two_blocks_of_marks(self, n):
         # Every cycle flips every mark.  Exactly the 2n starts 0^a 1^b and
         # 1^a 0^b converge; every other start runs its whole budget, which
-        # is why flip above FLIP_MAX_N is rejected under round-robin too.
+        # is why flip above FLIP_MAX_N needs a bound under round-robin too.
         budget, cap, _ = resolve_limits(ProtocolId.FLIP, n, experiments.NATURAL_STOP)
         blocks = {
             tuple([x] * a + [1 - x] * (n - a)) for x in (0, 1) for a in range(n + 1)
