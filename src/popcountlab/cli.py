@@ -284,14 +284,23 @@ def cmd_simulate(args) -> int:
 
 
 def format_exact(value) -> str:
-    """Integers print bare; other rationals as p/q ~= 20 significant digits."""
+    """Integers print bare; other rationals as p/q ~= 20 significant digits.
+
+    Raises ValueError for an integer past Python's int-to-text digit limit.
+    """
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    with localcontext() as ctx:
-        ctx.prec = 20
-        approx = Decimal(value.numerator) / Decimal(value.denominator)
-    return f"{value.numerator}/{value.denominator} ~= {approx}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        with localcontext() as ctx:
+            ctx.prec = 20
+            approx = Decimal(value.numerator) / Decimal(value.denominator)
+        return f"{value.numerator}/{value.denominator} ~= {approx}"
+    except ValueError:
+        raise ValueError(
+            f"the value has more than {sys.get_int_max_str_digits()} digits; "
+            "PYTHONINTMAXSTRDIGITS=0 lifts the limit"
+        ) from None
 
 
 def cmd_oracle(args) -> int:
@@ -304,11 +313,11 @@ def cmd_oracle(args) -> int:
         )
         return 1
     try:
-        value = function(argument)
+        text = format_exact(function(argument))
     except (ValueError, oracle.Intractable) as exc:
         print(f"popcountlab oracle: error: {exc}", file=sys.stderr)
         return 1
-    print(format_exact(value))
+    print(text)
     return 0
 
 

@@ -525,16 +525,18 @@ def summarize(records: list[RunRecord]) -> Summary:
 
 
 def resolve_threads(threads: int | None) -> int:
-    """Worker processes for batch loops: POPCOUNT_THREADS, default 1."""
-    if threads is not None:
-        return max(1, threads)
-    text = os.environ.get("POPCOUNT_THREADS", "1")
-    try:
-        return max(1, int(text))
-    except ValueError:
-        raise ValueError(
-            f"POPCOUNT_THREADS must be an integer, got {text!r}"
-        ) from None
+    """Worker processes for batch loops: POPCOUNT_THREADS, default 1, at
+    least 1 and at most the CPU count (a process pool starts all its
+    workers at once)."""
+    if threads is None:
+        text = os.environ.get("POPCOUNT_THREADS", "1")
+        try:
+            threads = int(text)
+        except ValueError:
+            raise ValueError(
+                f"POPCOUNT_THREADS must be an integer, got {text!r}"
+            ) from None
+    return max(1, min(threads, os.cpu_count() or 1))
 
 
 def run_batch(spec: TrialBatchSpec, threads: int | None = None) -> BatchResult:

@@ -13,9 +13,10 @@ a sequence of steps and an int64 array of mobile indices:
 - _roundrobin_draw: the scheduler's fixed cycle, no doubles.
 
 A random source consumes doubles in exactly the scheduler's documented
-order (batched numpy draws yield the same stream as single draws).  Each
-bit protocol has one stepping loop applying its base-station rule and
-invariant checks to those events, one at a time.  Flip at
+order (batched numpy draws yield the same stream as single draws).  Both
+bit protocols share one stepping loop (_step_bits), applying the
+base-station rule and invariant checks to those events one at a time:
+flip is the phased rule in which every meeting converts.  Flip at
 FLIP_BLOCK_MIN_N..FLIP_MAX_N agents under every scheduler instead works out
 a whole block of events in numpy (_block_flip): the marks are the bits of
 one int64, updated by a prefix XOR, and both counters are Lindley
@@ -99,25 +100,37 @@ def _uniform_draw(rng, n, start, k):
 
 def _uniform_block(events, n):
     """Uniform pairs per draw that hold about `events` base-station
-    meetings, each pair meeting it with probability 2/(n+1)."""
-    return max(32, min(16384, events * (n + 1) // 2))
+    meetings, each pair meeting it with probability 2/(n+1).
+
+    At most 8000 pairs, whose doubles take 125 KB: below glibc's 128 KiB
+    mmap and trim thresholds every draw reuses the heap, above them that
+    depends on the heap's layout.  On a 2-core x86-64 machine the 30
+    phased trials at n = 256 of the benchmark's kernel-loops passes took
+    78,000-144,000 minor page faults and 0.56-0.84 s with 16384-pair
+    draws, against 0-19 and 0.44-0.58 s with 8000 (getrusage, twelve
+    passes each)."""
+    return max(32, min(8000, events * (n + 1) // 2))
 
 
 def _flip_uniform_block(n, metric_budget):
     """Pairs per flip draw: 2^n meetings, about the mean run, at most 4096.
-    On a 2-core x86-64 machine, 150 trials from zeros took 40.5 / 28.5 /
-    26.2 / 58.0 ms with 2^(n-1) / 2^n / 2^(n+1) / 4096 meetings per draw
-    at n = 9, and 55.4 / 47.8 / 49.8 / 64.2 ms at n = 10."""
+    On a 2-core x86-64 machine (medians of three runs, each the best of
+    five), 150 trials from zeros took 65 / 49 / 46 / 52 ms with 2^(n-1) /
+    2^n / 2^(n+1) / 4096 meetings per draw at n = 9, and 73 / 52 / 49 /
+    65 ms at n = 10, where the last two both draw 8000 pairs: within the
+    host's noise, 2^n and 2^(n+1) tie."""
     return _uniform_block(min(4096, 1 << n, metric_budget), n)
 
 
 def _timeopt_uniform_block(n, metric_budget):
     """Pairs per phased-protocol draw: 256 meetings.  A draw's fixed cost
     is some ten numpy calls, and the phased run, about n ln n meetings,
-    ends part way into its last draw.  On a 2-core x86-64 machine, single
-    trials from random marks were fastest at 256-512 pairs per draw at
-    n = 8, 2048 at n = 16, 4096 at n = 32, 8192-16384 at n = 64 and 16384
-    at n = 128: about 250 meetings from n = 16 up."""
+    ends part way into its last draw.  On a 2-core x86-64 machine (three
+    runs, best of 3-5), single trials from random marks were fastest at
+    256-512 pairs per draw at n = 8, 2048 at n = 16, 2048-8000 at n = 32
+    and 4096-16384 at n = 64-256: about 250 meetings from n = 16 up, to
+    the 8000-pair cap.  16384-pair draws that reuse their memory took
+    0.7-0.95 of the time at n = 256; _uniform_block has those that do not."""
     return _uniform_block(min(256, metric_budget), n)
 
 
@@ -157,56 +170,73 @@ def _cycles(n, per_cycle):
     return n * (n + 1) // 2 * max(1, 4096 // per_cycle)
 
 
-def _step_flip(draw, size, n, marks, rng, metric_budget, total_cap, check):
-    """Flip protocol over the events of `draw`, `size` draws per block.
-
-    Stops at convergence, after metric_budget base-station meetings, or
-    after total_cap interactions, whichever comes first.
-    """
+def _step_bits(flip, draw, size, n, marks, rng, metric_budget, total_cap, check):
+    """Flip if `flip` is set, else the phased protocol, over the events of
+    `draw`, `size` draws per block.  Under flip every meeting converts the
+    drawn agent; null meetings, the only ones that change nothing, are
+    phased misses with credit left on the phase's mark.  Stops at
+    convergence, after metric_budget base-station meetings, or after
+    total_cap interactions, whichever comes first."""
     marks = list(marks)
     ones = sum(marks)
-    c0 = c1 = c = 0
-    bst_count = 0
-    conv = None
-    all_zero_seen = ones == 0
-    all_one_seen = ones == n
+    thresholds = _phase_thresholds(n)
+    c0 = c1 = c = cnt = phase = 0
+    bst_count = nulls = 0
+    conv = conv_nn = None
+    flips = None if flip else 0  # flip has no phases
+    seen = {ones}  # flip's structure check: the start's count of ones, each 0 or n
     total = total_cap
     for start in range(0, total_cap, size):
         steps, mobiles = draw(rng, n, start, min(size, total_cap - start))
         for j, i in enumerate(mobiles.tolist()):
             bst_count += 1
-            if marks[i]:
-                if c1:
-                    c1 -= 1
-                marks[i] = 0
-                c0 += 1
-                ones -= 1
-            else:
-                if c0:
-                    c0 -= 1
-                marks[i] = 1
-                c1 += 1
-                ones += 1
-            new_c = c0 + c1
-            if check and (new_c < c or new_c > n or c1 > ones or c0 > n - ones):
-                raise InvariantViolation(
-                    f"flip counters c0={c0} c1={c1} invalid with {ones}/{n} ones"
-                )
-            c = new_c
-            if c == n:
-                if check:
-                    opposite_seen = all_zero_seen if ones == n else all_one_seen
-                    if ones not in (0, n) or not opposite_seen:
+            mark = marks[i]
+            if flip or mark == phase:
+                cnt = 0
+                if mark:
+                    if c1:
+                        c1 -= 1
+                    marks[i] = 0
+                    c0 += 1
+                    ones -= 1
+                else:
+                    if c0:
+                        c0 -= 1
+                    marks[i] = 1
+                    c1 += 1
+                    ones += 1
+                new_c = c0 + c1
+                if check and (new_c < c or new_c > n or c1 > ones or c0 > n - ones):
+                    raise InvariantViolation(
+                        f"counters c0={c0} c1={c1} invalid with {ones}/{n} ones"
+                    )
+                c = new_c
+                if c == n:
+                    # flip: all marks equal, and all were opposite before
+                    if flip and check and (0 < ones < n or n - ones not in seen):
                         raise InvariantViolation(
                             "flip converged without the all-same/all-opposite "
                             f"structure: {ones}/{n} ones"
                         )
-                conv = bst_count
-                break
-            if ones == 0:
-                all_zero_seen = True
-            elif ones == n:
-                all_one_seen = True
+                    conv, conv_nn = bst_count, bst_count - nulls
+                    break
+                if flip and not 0 < ones < n:
+                    seen.add(ones)
+            else:
+                converted = c1 if phase == 0 else c0
+                remaining = c0 if phase == 0 else c1
+                if cnt >= thresholds[converted]:
+                    if check and remaining != 0:
+                        raise InvariantViolation(
+                            f"phase flipped with {remaining} unconverted credits"
+                        )
+                    cnt = 0
+                    phase = 1 - phase
+                    flips += 1
+                elif remaining == 0:
+                    cnt += 1
+                else:
+                    nulls += 1
             if bst_count >= metric_budget:
                 break
         else:
@@ -214,18 +244,11 @@ def _step_flip(draw, size, n, marks, rng, metric_budget, total_cap, check):
         # the inner loop stopped the run at its j-th event
         total = int(steps[j])
         break
-    return RunRecord(
-        total_interactions=total,
-        bst_interactions=bst_count,
-        non_null_transitions=bst_count,
-        converged_at_bst_interaction=conv,
-        converged_at_non_null=conv,
-        final_c=c,
-    )
+    return RunRecord(total, bst_count, bst_count - nulls, conv, conv_nn, c, flips)
 
 
 def _block_flip(draw, size, n, marks, rng, metric_budget, total_cap, check):
-    """_step_flip's record, worked out `size` draws at a time.
+    """_step_bits's flip record, worked out `size` draws at a time.
 
     Every meeting flips the drawn agent's mark.  With the marks as the bits
     of one int64 (so n <= 63), a prefix XOR of the drawn agents' bits gives
@@ -294,103 +317,25 @@ def _block_flip(draw, size, n, marks, rng, metric_budget, total_cap, check):
         c0, c1 = int(c0s[-1]), int(c1s[-1])
         ones += int(s[-1])
         mask = int(after[-1])
-    return RunRecord(
-        total_interactions=total,
-        bst_interactions=bst_count,
-        non_null_transitions=bst_count,
-        converged_at_bst_interaction=conv,
-        converged_at_non_null=conv,
-        final_c=c,
-    )
-
-
-def _step_timeopt(draw, size, n, marks, rng, metric_budget, total_cap, check):
-    """Phased protocol over the events of `draw`, `size` draws per block,
-    with the stopping rules of _step_flip."""
-    marks = list(marks)
-    ones = sum(marks)
-    thresholds = _phase_thresholds(n)
-    c0 = c1 = c = cnt = phase = 0
-    bst_count = non_null = flips = 0
-    conv = None
-    conv_nn = None
-    total = total_cap
-    for start in range(0, total_cap, size):
-        steps, mobiles = draw(rng, n, start, min(size, total_cap - start))
-        for j, i in enumerate(mobiles.tolist()):
-            bst_count += 1
-            mark = marks[i]
-            if mark == phase:
-                cnt = 0
-                if mark:
-                    if c1:
-                        c1 -= 1
-                    marks[i] = 0
-                    c0 += 1
-                    ones -= 1
-                else:
-                    if c0:
-                        c0 -= 1
-                    marks[i] = 1
-                    c1 += 1
-                    ones += 1
-                non_null += 1
-                new_c = c0 + c1
-                if check and (new_c < c or new_c > n or c1 > ones or c0 > n - ones):
-                    raise InvariantViolation(
-                        f"counters c0={c0} c1={c1} invalid with {ones}/{n} ones"
-                    )
-                c = new_c
-                if c == n:
-                    conv, conv_nn = bst_count, non_null
-                    break
-            else:
-                converted = c1 if phase == 0 else c0
-                remaining = c0 if phase == 0 else c1
-                if cnt >= thresholds[converted]:
-                    if check and remaining != 0:
-                        raise InvariantViolation(
-                            f"phase flipped with {remaining} unconverted credits"
-                        )
-                    cnt = 0
-                    phase = 1 - phase
-                    flips += 1
-                    non_null += 1
-                elif remaining == 0:
-                    cnt += 1
-                    non_null += 1
-            if bst_count >= metric_budget:
-                break
-        else:
-            continue
-        # the inner loop stopped the run at its j-th event
-        total = int(steps[j])
-        break
-    return RunRecord(
-        total_interactions=total,
-        bst_interactions=bst_count,
-        non_null_transitions=non_null,
-        converged_at_bst_interaction=conv,
-        converged_at_non_null=conv_nn,
-        final_c=c,
-        phase_flips=flips,
-    )
+    return RunRecord(total, bst_count, bst_count, conv, conv, c)
 
 
 # Flip from this many agents is worked out a block of meetings at a time
 # (_block_flip), under every scheduler and for every trial.  Below it a
-# trial steps one meeting at a time (_step_flip), and large BST-only
+# trial steps one meeting at a time (_step_bits), and large BST-only
 # batches step as lanes (experiments._takes_lanes).  A numpy pass over a
 # block costs some 25 calls, as long as 100-200 scalar meetings, so short
-# runs lose.  On a 2-core x86-64 machine, BST-only single trials took 0.58
-# of _step_flip's time at n = 9, 0.34 at n = 10 and 0.22 at n = 12, but
-# 0.97 at n = 8 and 1.45 at n = 7; uniform-pair trials, in draws sized by
-# _uniform_block, took 0.89 at n = 9, 0.66 at n = 10 and 1.29 at n = 8; a
-# 1024-trial BST-only batch took 0.67 of the lanes' time at n = 9 and 1.16
-# at n = 8.  Round-robin runs from a mixed start last their whole budget:
-# 4.2 / 34.3 / 166.7 ms against _step_flip's 18.2 / 178.1 / 707.0 ms at
-# n = 9 / 12 / 14 (one run each); from zeros a run converges in n meetings,
-# in 0.24-0.28 ms against 0.08-0.12 ms (best of 3 x 200).
+# runs lose.  On a 2-core x86-64 machine, BST-only single trials from
+# random marks took 0.51 of _step_bits's time at n = 9, 0.33 at n = 10 and
+# 0.21 at n = 12, but 0.89 at n = 8 and 1.69 at n = 7 (best of 5 x 300).
+# Uniform-pair trials, in draws sized by _uniform_block, took 0.89 at
+# n = 9, 0.66 at n = 10 and 1.29 at n = 8, and round-robin runs from a
+# mixed start, which last their whole budget, 4.2 / 34.3 / 166.7 ms
+# against 18.2 / 178.1 / 707.0 ms at n = 9 / 12 / 14 (one run each), both
+# against the flip-only scalar loop that _step_bits replaced, 2-7% faster
+# at n = 6-8; from zeros a round-robin run converges in n meetings, in
+# 0.24-0.28 ms against 0.08-0.12 ms (best of 3 x 200).  A 1024-trial
+# BST-only batch took 0.67 of the lanes' time at n = 9 and 1.16 at n = 8.
 FLIP_BLOCK_MIN_N = 9
 # The block kernel holds the marks as the bits of one int64; above this
 # flip steps one meeting at a time, and only with a bound (TrialBatchSpec).
@@ -399,7 +344,8 @@ FLIP_MAX_N = 63
 
 def _flip_loop(n):
     """Flip's stepping loop at n agents, the same under every scheduler."""
-    return _block_flip if FLIP_BLOCK_MIN_N <= n <= FLIP_MAX_N else _step_flip
+    block = FLIP_BLOCK_MIN_N <= n <= FLIP_MAX_N
+    return _block_flip if block else partial(_step_bits, True)
 
 
 def simulate_flip_bst(n, marks, rng, metric_budget, total_cap, check=True):
@@ -416,8 +362,8 @@ def simulate_flip_bst(n, marks, rng, metric_budget, total_cap, check=True):
 def simulate_timeopt_bst(n, marks, rng, metric_budget, total_cap, check=True):
     """Phased protocol under base-station-only scheduling (1 double/step)."""
     size = _batch_size(min(metric_budget, total_cap))
-    return _step_timeopt(
-        _bst_draw, size, n, marks, rng, metric_budget, total_cap, check
+    return _step_bits(
+        False, _bst_draw, size, n, marks, rng, metric_budget, total_cap, check
     )
 
 
@@ -431,8 +377,8 @@ def simulate_flip_uniform(n, marks, rng, metric_budget, total_cap, check=True):
 def simulate_timeopt_uniform(n, marks, rng, metric_budget, total_cap, check=True):
     """Phased protocol under uniform-pair scheduling (2 doubles/step)."""
     size = _timeopt_uniform_block(n, metric_budget)
-    return _step_timeopt(
-        _uniform_draw, size, n, marks, rng, metric_budget, total_cap, check
+    return _step_bits(
+        False, _uniform_draw, size, n, marks, rng, metric_budget, total_cap, check
     )
 
 
@@ -446,8 +392,9 @@ def simulate_flip_roundrobin(n, marks, rng, metric_budget, total_cap, check=True
 
 def simulate_timeopt_roundrobin(n, marks, rng, metric_budget, total_cap, check=True):
     """Phased protocol under round-robin scheduling (no doubles)."""
-    return _step_timeopt(
-        _roundrobin_draw, _cycles(n, n), n, marks, rng, metric_budget, total_cap, check
+    size = _cycles(n, n)
+    return _step_bits(
+        False, _roundrobin_draw, size, n, marks, rng, metric_budget, total_cap, check
     )
 
 

@@ -4,6 +4,9 @@ codes, and reproducibility."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -50,6 +53,16 @@ class TestOracleCommand:
     def test_out_of_range_exact_solve_fails(self, capsys):
         code, _, err = invoke(capsys, "oracle", "--which", "timeopt-exact", "--n", "9")
         assert code == 1 and "exact solve" in err
+
+    def test_value_past_the_digit_limit_fails_in_one_line(self):
+        # 2^20000 - 1 has 6021 digits, past Python's default 4300
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        argv = [sys.executable, "-m", "popcountlab", "oracle", "--which", "gros-length",
+                "--n", "20000"]
+        result = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert result.returncode == 1 and result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert result.stderr.count("\n") == 1 and "4300 digits" in result.stderr
 
 
 SIMULATE_ARGS = [

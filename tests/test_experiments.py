@@ -4,10 +4,12 @@ parallel equivalence, and the adversarial worst-case sweep."""
 import hashlib
 import itertools
 import math
+import os
 import re
 import statistics
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -149,7 +151,7 @@ class TestReplayEquality:
         # Caps sit on both sides of the 32-, 1024-, 2048- and 4096-draw block
         # edges (flip from n = kernels.FLIP_BLOCK_MIN_N takes the block
         # kernel under every scheduler, in blocks of 1024 draws at n = 9 and
-        # 2048 at n = 10 under bst), of the largest uniform-pair block (16384
+        # 2048 at n = 10 under bst), of the largest uniform-pair block (8000
         # pairs), of the drawn n's uniform-pair blocks for either protocol
         # and of its round-robin block of whole cycles; the default stop is
         # only affordable on the engine for small n.
@@ -158,7 +160,7 @@ class TestReplayEquality:
         n = data.draw(st.integers(1, 40))
         marks = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
         bounds = [1, 31, 32, 33, 1023, 1024, 1025, 2047, 2048, 2049, 4095, 4096,
-                  4097, 8191, 8192, 8193, 16383, 16384, 16385]
+                  4097, 7999, 8000, 8001, 8191, 8192, 8193]
         budget = resolve_limits(protocol, n, StopCondition(StopKind.COUNT_REACHES_N, 1))[0]
         for block in (
             kernels._flip_uniform_block(n, budget),
@@ -215,9 +217,9 @@ class TestReplayEquality:
         # a block only buffers draws: its length must not show in the record
         protocol, step = data.draw(
             st.sampled_from(
-                [(ProtocolId.FLIP, kernels._step_flip),
+                [(ProtocolId.FLIP, partial(kernels._step_bits, True)),
                  (ProtocolId.FLIP, kernels._block_flip),
-                 (ProtocolId.TIME_OPT, kernels._step_timeopt)]
+                 (ProtocolId.TIME_OPT, partial(kernels._step_bits, False))]
             )
         )
         draw = data.draw(
@@ -234,8 +236,8 @@ class TestReplayEquality:
         stop = StopCondition(StopKind.COUNT_REACHES_N, cap)
         limits = resolve_limits(protocol, n, stop)[:2]
         seed = data.draw(st.integers(0, 2 ** 32))
-        # and the uniform-pair blocks: at most 16384 pairs, and by n
-        sizes = [1, 3, 32, 4096, 16384]
+        # and the uniform-pair blocks: at most 8000 pairs, and by n
+        sizes = [1, 3, 32, 4096, 8000, 16384]
         sizes += [
             kernels._flip_uniform_block(n, limits[0]),
             kernels._timeopt_uniform_block(n, limits[0]),
@@ -348,7 +350,7 @@ class TestReplayEquality:
         check = data.draw(st.booleans())
         scalar, block = (
             step(draw, size, n, marks, trial_rng(seed, 0), *limits, check)
-            for step in (kernels._step_flip, kernels._block_flip)
+            for step in (partial(kernels._step_bits, True), kernels._block_flip)
         )
         assert block == scalar
         assert all(type(v) in (int, type(None)) for v in vars(block).values())
@@ -938,14 +940,21 @@ class TestBatch:
         assert serial.summary == parallel.summary
 
     def test_thread_resolution(self, monkeypatch):
+        cpus = os.cpu_count() or 1
         monkeypatch.delenv("POPCOUNT_THREADS", raising=False)
         assert resolve_threads(None) == 1
-        assert resolve_threads(5) == 5
+        assert resolve_threads(5) == min(5, cpus)
         monkeypatch.setenv("POPCOUNT_THREADS", "3")
-        assert resolve_threads(None) == 3
+        assert resolve_threads(None) == min(3, cpus)
         for clamped in ("0", "-2"):
             monkeypatch.setenv("POPCOUNT_THREADS", clamped)
             assert resolve_threads(None) == 1
+        # a pool starts every worker at once: never more than the CPUs;
+        # only resolved here, no pool is started
+        for huge in ("5000", str(10 ** 30)):
+            monkeypatch.setenv("POPCOUNT_THREADS", huge)
+            assert resolve_threads(None) == cpus
+            assert resolve_threads(int(huge)) == cpus
         monkeypatch.setenv("POPCOUNT_THREADS", "abc")
         with pytest.raises(ValueError, match="POPCOUNT_THREADS.*'abc'"):
             resolve_threads(None)
