@@ -17,10 +17,11 @@ through one naming loop (kernels._step_gros), and naming under the
 adversarial schedule through its own.  engine.run, the reference, takes
 force_engine and StopKind.MAX_INTERACTIONS.
 
-Large BST-only batches of the phased protocol, and of flip below
-kernels.FLIP_BLOCK_MIN_N agents, step up to a seed block of trials together
-as lanes (kernels.*_lanes), drawing from a numpy mirror of PCG64 seeded from
-the same words; their records equal run_trial's.  The first-phase estimate
+Large BST-only batches of the phased protocol below
+kernels.TIMEOPT_BLOCK_MIN_N agents, and of flip below kernels.FLIP_BLOCK_MIN_N,
+step up to a seed block of trials together as lanes (kernels.*_lanes),
+drawing from a numpy mirror of PCG64 seeded from the same words; their
+records equal run_trial's.  The first-phase estimate
 steps its trials the same way, with verdicts equal to the scalar first-phase
 kernel's.  One runner, _by_seed_block, cuts both at seed-block edges and
 sends what lanes cannot finish back one trial at a time.
@@ -402,7 +403,8 @@ _LANE_KERNELS = {
 # lost to the scalar kernels at 512 lanes, broke even at 768 and won at
 # 1024; trials of a few steps win from 64 lanes.  First phases (about 45
 # numpy calls a step) at n = 8-64 lost at 256 lanes, and at n = 64 at 512
-# too, and won from 768 (0.5-0.75 of the scalar time).
+# too, and won from 768 (0.5-0.75 of the scalar time).  Lanes run only
+# below the block kernels' cut-offs, which beat them (_takes_lanes).
 _LANE_MIN_TRIALS = 768
 _LANE_MIN_LIVE = 32  # stepping stops once fewer lanes are left
 
@@ -416,11 +418,14 @@ def _takes_lanes(spec: TrialBatchSpec) -> bool:
     return (
         run_trial is _OWN_RUN_TRIAL
         and spec.protocol in _LANE_KERNELS
-        # flip's run length has a long, nearly memoryless tail: lanes spend
-        # most steps on a few long runs, and lose to the block kernel
-        and (
-            spec.protocol is ProtocolId.TIME_OPT
-            or spec.n < kernels.FLIP_BLOCK_MIN_N
+        # from its block kernel's cut-off a protocol's trials beat lanes
+        # (flip's run length has a long, nearly memoryless tail: lanes
+        # spend most steps on a few long runs)
+        and spec.n
+        < (
+            kernels.FLIP_BLOCK_MIN_N
+            if spec.protocol is ProtocolId.FLIP
+            else kernels.TIMEOPT_BLOCK_MIN_N
         )
         and spec.scheduler is SchedulerKind.BST_ONLY
         and spec.resolved_stop() == NATURAL_STOP

@@ -20,9 +20,14 @@ flip is the phased rule in which every meeting converts.  Flip at
 FLIP_BLOCK_MIN_N..FLIP_MAX_N agents under every scheduler instead works out
 a whole block of events in numpy (_block_flip): the marks are the bits of
 one int64, updated by a prefix XOR, and both counters are Lindley
-recursions of one running sum.  So a kernel run and an engine run seeded
-identically produce identical RunRecords; the tests pin that down, and the
-engine stays the reference.
+recursions of one running sum.  The phased protocol under BST-only
+scheduling from TIMEOPT_BLOCK_MIN_N agents works out a block too
+(_block_phased): within a phase an agent converts at its first meeting
+while it carries the phase's mark, so a phase's conversions are the first
+occurrences in one pass over the block, and between two conversions only
+the streak or the null count moves.  So a kernel run and an engine run
+seeded identically produce identical RunRecords; the tests pin that down,
+and the engine stays the reference.
 
 The naming protocol has one stepping loop over every pair, mobile/mobile
 pairs included (_step_gros), fed by _uniform_pairs or _roundrobin_pairs,
@@ -58,6 +63,15 @@ def _phase_thresholds(n: int) -> tuple[float, ...]:
     """phase_threshold(c) for c = 0..n: a run over n agents converts at
     most n of them per phase."""
     return tuple(phase_threshold(c) for c in range(n + 1))
+
+
+@lru_cache(maxsize=64)
+def _phase_ceilings(n: int) -> np.ndarray:
+    """ceil(phase_threshold(c)) for c = 0..n: an integer streak reaches a
+    threshold exactly when it reaches its ceiling."""
+    ceilings = np.ceil(_phase_thresholds(n)).astype(np.int64)
+    ceilings.flags.writeable = False  # cached: shared by every later call
+    return ceilings
 
 
 def _bst_draw(rng, n, start, k):
@@ -132,6 +146,19 @@ def _timeopt_uniform_block(n, metric_budget):
     the 8000-pair cap.  16384-pair draws that reuse their memory took
     0.7-0.95 of the time at n = 256; _uniform_block has those that do not."""
     return _uniform_block(min(256, metric_budget), n)
+
+
+def _timeopt_bst_block(n, metric_budget):
+    """Draws per block of the phased protocol's block kernel: 32n, at most
+    16000 doubles (125 KB, see _uniform_block), and no more than the
+    budget.  A pass costs some 30 numpy calls and O(n) work whatever its
+    length; a run from random marks, 19n-30n meetings at n = 64-512 with
+    one phase flip, takes two passes when one block holds it.  On a 2-core
+    x86-64 machine single trials from random marks (best of three rounds)
+    took 0.21 / 0.14 / 0.16 ms with blocks of 16n / 32n / 64n draws at
+    n = 64, 0.18 / 0.14 / 0.17 ms at n = 128, 0.25 / 0.20 / 0.25 ms at
+    n = 256 and 0.32 / 0.28 / 0.27 ms at n = 512."""
+    return min(16000, 32 * n, metric_budget)
 
 
 def _roundrobin_draw(rng, n, start, k):
@@ -320,6 +347,117 @@ def _block_flip(draw, size, n, marks, rng, metric_budget, total_cap, check):
     return RunRecord(total, bst_count, bst_count, conv, conv, c)
 
 
+def _block_phased(draw, size, n, marks, rng, metric_budget, total_cap, check):
+    """_step_bits's phased record, worked out `size` draws at a time.
+
+    Within a phase an agent converts only at its first meeting while it
+    carries the phase's mark, so one pass over the rest of a block finds
+    the phase's hits as first occurrences (np.minimum.at applies every
+    index in turn).  Let rem be the credit on the phase's mark and cvt the
+    converted credit when a pass starts.  Before hit j, rem is
+    max(rem - j, 0) and cvt is cvt + j; the misses before it (gap j) are
+    null while credit is left and extend the streak once none is.  The
+    streak carried into gap 0 is the block's or the phase's, and is 0 after
+    a hit.  The phase flips at the first miss that finds the streak at
+    ceil(T(cvt + j)) or more: in a streak gap at miss ceil(T) - streak + 1
+    (at least 1), in a null gap, whose streak does not grow, only at its
+    first.  After hit j, c = max(c, cvt + j + 1), so the run converges at
+    hit n - cvt - 1.  A pass stops at the earlier of the flip and
+    convergence, else at the block's end; the next pass starts after the
+    flip.  Each invariant check is one compare over a pass's hits up to
+    its stop.
+    """
+    ceilings = _phase_ceilings(n)
+    marks = np.array(marks)
+    ones = int(marks.sum())
+    phase = rem = cvt = cnt = 0  # rem: the credit on the phase's mark
+    bst_count = nulls = flips = 0
+    total = total_cap
+    for start in range(0, total_cap, size):
+        steps, mobiles = draw(rng, n, start, min(size, total_cap - start))
+        mobiles = mobiles[: metric_budget - bst_count]
+        length = len(mobiles)
+        positions = np.arange(length)  # a pass works in block positions
+        pos = 0
+        while pos < length:
+            first = np.full(n, length)
+            np.minimum.at(first, mobiles[pos:], positions[pos:])
+            hits = np.sort(first[marks == phase])[: n - cvt]
+            hit_count = int(np.searchsorted(hits, length))
+            converged = hit_count == n - cvt
+            # gap j: the misses from starts[j] up to hit j, or to the end
+            ends = hits[:hit_count]
+            if not converged:
+                ends = np.append(ends, length)
+            starts = np.concatenate(([pos], ends[:-1] + 1))
+            gaps = ends - starts
+            # the misses each gap needs before the one that flips
+            need = ceilings[cvt : cvt + len(ends)].copy()
+            need[0] -= cnt
+            if rem:
+                # a null gap's streak does not grow: it flips at its first
+                # miss or not at all
+                held = need[:rem]
+                held[held > 0] = length
+            np.maximum(need, 0, out=need)
+            flip = np.flatnonzero(gaps > need)
+            flipped = len(flip) > 0
+            if flipped:
+                hit_count = int(flip[0])
+                stop = int(starts[hit_count] + need[hit_count]) + 1
+                passed = hit_count  # gaps passed whole
+            elif converged:
+                stop = int(ends[-1]) + 1
+                passed = hit_count
+            else:
+                stop = length
+                passed = hit_count + 1
+                # the last gap's streak carries into the next block
+                cnt = (0 if hit_count else cnt) + (
+                    int(gaps[-1]) if hit_count >= rem else 0
+                )
+            nulls += int(gaps[: min(passed, rem)].sum())
+            if check and hit_count:
+                k = np.arange(1, hit_count + 1)
+                left = np.maximum(rem - k, 0)
+                ones_k = ones - k if phase else ones + k
+                c0s, c1s = (cvt + k, left) if phase else (left, cvt + k)
+                cs = c0s + c1s
+                bad = cs < np.concatenate(([rem + cvt], cs[:-1]))
+                bad |= cs > n
+                bad |= c1s > ones_k
+                bad |= c0s > n - ones_k
+                if bad.any():
+                    t = int(bad.argmax())
+                    raise InvariantViolation(
+                        f"counters c0={c0s[t]} c1={c1s[t]} invalid with "
+                        f"{ones_k[t]}/{n} ones"
+                    )
+            marks[mobiles[hits[:hit_count]]] = 1 - phase
+            ones += -hit_count if phase else hit_count
+            rem, cvt = max(rem - hit_count, 0), cvt + hit_count
+            bst_count += stop - pos
+            pos = stop
+            if converged and not flipped:
+                nn = bst_count - nulls
+                return RunRecord(
+                    int(steps[stop - 1]), bst_count, nn, bst_count, nn, n, flips
+                )
+            if flipped:
+                if check and rem:
+                    raise InvariantViolation(
+                        f"phase flipped with {rem} unconverted credits"
+                    )
+                rem, cvt = cvt, rem
+                phase = 1 - phase
+                cnt = 0
+                flips += 1
+        if bst_count >= metric_budget:
+            total = int(steps[length - 1])
+            break
+    return RunRecord(total, bst_count, bst_count - nulls, None, None, rem + cvt, flips)
+
+
 # Flip from this many agents is worked out a block of meetings at a time
 # (_block_flip), under every scheduler and for every trial.  Below it a
 # trial steps one meeting at a time (_step_bits), and large BST-only
@@ -340,6 +478,15 @@ FLIP_BLOCK_MIN_N = 9
 # The block kernel holds the marks as the bits of one int64; above this
 # flip steps one meeting at a time, and only with a bound (TrialBatchSpec).
 FLIP_MAX_N = 63
+# The phased protocol under BST-only scheduling from this many agents is
+# worked out a block of draws at a time (_block_phased); below it a trial
+# steps one meeting at a time, and large batches step as lanes.  On a
+# 2-core x86-64 machine (medians of five alternating rounds), single trials
+# from random marks took 0.70 of _step_bits's time at n = 48, 0.44-0.54 at
+# n = 64 and 0.16 at n = 256, and a 1024-trial batch took 1.15 of the
+# lanes' time at n = 48, 0.94-0.98 at n = 64, 0.55 at n = 128 and 0.36 at
+# n = 256.
+TIMEOPT_BLOCK_MIN_N = 64
 
 
 def _flip_loop(n):
@@ -361,10 +508,13 @@ def simulate_flip_bst(n, marks, rng, metric_budget, total_cap, check=True):
 
 def simulate_timeopt_bst(n, marks, rng, metric_budget, total_cap, check=True):
     """Phased protocol under base-station-only scheduling (1 double/step)."""
-    size = _batch_size(min(metric_budget, total_cap))
-    return _step_bits(
-        False, _bst_draw, size, n, marks, rng, metric_budget, total_cap, check
-    )
+    if n >= TIMEOPT_BLOCK_MIN_N:
+        size = _timeopt_bst_block(n, metric_budget)
+        step = _block_phased
+    else:
+        size = _batch_size(min(metric_budget, total_cap))
+        step = partial(_step_bits, False)
+    return step(_bst_draw, size, n, marks, rng, metric_budget, total_cap, check)
 
 
 def simulate_flip_uniform(n, marks, rng, metric_budget, total_cap, check=True):

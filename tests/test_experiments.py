@@ -152,12 +152,20 @@ class TestReplayEquality:
         # edges (flip from n = kernels.FLIP_BLOCK_MIN_N takes the block
         # kernel under every scheduler, in blocks of 1024 draws at n = 9 and
         # 2048 at n = 10 under bst), of the largest uniform-pair block (8000
-        # pairs), of the drawn n's uniform-pair blocks for either protocol
-        # and of its round-robin block of whole cycles; the default stop is
-        # only affordable on the engine for small n.
+        # pairs), of the drawn n's uniform-pair blocks for either protocol,
+        # of its phased bst block and of its round-robin block of whole
+        # cycles; the default stop is only affordable on the engine for
+        # small n.
         protocol = data.draw(st.sampled_from([ProtocolId.FLIP, ProtocolId.TIME_OPT]))
         scheduler = data.draw(st.sampled_from(BIT_SCHEDULERS))
-        n = data.draw(st.integers(1, 40))
+        ns = st.integers(1, 40)
+        if protocol is ProtocolId.TIME_OPT and scheduler is SchedulerKind.BST_ONLY:
+            # and either side of the phased block kernel's cut-off, where
+            # only caps of at most 8193 interactions keep the engine
+            # affordable
+            cut = kernels.TIMEOPT_BLOCK_MIN_N
+            ns |= st.sampled_from([cut - 1, cut, cut + 1, 256])
+        n = data.draw(ns)
         marks = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
         bounds = [1, 31, 32, 33, 1023, 1024, 1025, 2047, 2048, 2049, 4095, 4096,
                   4097, 7999, 8000, 8001, 8191, 8192, 8193]
@@ -165,9 +173,12 @@ class TestReplayEquality:
         for block in (
             kernels._flip_uniform_block(n, budget),
             kernels._timeopt_uniform_block(n, budget),
+            kernels._timeopt_bst_block(n, budget),
             kernels._cycles(n, n),
         ):
             bounds += [block - 1, block, block + 1]
+        if n > 40:
+            bounds = [b for b in bounds if b <= 8193]
         bound = data.draw(st.sampled_from(bounds + [None] if n <= 6 else bounds))
         stop = None if bound is None else StopCondition(StopKind.COUNT_REACHES_N, bound)
         spec = TrialBatchSpec(
@@ -219,7 +230,8 @@ class TestReplayEquality:
             st.sampled_from(
                 [(ProtocolId.FLIP, partial(kernels._step_bits, True)),
                  (ProtocolId.FLIP, kernels._block_flip),
-                 (ProtocolId.TIME_OPT, partial(kernels._step_bits, False))]
+                 (ProtocolId.TIME_OPT, partial(kernels._step_bits, False)),
+                 (ProtocolId.TIME_OPT, kernels._block_phased)]
             )
         )
         draw = data.draw(
@@ -236,11 +248,13 @@ class TestReplayEquality:
         stop = StopCondition(StopKind.COUNT_REACHES_N, cap)
         limits = resolve_limits(protocol, n, stop)[:2]
         seed = data.draw(st.integers(0, 2 ** 32))
-        # and the uniform-pair blocks: at most 8000 pairs, and by n
+        # and the uniform-pair blocks (at most 8000 pairs, and by n) and
+        # the phased bst block
         sizes = [1, 3, 32, 4096, 8000, 16384]
         sizes += [
             kernels._flip_uniform_block(n, limits[0]),
             kernels._timeopt_uniform_block(n, limits[0]),
+            kernels._timeopt_bst_block(n, limits[0]),
         ]
         records = [
             step(draw, size, n, marks, trial_rng(seed, 0), *limits, True)
@@ -369,6 +383,92 @@ class TestReplayEquality:
         monkeypatch.setattr(kernels, "np", OrForXor())
         with pytest.raises(InvariantViolation, match="all-same/all-opposite"):
             kernels.simulate_flip_bst(12, [0] * 12, trial_rng(3, 0), 10 ** 6, 10 ** 7)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_block_phased_equals_the_scalar_loop(self, data):
+        # n weighted toward the cut-off; budgets and caps on both sides of
+        # the drawn block's edges, or the natural limits where few draws
+        # hold the run
+        draw = data.draw(
+            st.sampled_from(
+                [kernels._bst_draw, kernels._uniform_draw, kernels._roundrobin_draw]
+            )
+        )
+        cut = kernels.TIMEOPT_BLOCK_MIN_N
+        n = data.draw(
+            st.integers(1, 256)
+            | st.integers(cut - 8, cut + 8)
+            | st.sampled_from([cut - 1, cut, cut + 1, 256])
+        )
+        start = data.draw(st.sampled_from(["zeros", "ones", "random", "explicit"]))
+        if start == "explicit":
+            marks = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        elif start == "random":
+            pick = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+            marks = pick.integers(0, 2, n).tolist()
+        else:
+            marks = [int(start == "ones")] * n
+        natural = resolve_limits(ProtocolId.TIME_OPT, n, experiments.NATURAL_STOP)
+        chosen = kernels._timeopt_bst_block(n, natural[0])
+        size = data.draw(st.sampled_from([1, 3, 32, chosen - 1, chosen, chosen + 1]))
+        edges = [1, 31, 32, 33, size - 1, size, size + 1, 2 * size + 1]
+        edges = [e for e in edges if e > 0]
+        affordable = size >= chosen - 1 or n <= 8
+        budget = data.draw(st.sampled_from(edges + [None] if affordable else edges))
+        cap = data.draw(st.sampled_from(edges + [None] if affordable else edges))
+        limits = (
+            natural[0] if budget is None else budget,
+            natural[1] if cap is None else cap,
+        )
+        seed = data.draw(st.integers(0, 2 ** 32))
+        check = data.draw(st.booleans())
+        scalar, block = (
+            step(draw, size, n, marks, trial_rng(seed, 0), *limits, check)
+            for step in (partial(kernels._step_bits, False), kernels._block_phased)
+        )
+        assert block == scalar
+        assert all(type(v) in (int, type(None)) for v in vars(block).values())
+
+    @pytest.mark.parametrize(
+        "start,zero_thresholds,message",
+        [
+            pytest.param(
+                lambda n: [0] * n, True, "phase flipped with", id="flip-with-credit"
+            ),
+            pytest.param(
+                lambda n: [2] + [0] * (n - 1), False, "counters", id="ones-too-high"
+            ),
+            pytest.param(
+                lambda n: [-1] + [1] * (n - 1), False, "counters", id="ones-too-low"
+            ),
+        ],
+    )
+    def test_block_phased_raises_the_scalar_loops_messages(
+        self, monkeypatch, start, zero_thresholds, message
+    ):
+        # Streak thresholds of 0 once an agent is converted flip a phase at
+        # its first miss after a hit, with credit left or not.  A mark
+        # outside 0/1 puts the count of ones off by one, so the last
+        # conversion of a phase finds more credit than agents.
+        n = kernels.TIMEOPT_BLOCK_MIN_N
+        thresholds = kernels._phase_thresholds(n)
+        if zero_thresholds:
+            thresholds = thresholds[:1] + (0.0,) * n
+        monkeypatch.setattr(kernels, "_phase_thresholds", lambda m: thresholds)
+        monkeypatch.setattr(
+            kernels, "_phase_ceilings", lambda m: np.ceil(thresholds).astype(np.int64)
+        )
+        limits = resolve_limits(ProtocolId.TIME_OPT, n, experiments.NATURAL_STOP)[:2]
+        scalar = partial(kernels._step_bits, False, kernels._bst_draw, 32)
+        errors, records = [], []
+        for step in (scalar, kernels.simulate_timeopt_bst):
+            with pytest.raises(InvariantViolation, match=message) as caught:
+                step(n, start(n), trial_rng(5, 0), *limits, True)
+            errors.append(str(caught.value))
+            records.append(step(n, start(n), trial_rng(5, 0), *limits, False))
+        assert errors[0] == errors[1]
+        assert records[0] == records[1]
 
 
 class TestSeeding:
@@ -559,6 +659,35 @@ class TestGoldenRecords:
         )
         assert records_digest(run_batch(spec, threads=1).records) == expected
 
+    @pytest.mark.parametrize(
+        "n,trials,seed,expected",
+        [
+            pytest.param(
+                256, 12, 31,
+                "e5ef20390db58c4c92c40d5ae93313a0daa30e86d8b64d14f4285dd4da2d3e29",
+                id="n256",
+            ),
+            # a whole seed block
+            pytest.param(
+                128, 1024, 32,
+                "c0e05fd1d03be133f0c402becf0b01b5138340934b8539cb7fb62b095c696acf",
+                id="n128-seed-block",
+            ),
+        ],
+    )
+    def test_timeopt_bst_block_kernel(self, n, trials, seed, expected):
+        # hashes taken while these batches stepped one meeting at a time
+        # and as lanes
+        spec = TrialBatchSpec(
+            protocol=ProtocolId.TIME_OPT,
+            n=n,
+            trials=trials,
+            init=InitPolicy.UNIFORM_RANDOM_MARKS,
+            seed=seed,
+        )
+        assert n >= kernels.TIMEOPT_BLOCK_MIN_N
+        assert records_digest(run_batch(spec, threads=1).records) == expected
+
     def test_first_phase_verdicts(self):
         # the per-trial verdicts behind estimate_allflip_probability(2, 2000, 7)
         verdicts = [
@@ -656,14 +785,17 @@ class TestLanes:
         ]
 
     def test_which_batches_take_lanes(self):
-        # flip below the block kernel's cut-off
+        # either bit protocol below its block kernel's cut-off
         largest = kernels.FLIP_BLOCK_MIN_N - 1
         base = TrialBatchSpec(protocol=ProtocolId.FLIP, n=largest, trials=1, seed=3)
         assert experiments._takes_lanes(base)
-        phased = replace(base, protocol=ProtocolId.TIME_OPT, n=64)
+        phased = replace(
+            base, protocol=ProtocolId.TIME_OPT, n=kernels.TIMEOPT_BLOCK_MIN_N - 1
+        )
         assert experiments._takes_lanes(phased)
         for spec in [
             replace(base, n=largest + 1),
+            replace(phased, n=kernels.TIMEOPT_BLOCK_MIN_N),
             replace(base, scheduler=SchedulerKind.UNIFORM_PAIR),
             replace(base, stop=StopCondition(StopKind.COUNT_REACHES_N, 99)),
         ]:
