@@ -7,7 +7,7 @@ kernels are tested against it step for step.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum, unique
 from functools import lru_cache
 
@@ -56,16 +56,18 @@ class Configuration:
     mobiles: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.mobiles) < 1:
+        mobiles = self.mobiles
+        if len(mobiles) < 1:
             raise ValueError("a configuration needs at least one mobile agent")
         if isinstance(self.bst, GrosBst):
             bound = self.bst.bound
-            for value in self.mobiles:
+            for value in mobiles:
                 if not 0 <= value < bound:
                     raise ValueError(
                         f"name {value} outside [0, {bound}) state space"
                     )
-        elif not all(value in (0, 1) for value in self.mobiles):
+        # `value in (0, 1)` for every mark, counted at C speed
+        elif len(mobiles) - mobiles.count(0) - mobiles.count(1):
             raise ValueError("marks must all be 0 or 1")
 
     @property
@@ -90,12 +92,11 @@ def initial_configuration(
     return Configuration(bst=bst, mobiles=mobiles)
 
 
-def _check_pair(config: Configuration, pair) -> tuple[int, int]:
+def _check_pair(n: int, pair) -> tuple[int, int]:
     try:
         a, b = pair
     except (TypeError, ValueError):
         raise InvalidPair(f"pair must have two participants, got {pair!r}")
-    n = config.n
     if b == BST:
         raise InvalidPair("the base station must be the first participant")
     if not 0 <= b < n:
@@ -131,17 +132,21 @@ def apply_interaction(
     must be the first participant of its pairs; mobile/mobile pairs may come
     in either order since those rules are symmetric.
     """
-    bst_rule = _bst_rule(protocol, config)
-    a, b = _check_pair(config, pair)
+    return _apply(protocol, _bst_rule(protocol, config), config, pair)
+
+
+def _apply(protocol: ProtocolId, bst_rule, config: Configuration, pair):
+    """apply_interaction with the base-station rule already resolved."""
     mobiles = config.mobiles
+    a, b = _check_pair(len(mobiles), pair)
 
     if a == BST:
         value = mobiles[b]
         bst, new_value = bst_rule(config.bst, value)
-        if bst == config.bst and new_value == value:
+        if new_value == value and bst == config.bst:
             return config, False, True
         new_mobiles = mobiles[:b] + (new_value,) + mobiles[b + 1 :]
-        return replace(config, bst=bst, mobiles=new_mobiles), True, True
+        return Configuration(bst, new_mobiles), True, True
 
     if protocol is ProtocolId.GROS_NAMING:
         s1, s2 = protocols.gros_mobile_step(mobiles[a], mobiles[b])
@@ -149,7 +154,7 @@ def apply_interaction(
             return config, False, False
         items = list(mobiles)
         items[a], items[b] = s1, s2
-        return replace(config, mobiles=tuple(items)), True, False
+        return Configuration(config.bst, tuple(items)), True, False
 
     # The bit protocols have no mobile/mobile rule.
     return config, False, False
@@ -285,7 +290,7 @@ def run(
     updates metrics, optionally checks protocol invariants, and halts per
     `stop`.  Returns the final configuration and the metrics record.
     """
-    _bst_rule(protocol, config)
+    bst_rule = _bst_rule(protocol, config)
     from .schedulers import SchedulerKind  # schedulers imports this module
 
     kind = getattr(scheduler, "kind", None)
@@ -299,7 +304,6 @@ def run(
     conv_bst: int | None = None
     conv_nn: int | None = None
     phase_flips = 0 if protocol is ProtocolId.TIME_OPT else None
-    ones = sum(config.mobiles) if bit else 0
 
     if _count(config) == n:
         conv_bst, conv_nn = 0, 0
@@ -309,21 +313,23 @@ def run(
         and (bst_count if bit else non_null) < metric_budget
         and not (halt_on_predicate and conv_bst is not None)
     ):
-        pair = scheduler.next_pair(config)
         prev_bst = config.bst
-        prev_mark = config.mobiles[pair[1]] if bit and pair[0] == BST else None
-        config, was_non_null, with_bst = apply_interaction(protocol, config, pair)
+        pair = scheduler.next_pair(config)
+        config, was_non_null, with_bst = _apply(protocol, bst_rule, config, pair)
         total += 1
         bst_count += with_bst
         non_null += was_non_null
+        # a null step leaves the configuration the previous step checked;
+        # the first step checks the starting one
+        if not was_non_null and total > 1:
+            continue
 
-        if prev_mark is not None:
-            ones += config.mobiles[pair[1]] - prev_mark
         if check_invariants and bit:
-            bst = config.bst
-            if bst.c < prev_bst.c or bst.c > n:
+            bst, c = config.bst, config.bst.c
+            ones = sum(config.mobiles)
+            if c < prev_bst.c or c > n:
                 raise InvariantViolation(
-                    f"estimate left [{prev_bst.c}, {n}]: {bst.c} after {total}"
+                    f"estimate left [{prev_bst.c}, {n}]: {c} after {total}"
                 )
             if bst.c1 > ones or bst.c0 > n - ones:
                 raise InvariantViolation(

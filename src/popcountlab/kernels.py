@@ -46,6 +46,7 @@ lane the verdict simulate_timeopt_first_phase gives on its stream.
 """
 
 from functools import lru_cache, partial
+from itertools import repeat
 
 import numpy as np
 
@@ -580,10 +581,13 @@ def _lanes(protocol, n, marks, stream, budget, min_live, check=True):
 
     def finish(rows, conv):  # conv: step if `rows` converged, None at the budget
         (rows,) = rows.nonzero()
-        columns = live[rows], state[0][rows], step - state[1][rows], state[2][rows]
-        for lane, final, nn, fl in zip(*(a.tolist() for a in columns)):
-            conv_nn = nn if conv else None
-            records[lane] = RunRecord(step, step, nn, conv, conv_nn, final, fl)
+        nn = (step - state[1][rows]).tolist()
+        conv_nn = nn if conv else repeat(None)
+        final, flips = state[0][rows].tolist(), state[2][rows].tolist()
+        steps = repeat(step)
+        new = map(RunRecord, steps, steps, nn, repeat(conv), conv_nn, final, flips)
+        for lane, record in zip(live[rows].tolist(), new):
+            records[lane] = record
 
     while count >= min_live and step < budget:
         step += 1

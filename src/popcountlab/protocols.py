@@ -10,6 +10,7 @@ convention, so the functions here only spell out the non-default behaviour.
 import math
 from dataclasses import dataclass
 from enum import Enum, unique
+from functools import lru_cache
 
 
 @unique
@@ -94,6 +95,7 @@ class GrosBst:
     bound: int = 2
 
 
+@lru_cache(maxsize=4096)  # pure; timeopt_step asks at every meeting it misses
 def phase_threshold(converted: int) -> float:
     """Streak length that ends a phase: 6 * (c*ln(c) + 1), with 0*ln(0) = 0.
 

@@ -2,6 +2,7 @@
 stop conditions, and run metrics."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,9 +28,23 @@ from popcountlab.protocols import (
     FlipBst,
     GrosBst,
     ProtocolId,
+    TimeOptBst,
+    flip_step,
     gros_term,
 )
 from popcountlab.schedulers import make_scheduler, SchedulerKind
+
+
+class ScriptedScheduler:
+    """Hands out the given pairs in order."""
+
+    def __init__(self, pairs):
+        self.pairs = list(pairs)
+        self.drawn = 0
+
+    def next_pair(self, config):
+        self.drawn += 1
+        return self.pairs[self.drawn - 1]
 
 
 class TestConfiguration:
@@ -51,6 +66,24 @@ class TestConfiguration:
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
             initial_configuration(ProtocolId.TIME_OPT, [0, 2])
+
+    @pytest.mark.parametrize("bst", [FlipBst(), TimeOptBst()])
+    @pytest.mark.parametrize("mark", [2, -1, 0.5, None, [0]])
+    def test_each_non_bit_is_rejected_with_the_same_error(self, bst, mark):
+        with pytest.raises(ValueError, match=r"^marks must all be 0 or 1$") as error:
+            Configuration(bst, (0, mark))
+        assert error.type is ValueError
+
+    def test_accepts_bools_as_bits(self):
+        # True == 1, as `value in (0, 1)` has it
+        assert Configuration(FlipBst(), (True, 0)).mobiles == (1, 0)
+
+    @pytest.mark.parametrize("name", [-1, 3])
+    def test_names_outside_bound_are_reported(self, name):
+        text = rf"^name {name} outside \[0, 3\) state space$"
+        with pytest.raises(ValueError, match=text) as error:
+            Configuration(GrosBst(bound=3), (0, name))
+        assert error.type is ValueError
 
     def test_rejects_names_outside_bound(self):
         with pytest.raises(ValueError):
@@ -75,6 +108,26 @@ class TestApplyInteraction:
         config = initial_configuration(ProtocolId.FLIP, [0, 0])
         with pytest.raises(TagMismatch):
             apply_interaction(ProtocolId.GROS_NAMING, config, (BST, 0))
+
+    def test_tag_is_checked_before_the_pair(self):
+        config = initial_configuration(ProtocolId.FLIP, [0, 0])
+        for pair in ((0, 0), (5,), None):
+            with pytest.raises(TagMismatch):
+                apply_interaction(ProtocolId.GROS_NAMING, config, pair)
+
+    @pytest.mark.parametrize("through_run", [False, True], ids=["apply", "run"])
+    def test_a_rule_that_leaves_the_bits_fails(self, through_run):
+        # every successor is checked like a configuration built by hand
+        bad = (FlipBst, lambda bst, mark: (flip_step(bst, mark)[0], 2))
+        config = initial_configuration(ProtocolId.FLIP, [0, 0])
+        scheduler = make_scheduler(SchedulerKind.BST_ONLY, seed=0)
+        stop = StopCondition(StopKind.COUNT_REACHES_N)
+        with mock.patch.dict(engine._PROTOCOLS, {ProtocolId.FLIP: bad}):
+            with pytest.raises(ValueError, match=r"^marks must all be 0 or 1$"):
+                if through_run:
+                    run(ProtocolId.FLIP, scheduler, config, stop)
+                else:
+                    apply_interaction(ProtocolId.FLIP, config, (BST, 0))
 
     def test_null_returns_the_same_object(self):
         config = initial_configuration(ProtocolId.FLIP, [0, 1])
@@ -246,6 +299,38 @@ class TestRun:
                 config,
                 StopCondition(StopKind.MAX_INTERACTIONS, 10),
             )
+
+    @pytest.mark.parametrize(
+        "bst,first,non_null,text",
+        [
+            pytest.param(
+                TimeOptBst(c1=3), (0, 1), False, r"estimate left \[3, 2\]: 3 after 1",
+                id="estimate-null-mobile-pair",
+            ),
+            pytest.param(
+                TimeOptBst(c1=3), (BST, 0), True, r"estimate left \[3, 2\]: 3 after 1",
+                id="estimate-non-null",
+            ),
+            pytest.param(
+                TimeOptBst(c0=1), (BST, 0), False,
+                "counters exceed mark counts: c0=1 c1=0 with 2 one-marks among 2",
+                id="counters-null-bst-meeting",
+            ),
+        ],
+    )
+    def test_an_invalid_start_fails_at_the_first_step(self, bst, first, non_null, text):
+        # null steps after the first go unchecked; the first checks the start
+        config = Configuration(bst, (1, 1))
+        assert apply_interaction(ProtocolId.TIME_OPT, config, first)[1] is non_null
+        scheduler = ScriptedScheduler([first, (0, 1), (BST, 0)])
+        with pytest.raises(InvariantViolation, match=f"^{text}$"):
+            run(
+                ProtocolId.TIME_OPT,
+                scheduler,
+                config,
+                StopCondition(StopKind.MAX_INTERACTIONS, 3),
+            )
+        assert scheduler.drawn == 1
 
     def test_checks_can_be_disabled(self):
         config = Configuration(

@@ -698,6 +698,111 @@ class TestGoldenRecords:
         )
         assert estimate_allflip_probability(2, 2000, 7) == sum(verdicts) / 2000 == 0.992
 
+    @pytest.mark.parametrize(
+        "protocol,n,trials,scheduler,init,stop,check,expected",
+        [
+            pytest.param(
+                ProtocolId.FLIP, 6, 40, SchedulerKind.BST_ONLY,
+                InitPolicy.UNIFORM_RANDOM_MARKS, None, True,
+                "57cf030ce2904487940be3a8209f775c537ab36f7fb86e61f6e05b373075fa09",
+                id="flip-bst",
+            ),
+            pytest.param(
+                ProtocolId.FLIP, 5, 30, SchedulerKind.UNIFORM_PAIR,
+                InitPolicy.ALL_ZERO, None, True,
+                "e8d74f6024dffc2fd007ba49e4e1cc7d72bd2a45fc4c7d0d1fab0026600430b1",
+                id="flip-uniform",
+            ),
+            pytest.param(
+                ProtocolId.FLIP, 4, 12, SchedulerKind.ROUND_ROBIN,
+                InitPolicy.UNIFORM_RANDOM_MARKS, None, True,
+                "061e5971b6bac73a5527eadb2087b02ffebfa39dc8a574b67e1e4feb8f9e3566",
+                id="flip-roundrobin",
+            ),
+            pytest.param(
+                ProtocolId.TIME_OPT, 16, 20, SchedulerKind.BST_ONLY,
+                InitPolicy.UNIFORM_RANDOM_MARKS, None, True,
+                "8ddf72407d06b451103833d9790f417dd30744e3592efea72691459e8656dbf9",
+                id="timeopt-bst",
+            ),
+            pytest.param(
+                ProtocolId.TIME_OPT, 12, 10, SchedulerKind.UNIFORM_PAIR,
+                InitPolicy.UNIFORM_RANDOM_MARKS, None, True,
+                "621e6844d5d95b4f5e8fae77c682b0eb523f0e359881cfdede6dc49781b91731",
+                id="timeopt-uniform",
+            ),
+            pytest.param(
+                ProtocolId.TIME_OPT, 10, 4, SchedulerKind.ROUND_ROBIN,
+                InitPolicy.ALL_ONE, None, True,
+                "c76d5c656829177f57967747a19976100b024100e0c0db1697298ed780c59630",
+                id="timeopt-roundrobin",
+            ),
+            # the checks change no record: timeopt-bst's hash
+            pytest.param(
+                ProtocolId.TIME_OPT, 16, 20, SchedulerKind.BST_ONLY,
+                InitPolicy.UNIFORM_RANDOM_MARKS, None, False,
+                "8ddf72407d06b451103833d9790f417dd30744e3592efea72691459e8656dbf9",
+                id="timeopt-bst-unchecked",
+            ),
+            pytest.param(
+                ProtocolId.GROS_NAMING, 6, 30, SchedulerKind.UNIFORM_PAIR,
+                InitPolicy.WORST_CASE_UNNAMED, None, True,
+                "d6d174afb2a060d9e2eb6c55e36404a3c65e4a9affa2b3e0fa71d110a348ad0b",
+                id="gros-uniform",
+            ),
+            pytest.param(
+                ProtocolId.GROS_NAMING, 7, 3, SchedulerKind.ROUND_ROBIN,
+                InitPolicy.WORST_CASE_UNNAMED, None, True,
+                "a8e15a07919258c93049616d1439aa5d3a6924bfbcc4cfa9755f010bdf98a0a4",
+                id="gros-roundrobin",
+            ),
+            pytest.param(
+                ProtocolId.GROS_NAMING, 7, 2, SchedulerKind.WEAK_ADVERSARIAL,
+                InitPolicy.WORST_CASE_UNNAMED, None, True,
+                "210dfb0923f8a48680247cda41b3f464f2ddc157ae26c098a6ee6c069b0884f2",
+                id="gros-adversarial",
+            ),
+            # MAX_INTERACTIONS runs only on the engine
+            pytest.param(
+                ProtocolId.FLIP, 5, 20, SchedulerKind.BST_ONLY,
+                InitPolicy.UNIFORM_RANDOM_MARKS,
+                StopCondition(StopKind.MAX_INTERACTIONS, 300), True,
+                "4c1acfaf2637f0c39e32b384bf54ee6864e653b723502924cd80ae7e3d8a356d",
+                id="flip-bst-max-interactions",
+            ),
+            pytest.param(
+                ProtocolId.TIME_OPT, 8, 10, SchedulerKind.UNIFORM_PAIR,
+                InitPolicy.UNIFORM_RANDOM_MARKS,
+                StopCondition(StopKind.MAX_INTERACTIONS, 2000), True,
+                "148e71ace462ffa0644e3cf0054cfbd78352d109240a708ad18e9c28719c533b",
+                id="timeopt-uniform-max-interactions",
+            ),
+            pytest.param(
+                ProtocolId.GROS_NAMING, 5, 10, SchedulerKind.UNIFORM_PAIR,
+                InitPolicy.ALL_ZERO,
+                StopCondition(StopKind.MAX_INTERACTIONS, 200), True,
+                "781292290fa7098f9c18ed780c266de1735e55370a0eb6c024bfe142286da463",
+                id="gros-uniform-max-interactions",
+            ),
+        ],
+    )
+    def test_engine(self, protocol, n, trials, scheduler, init, stop, check, expected):
+        # hashes taken before the engine's step was made cheaper
+        spec = TrialBatchSpec(
+            protocol=protocol,
+            n=n,
+            trials=trials,
+            scheduler=scheduler,
+            init=init,
+            stop=stop,
+            check_invariants=check,
+            seed=40 + n,
+        )
+        records = [run_trial(spec, i, force_engine=True) for i in range(trials)]
+        if protocol is ProtocolId.TIME_OPT:
+            assert sum(record.phase_flips for record in records) > 0
+        assert records_digest(records) == expected
+
 
 BIT_STARTS = [
     InitPolicy.ALL_ZERO,
