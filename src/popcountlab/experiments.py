@@ -19,18 +19,17 @@ force_engine and StopKind.MAX_INTERACTIONS.
 
 Large BST-only batches of the phased protocol below
 kernels.TIMEOPT_BLOCK_MIN_N agents, and of flip below kernels.FLIP_BLOCK_MIN_N,
-step up to a seed block of trials together as lanes (kernels.*_lanes),
-drawing from a numpy mirror of PCG64 seeded from the same words; their
-records equal run_trial's.  The first-phase estimate
-steps its trials the same way, with verdicts equal to the scalar first-phase
-kernel's.  One runner, _by_seed_block, cuts both at seed-block edges and
-sends what lanes cannot finish back one trial at a time.
+step up to a chunk of eight seed blocks of trials together as lanes
+(kernels.*_lanes), drawing from a numpy mirror of PCG64 seeded from the same
+words; their records equal run_trial's.  The first-phase estimate steps its
+trials the same way, with verdicts equal to the scalar first-phase kernel's.
+One runner, _by_seed_block, cuts both at chunk edges and sends what lanes
+cannot finish back one trial at a time.
 """
 
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum, unique
 from functools import lru_cache, partial
@@ -193,6 +192,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _BLOCK = 1024  # trial indices whose seed words are hashed at once
+_CHUNK = 8 * _BLOCK  # trial indices stepped as lanes at once: whole seed blocks
 
 
 def _hash_steps(hash_const: int, mult: int, count: int) -> np.ndarray:
@@ -210,7 +210,8 @@ def _hash_steps(hash_const: int, mult: int, count: int) -> np.ndarray:
 _OUTPUT_XORS, _OUTPUT_MULTS = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE).T
 
 
-@lru_cache(maxsize=8)
+# a chunk's blocks, so the trials its lanes leave to trial_rng hit the cache
+@lru_cache(maxsize=_CHUNK // _BLOCK)
 def _seed_block(seed: int, block: int) -> np.ndarray:
     """PCG64's 4 uint64 seed words for trials block*_BLOCK .. +_BLOCK-1 of
     `seed`, one row per trial (indices below 2^32: one spawn word).
@@ -403,8 +404,9 @@ _LANE_KERNELS = {
 # lost to the scalar kernels at 512 lanes, broke even at 768 and won at
 # 1024; trials of a few steps win from 64 lanes.  First phases (about 45
 # numpy calls a step) at n = 8-64 lost at 256 lanes, and at n = 64 at 512
-# too, and won from 768 (0.5-0.75 of the scalar time).  Lanes run only
-# below the block kernels' cut-offs, which beat them (_takes_lanes).
+# too, and won from 768 (0.5-0.75 of the scalar time), all measured when
+# a lane chunk was one 1024-trial seed block.  Lanes run only below the
+# block kernels' cut-offs, which beat them (_takes_lanes).
 _LANE_MIN_TRIALS = 768
 _LANE_MIN_LIVE = 32  # stepping stops once fewer lanes are left
 
@@ -433,22 +435,24 @@ def _takes_lanes(spec: TrialBatchSpec) -> bool:
 
 
 def _by_seed_block(seed: int, lo: int, hi: int, lanes, scalar) -> list:
-    """Trials lo..hi-1 of `seed`, cut at seed-block edges.  A share of at
-    least _LANE_MIN_TRIALS trials that ends at or below index 2^32 (one
-    spawn word) goes to `lanes(stream, size)` unless `lanes` is None; every
-    other trial, each None the lanes return, and every trial of a share in
-    which a lane broke an invariant go to `scalar(index)`, which raises at
-    the lowest failing trial.  Results depend only on (seed, index).
+    """Trials lo..hi-1 of `seed`, cut at multiples of _CHUNK (2^32 among
+    them).  A share of at least _LANE_MIN_TRIALS trials that ends at or
+    below index 2^32 (one spawn word) goes to `lanes(stream, size)` unless
+    `lanes` is None; every other trial, each None the lanes return, and
+    every trial of a share in which a lane broke an invariant go to
+    `scalar(index)`, which raises at the lowest failing trial.  Results
+    depend only on (seed, index).
     """
     out = []
     while lo < hi:
-        end = min(hi, (lo // _BLOCK + 1) * _BLOCK)
+        end = min(hi, (lo // _CHUNK + 1) * _CHUNK)
         share = [None] * (end - lo)
         if lanes is not None and end - lo >= _LANE_MIN_TRIALS and end <= 1 << 32:
+            blocks = range(lo // _BLOCK, (end - 1) // _BLOCK + 1)
+            words = np.concatenate([_seed_block(seed, b) for b in blocks])
             start = lo % _BLOCK
-            words = _seed_block(seed, lo // _BLOCK)[start : start + end - lo]
             try:
-                share = lanes(_PCG64Lanes(words), end - lo)
+                share = lanes(_PCG64Lanes(words[start : start + end - lo]), end - lo)
             except InvariantViolation:
                 pass  # every trial of the share runs again below
         out += [scalar(i) if r is None else r for i, r in zip(range(lo, end), share)]
@@ -552,11 +556,20 @@ def run_batch(spec: TrialBatchSpec, threads: int | None = None) -> BatchResult:
     """
     threads = resolve_threads(threads)
     if threads > 1 and spec.trials >= 2 * threads:
-        # whole seed blocks where the trials take lanes, so each range can take them
-        step = _BLOCK if _takes_lanes(spec) else -(-spec.trials // (threads * 4))
+        if _takes_lanes(spec):
+            # whole seed blocks, so each range can take lanes; at most a
+            # chunk, and a range for every worker where there are blocks enough
+            blocks = -(-spec.trials // _BLOCK)
+            step = _BLOCK * min(_CHUNK // _BLOCK, max(1, blocks // threads))
+        else:
+            step = -(-spec.trials // (threads * 4))
         ranges = [
             (lo, min(lo + step, spec.trials)) for lo in range(0, spec.trials, step)
         ]
+        # imported here: concurrent.futures.process loads multiprocessing,
+        # which one-worker runs never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunks = pool.map(_run_range, *zip(*((spec, lo, hi) for lo, hi in ranges)))
             records = [record for chunk in chunks for record in chunk]

@@ -1,6 +1,7 @@
 """Batch harness: kernel/engine replay equality, seeded determinism,
 parallel equivalence, and the adversarial worst-case sweep."""
 
+import concurrent.futures
 import hashlib
 import itertools
 import math
@@ -849,12 +850,14 @@ class TestLanes:
         size = data.draw(
             st.sampled_from([min_trials - 1, min_trials, most]) | st.integers(1, most)
         )
-        # the range's trials before a seed-block edge: none, all, or some
+        # the range's trials before a seed-block edge inside a chunk, or
+        # before a chunk edge: none, all, or some
         before = data.draw(
             st.sampled_from([0, size, min_trials, size - min_trials])
             | st.integers(0, size)
         )
-        lo = max(0, 1024 * data.draw(st.integers(1, 3)) - before)
+        edge = data.draw(st.sampled_from([1024, experiments._CHUNK]))
+        lo = max(0, edge * data.draw(st.integers(1, 3)) - before)
         with mock.patch.multiple(
             experiments, _LANE_MIN_TRIALS=min_trials, _LANE_MIN_LIVE=min_live
         ), mock.patch.object(kernels, "FLIP_BLOCK_MIN_N", 15):
@@ -928,6 +931,36 @@ class TestLanes:
         assert len(shares) == 1
         assert (shares[0] == experiments._PCG64Lanes(below).lo).all()
 
+    def test_a_batch_steps_a_chunk_of_seed_blocks_at_a_time(self, monkeypatch):
+        lanes = kernels.flip_bst_lanes
+        sizes = []
+
+        def spied_lanes(n, marks, stream, *rest):
+            sizes.append(len(marks))
+            return lanes(n, marks, stream, *rest)
+
+        monkeypatch.setattr(experiments, "_LANE_KERNELS", {ProtocolId.FLIP: spied_lanes})
+        spec = TrialBatchSpec(protocol=ProtocolId.FLIP, n=3, trials=10000, seed=14)
+        records = run_batch(spec, threads=1).records
+        assert sizes == [8192, 1808]
+        assert records == [run_trial(spec, i) for i in range(spec.trials)]
+
+    def test_the_trials_lanes_leave_find_their_seed_blocks_cached(self, monkeypatch):
+        # a chunk hashes each of its seed blocks once, scalar reruns included
+        rerun = []
+
+        def spied_rng(seed, index):
+            rerun.append(index)
+            return trial_rng(seed, index)
+
+        monkeypatch.setattr(experiments, "trial_rng", spied_rng)
+        monkeypatch.setattr(experiments, "_LANE_MIN_LIVE", 4096)
+        spec = TrialBatchSpec(protocol=ProtocolId.TIME_OPT, n=6, trials=1, seed=15)
+        experiments._seed_block.cache_clear()
+        experiments._run_range(spec, 0, experiments._CHUNK)
+        assert {index // 1024 for index in rerun} == set(range(8))
+        assert experiments._seed_block.cache_info().misses == 8
+
     def test_pool_ranges_are_whole_seed_blocks_where_trials_take_lanes(
         self, monkeypatch
     ):
@@ -947,17 +980,24 @@ class TestLanes:
                 ranges.extend(zip(args[1], args[2]))
                 return map(fn, *args)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcess)
-        spec = TrialBatchSpec(protocol=ProtocolId.FLIP, n=4, trials=4000, seed=3)
-        assert run_batch(spec, threads=2).records == run_batch(spec, threads=1).records
-        assert ranges == [(0, 1024), (1024, 2048), (2048, 3072), (3072, 4000)]
+        # run_batch imports the pool class where it uses it
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+        for n, trials, expected in [
+            (4, 4000, [(0, 2048), (2048, 4000)]),  # a range for each worker
+            (1, 20000, [(0, 8192), (8192, 16384), (16384, 20000)]),  # a chunk at most
+        ]:
+            ranges.clear()
+            spec = TrialBatchSpec(protocol=ProtocolId.FLIP, n=n, trials=trials, seed=3)
+            assert run_batch(spec, threads=2).records == run_batch(spec, threads=1).records
+            assert ranges == expected
 
     def test_worker_count_does_not_change_lane_records(self):
-        # each of the 8 worker ranges is one whole seed block of lanes
+        # two worker ranges of five seed blocks each, the second across a
+        # chunk edge and ending in part of a block
         spec = TrialBatchSpec(
             protocol=ProtocolId.TIME_OPT,
             n=2,
-            trials=8 * 1024,
+            trials=9 * 1024 + 700,
             init=InitPolicy.UNIFORM_RANDOM_MARKS,
             seed=23,
         )
@@ -1033,11 +1073,13 @@ class TestFirstPhaseLanes:
         size = data.draw(
             st.sampled_from([min_trials - 1, min_trials, 40]) | st.integers(1, 40)
         )
-        # the range's trials before a seed-block edge: none, all, or some
+        # the range's trials before a seed-block edge inside a chunk, or
+        # before a chunk edge: none, all, or some
         before = data.draw(
             st.sampled_from([0, size, min_trials]) | st.integers(0, size)
         )
-        lo = max(0, 1024 * data.draw(st.integers(1, 3)) - before)
+        edge = data.draw(st.sampled_from([1024, experiments._CHUNK]))
+        lo = max(0, edge * data.draw(st.integers(1, 3)) - before)
         with mock.patch.object(experiments, "_LANE_MIN_TRIALS", min_trials):
             verdicts = experiments._first_phase_range(n, seed, lo, lo + size)
         assert verdicts == [
@@ -1053,6 +1095,19 @@ class TestFirstPhaseLanes:
         seed = derive_seed(42, 5, n)
         assert sum(experiments._first_phase_range(n, seed, 0, trials)) == hits
         assert estimate_allflip_probability(n, trials, seed) == hits / trials
+
+    def test_an_estimate_steps_a_chunk_of_seed_blocks_at_a_time(self, monkeypatch):
+        lanes = kernels.timeopt_first_phase_lanes
+        sizes = []
+
+        def spied_lanes(n, stream, size):
+            sizes.append(size)
+            return lanes(n, stream, size)
+
+        monkeypatch.setattr(kernels, "timeopt_first_phase_lanes", spied_lanes)
+        # the frozen hit count of 10000 first phases at n = 2
+        assert estimate_allflip_probability(2, 10000, derive_seed(42, 5, 2)) == 0.9927
+        assert sizes == [8192, 1808]
 
     def test_no_lane_share_ends_above_index_2_to_the_32(self, monkeypatch):
         edge, n, seed = 1 << 32, 5, 13
