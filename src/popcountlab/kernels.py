@@ -34,8 +34,10 @@ pairs included (_step_gros), fed by _uniform_pairs or _roundrobin_pairs,
 and a loop of its own under the adversarial schedule.
 
 All kernels take the limits produced by engine.resolve_limits and halt at
-their protocol's convergence predicate.  The phased protocol's streak
-thresholds are protocols.phase_threshold's values, tabled once per n.
+their protocol's convergence predicate.  Every phased kernel reads its
+streak thresholds from one table per n of their integer ceilings
+(_phase_ceilings), and every vector kernel checks the counters with one
+predicate (_counters_broken); the block kernels raise _step_bits's text.
 
 The lane kernels step many BST-only trials together and give each trial
 the record its scalar kernel gives: one lane loop draws the agents, writes
@@ -60,19 +62,35 @@ def _batch_size(limit: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _phase_thresholds(n: int) -> tuple[float, ...]:
-    """phase_threshold(c) for c = 0..n: a run over n agents converts at
-    most n of them per phase."""
-    return tuple(phase_threshold(c) for c in range(n + 1))
-
-
-@lru_cache(maxsize=64)
 def _phase_ceilings(n: int) -> np.ndarray:
-    """ceil(phase_threshold(c)) for c = 0..n: an integer streak reaches a
-    threshold exactly when it reaches its ceiling."""
-    ceilings = np.ceil(_phase_thresholds(n)).astype(np.int64)
+    """ceil(phase_threshold(c)) for c = 0..n, the streak thresholds of every
+    phased kernel: an integer streak reaches a threshold exactly when it
+    reaches its ceiling, and a run over n agents converts at most n of them
+    per phase.  The scalar loops read it as a list of ints."""
+    ceilings = np.ceil([phase_threshold(c) for c in range(n + 1)]).astype(np.int64)
     ceilings.flags.writeable = False  # cached: shared by every later call
     return ceilings
+
+
+def _counter_error(n, c0, c1, ones):
+    """The counter check's error, one text for the scalar and block loops."""
+    return InvariantViolation(f"counters c0={c0} c1={c1} invalid with {ones}/{n} ones")
+
+
+def _counters_broken(n, c, before, c0, c1, ones):
+    """The counter check over arrays, true where it fails: c = c0 + c1 fell
+    below `before`, its value one meeting earlier, or passed n; c1 exceeds
+    `ones`, the agents carrying mark 1, or c0 the agents carrying mark 0."""
+    return (c < before) | (c > n) | (c1 > ones) | (c0 > n - ones)
+
+
+def _check_block(n, c_start, c, c0, c1, ones):
+    """Raise _counter_error at the first of a block's meetings that fails
+    the counter check, where _step_bits raises it; c_start is c before it."""
+    bad = _counters_broken(n, c, np.concatenate(([c_start], c[:-1])), c0, c1, ones)
+    if bad.any():
+        t = int(bad.argmax())
+        raise _counter_error(n, c0[t], c1[t], ones[t])
 
 
 def _bst_draw(rng, n, start, k):
@@ -207,7 +225,7 @@ def _step_bits(flip, draw, size, n, marks, rng, metric_budget, total_cap, check)
     total_cap interactions, whichever comes first."""
     marks = list(marks)
     ones = sum(marks)
-    thresholds = _phase_thresholds(n)
+    ceilings = _phase_ceilings(n).tolist()
     c0 = c1 = c = cnt = phase = 0
     bst_count = nulls = 0
     conv = conv_nn = None
@@ -235,9 +253,7 @@ def _step_bits(flip, draw, size, n, marks, rng, metric_budget, total_cap, check)
                     ones += 1
                 new_c = c0 + c1
                 if check and (new_c < c or new_c > n or c1 > ones or c0 > n - ones):
-                    raise InvariantViolation(
-                        f"counters c0={c0} c1={c1} invalid with {ones}/{n} ones"
-                    )
+                    raise _counter_error(n, c0, c1, ones)
                 c = new_c
                 if c == n:
                     # flip: all marks equal, and all were opposite before
@@ -253,7 +269,7 @@ def _step_bits(flip, draw, size, n, marks, rng, metric_budget, total_cap, check)
             else:
                 converted = c1 if phase == 0 else c0
                 remaining = c0 if phase == 0 else c1
-                if cnt >= thresholds[converted]:
+                if cnt >= ceilings[converted]:
                     if check and remaining != 0:
                         raise InvariantViolation(
                             f"phase flipped with {remaining} unconverted credits"
@@ -312,17 +328,7 @@ def _block_flip(draw, size, n, marks, rng, metric_budget, total_cap, check):
         converged = len(hits) > 0
         end = int(hits[0]) + 1 if converged else len(mobiles)
         if check:
-            ones_s = s[:end] + ones
-            bad = np.diff(cs[:end], prepend=c) < 0
-            bad |= cs[:end] > n
-            bad |= c1s[:end] > ones_s
-            bad |= c0s[:end] + ones_s > n
-            if bad.any():
-                t = int(bad.argmax())
-                raise InvariantViolation(
-                    f"flip counters c0={c0s[t]} c1={c1s[t]} invalid with "
-                    f"{ones_s[t]}/{n} ones"
-                )
+            _check_block(n, c, cs[:end], c0s[:end], c1s[:end], s[:end] + ones)
             if converged:
                 # all marks equal, and all were opposite before
                 final = int(after[end - 1])
@@ -421,19 +427,9 @@ def _block_phased(draw, size, n, marks, rng, metric_budget, total_cap, check):
             if check and hit_count:
                 k = np.arange(1, hit_count + 1)
                 left = np.maximum(rem - k, 0)
-                ones_k = ones - k if phase else ones + k
                 c0s, c1s = (cvt + k, left) if phase else (left, cvt + k)
-                cs = c0s + c1s
-                bad = cs < np.concatenate(([rem + cvt], cs[:-1]))
-                bad |= cs > n
-                bad |= c1s > ones_k
-                bad |= c0s > n - ones_k
-                if bad.any():
-                    t = int(bad.argmax())
-                    raise InvariantViolation(
-                        f"counters c0={c0s[t]} c1={c1s[t]} invalid with "
-                        f"{ones_k[t]}/{n} ones"
-                    )
+                ones_k = ones - k if phase else ones + k
+                _check_block(n, rem + cvt, c0s + c1s, c0s, c1s, ones_k)
             marks[mobiles[hits[:hit_count]]] = 1 - phase
             ones += -hit_count if phase else hit_count
             rem, cvt = max(rem - hit_count, 0), cvt + hit_count
@@ -628,7 +624,7 @@ def _flip_lanes(n, marks, check):
         new_c = c0 + c1
         done = (new_c == n) & running
         if check:
-            bad = (new_c < c) | (new_c > n) | (c1 > ones) | (c0 > n - ones)
+            bad = _counters_broken(n, new_c, c, c0, c1, ones)
             if np.count_nonzero(done):
                 # converged: all marks equal, and all were opposite before
                 opposite_seen = np.where(ones == n, zero_seen, one_seen)
@@ -647,23 +643,24 @@ def _timeopt_lanes(n, marks, check):
     """The phased protocol's lane state and step (see _lanes).  After c,
     the null meetings and the phase flips, counters are relative to each
     row's phase: `rem` is the credit on the phase's own mark (c0 in phase
-    0), `cvt` the credit on the converted mark, `cnt` the streak, `unconv`
-    the agents still carrying the phase's mark.  A flip swaps the roles."""
-    thresholds = np.array(_phase_thresholds(n))
-    unconv = n - marks.sum(axis=1)
-    c, null, flips, rem, cvt, cnt = np.zeros((6, len(unconv)), unconv.dtype)
-    phase = np.zeros(len(unconv), dtype=bool)
+    0), `cvt` the credit on the converted mark, `cnt` the streak, `turned`
+    the agents carrying the converted mark.  A flip swaps the roles, so
+    (rem, cvt, turned) meet the counter check as (c0, c1, ones) do."""
+    ceilings = _phase_ceilings(n)
+    turned = marks.sum(axis=1)
+    c, null, flips, rem, cvt, cnt = np.zeros((6, len(turned)), turned.dtype)
+    phase = np.zeros(len(turned), dtype=bool)
 
     def meet(mark, state, running):
-        c, null, flips, rem, cvt, cnt, unconv, phase = state
+        c, null, flips, rem, cvt, cnt, turned, phase = state
         hit = mark == phase
         miss = ~hit
-        flip = miss & (cnt >= thresholds[cvt])
+        flip = miss & (cnt >= ceilings[cvt])
         idle = miss & ~flip
         streak = idle & (rem == 0)  # the rest of idle is null
         rem = rem - (hit & (rem > 0))
         cvt = cvt + hit
-        unconv = unconv - hit
+        turned = turned + hit
         cnt = (cnt + streak) * miss
         null = null + (idle ^ streak)
         if np.count_nonzero(flip):
@@ -673,24 +670,33 @@ def _timeopt_lanes(n, marks, check):
             flips = flips + flip
             swap = (cvt - rem) * flip
             rem, cvt = rem + swap, cvt - swap
-            unconv = np.where(flip, n - unconv, unconv)
+            turned = np.where(flip, n - turned, turned)
             phase = phase ^ flip
         new_c = rem + cvt
         if check:
-            bad = (new_c < c) | (new_c > n) | (rem > unconv) | (cvt > n - unconv)
+            bad = _counters_broken(n, new_c, c, rem, cvt, turned)
             if np.count_nonzero(bad & running):
                 raise InvariantViolation("a phased lane broke an invariant")
         done = (new_c == n) & running
-        state = new_c, null, flips, rem, cvt, cnt, unconv, phase
+        state = new_c, null, flips, rem, cvt, cnt, turned, phase
         return mark ^ hit, done, state
 
-    return (c, null, flips, rem, cvt, cnt, unconv, phase), meet
+    return (c, null, flips, rem, cvt, cnt, turned, phase), meet
 
 
 # one lane per trial, each lane's record simulate_flip_bst's or
 # simulate_timeopt_bst's on its stream
 flip_bst_lanes = partial(_lanes, _flip_lanes)
 timeopt_bst_lanes = partial(_lanes, _timeopt_lanes)
+
+
+def _name_tally(names, bound):
+    """Agents per name, sinks included, and the count of non-sink names
+    held by two or more agents: the state both naming loops keep."""
+    counts = [0] * bound
+    for v in names:
+        counts[v] += 1
+    return counts, sum(c >= 2 for c in counts[1:])
 
 
 def simulate_gros_adversarial(names, bound, metric_budget, total_cap, check=True):
@@ -702,10 +708,7 @@ def simulate_gros_adversarial(names, bound, metric_budget, total_cap, check=True
     """
     names = list(names)
     n = len(names)
-    counts = [0] * bound  # agents per name, sinks included
-    for v in names:
-        counts[v] += 1
-    homonyms = sum(c >= 2 for c in counts[1:])  # names held by two or more
+    counts, homonyms = _name_tally(names, bound)
     k = 1
     total = bst_count = 0
     conv_bst = conv_nn = None
@@ -735,7 +738,7 @@ def simulate_gros_adversarial(names, bound, metric_budget, total_cap, check=True
             counts[name] -= 2
             homonyms -= counts[name] < 2
         total += 1
-    distinct = len({v for v in names if v})
+    distinct = sum(c > 0 for c in counts[1:])
     if check and conv_bst is not None and (distinct != n or 0 in names):
         raise InvariantViolation(
             f"silent run left names {names} (want {n} distinct non-sink)"
@@ -763,10 +766,7 @@ def _step_gros(pairs, size, names, bound, rng, metric_budget, total_cap):
     """
     names = list(names)
     n = len(names)
-    counts = [0] * bound  # agents per name, sinks included
-    for v in names:
-        counts[v] += 1
-    homonyms = sum(c >= 2 for c in counts[1:])  # names held by two or more
+    counts, homonyms = _name_tally(names, bound)
     if not counts[0] and not homonyms:
         return RunRecord(0, 0, 0, 0, 0, n)
     k = 1
@@ -837,28 +837,30 @@ def _first_phase_cap(n):
     return 1 << 24 if n < 1024 else 1 << 40
 
 
-def simulate_timeopt_first_phase(n, rng, check=True):
+def simulate_timeopt_first_phase(n, rng):
     """Run the phased protocol's first phase from an all-zero population
-    until the phase flips; True iff every agent was converted by then."""
+    until the phase flips; True iff every agent was converted by then.
+    Every conversion credits c1, so the count of ones stands for c1; a draw
+    of n or more (a corrupt stream) converts one agent too many and raises
+    InvariantViolation."""
     cap = _first_phase_cap(n)
-    thresholds = _phase_thresholds(n)
-    ones = c1 = cnt = 0
+    ceilings = _phase_ceilings(n).tolist()
+    ones = cnt = 0
     size = min(4096, max(32, 8 * n))
     for start in range(0, cap, size):
         # the drawn index only matters through its mark: the `ones`
         # converted agents can be taken to be indices 0..ones-1
         for i in _bst_draw(rng, n, start, min(size, cap - start))[1].tolist():
             if i < ones:
-                if cnt >= thresholds[c1]:
+                if cnt >= ceilings[ones]:
                     return ones == n
                 cnt += 1  # no unconverted credit exists in the first phase
             else:
                 cnt = 0
-                c1 += 1
                 ones += 1
-                if check and (ones > n or c1 != ones):
+                if ones > n:
                     raise InvariantViolation(
-                        f"first phase counted {c1} conversions over {ones}/{n} ones"
+                        f"first phase converted {ones} of {n} agents"
                     )
     raise RuntimeError(f"first phase still running after {cap} meetings")
 
@@ -873,19 +875,18 @@ def timeopt_first_phase_lanes(n, stream, lanes):
     invariant.  Finished lanes keep stepping, unread, until at most half
     the rows are live, as in _lanes.
     """
-    thresholds = np.array(_phase_thresholds(n))
+    ceilings = _phase_ceilings(n)
     verdicts = [None] * lanes
     live = np.arange(lanes)  # the lane of each row
     running = np.ones(lanes, dtype=bool)
-    ones, c1, cnt = np.zeros((3, lanes), dtype=np.int64)
+    ones, cnt = np.zeros((2, lanes), dtype=np.int64)
     for _ in range(_first_phase_cap(n)):
         # converted agents taken as indices 0..ones-1, as in the scalar kernel
         hit = (stream.random() * n).astype(np.int64) < ones
-        done = hit & (cnt >= thresholds[c1]) & running
+        done = hit & (cnt >= ceilings[ones]) & running
         cnt = (cnt + 1) * hit
-        c1 = c1 + ~hit
         ones = ones + ~hit
-        if np.count_nonzero(((ones > n) | (c1 != ones)) & running):
+        if np.count_nonzero((ones > n) & running):
             raise InvariantViolation("a first-phase lane broke an invariant")
         if np.count_nonzero(done):
             for lane, full in zip(live[done].tolist(), (ones[done] == n).tolist()):
@@ -896,8 +897,6 @@ def timeopt_first_phase_lanes(n, stream, lanes):
                 break
             if 2 * count <= len(live):
                 keep = np.flatnonzero(running)
-                live, running, ones, c1, cnt = (
-                    a[keep] for a in (live, running, ones, c1, cnt)
-                )
+                live, running, ones, cnt = (a[keep] for a in (live, running, ones, cnt))
                 stream.keep(keep)
     return verdicts

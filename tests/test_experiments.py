@@ -8,14 +8,17 @@ import math
 import os
 import re
 import statistics
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -78,6 +81,11 @@ BIT_SCHEDULERS = [
 ]
 
 TRUNCATION_BOUNDS = (1, 3, 17, 100)
+
+# Each example of the lane property tests reruns its trials one at a time
+# as the reference, so shrinking a failure takes minutes: they report the
+# failing example as drawn.
+NO_SHRINK = tuple(p for p in settings.default.phases if p is not Phase.shrink)
 
 
 class _Doubles:
@@ -385,6 +393,29 @@ class TestReplayEquality:
         with pytest.raises(InvariantViolation, match="all-same/all-opposite"):
             kernels.simulate_flip_bst(12, [0] * 12, trial_rng(3, 0), 10 ** 6, 10 ** 7)
 
+    @pytest.mark.parametrize("value", [2, -1])
+    def test_block_flip_raises_the_scalar_loops_counter_message(self, value):
+        # The first agent's mark reads as 1 in the bit mask and in the scalar
+        # loop's test, but as `value` in the count of ones, so the count is
+        # off on both paths alike and the counters outgrow it.  (A plain 2
+        # would set the mask's next bit.)
+        class Mark(int):
+            def __lshift__(self, i):
+                return 1 << i
+
+        n = 10
+        marks = [Mark(value)] + [0] * (n - 1)
+        limits = resolve_limits(ProtocolId.FLIP, n, experiments.NATURAL_STOP)[:2]
+        errors, records = [], []
+        for step in (partial(kernels._step_bits, True), kernels._block_flip):
+            run = partial(step, kernels._bst_draw, 64, n, marks)
+            with pytest.raises(InvariantViolation, match="^counters ") as caught:
+                run(trial_rng(5, 0), *limits, True)
+            errors.append(str(caught.value))
+            records.append(run(trial_rng(5, 0), *limits, False))
+        assert errors[0] == errors[1]
+        assert records[0] == records[1]
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_block_phased_equals_the_scalar_loop(self, data):
@@ -453,13 +484,10 @@ class TestReplayEquality:
         # outside 0/1 puts the count of ones off by one, so the last
         # conversion of a phase finds more credit than agents.
         n = kernels.TIMEOPT_BLOCK_MIN_N
-        thresholds = kernels._phase_thresholds(n)
+        ceilings = kernels._phase_ceilings(n)
         if zero_thresholds:
-            thresholds = thresholds[:1] + (0.0,) * n
-        monkeypatch.setattr(kernels, "_phase_thresholds", lambda m: thresholds)
-        monkeypatch.setattr(
-            kernels, "_phase_ceilings", lambda m: np.ceil(thresholds).astype(np.int64)
-        )
+            ceilings = np.concatenate((ceilings[:1], np.zeros(n, np.int64)))
+        monkeypatch.setattr(kernels, "_phase_ceilings", lambda m: ceilings)
         limits = resolve_limits(ProtocolId.TIME_OPT, n, experiments.NATURAL_STOP)[:2]
         scalar = partial(kernels._step_bits, False, kernels._bst_draw, 32)
         errors, records = [], []
@@ -817,7 +845,7 @@ class TestLanes:
     """Large BST-only bit batches step their trials as lanes; the records
     must be run_trial's, trial for trial."""
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120, deadline=None, phases=NO_SHRINK)
     @given(data=st.data())
     def test_lanes_equal_trial_by_trial(self, data):
         protocol = data.draw(st.sampled_from([ProtocolId.FLIP, ProtocolId.TIME_OPT]))
@@ -1022,8 +1050,8 @@ class TestLanes:
         # phases with credit left, on both paths
         monkeypatch.setattr(
             kernels,
-            "_phase_thresholds",
-            lambda n: tuple(0.0 if c == 1 else 6.0 for c in range(n + 1)),
+            "_phase_ceilings",
+            lambda n: np.array([0 if c == 1 else 6 for c in range(n + 1)]),
         )
         spec = TrialBatchSpec(protocol=ProtocolId.TIME_OPT, n=3, trials=1024, seed=4)
         failures = []
@@ -1063,7 +1091,7 @@ class TestFirstPhaseLanes:
     """The first-phase estimate steps its seed blocks as lanes; the
     verdicts must be the scalar kernel's, trial for trial."""
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, phases=NO_SHRINK)
     @given(data=st.data())
     def test_lane_verdicts_equal_the_scalar_kernel(self, data):
         n = data.draw(st.integers(1, 40))
@@ -1159,9 +1187,9 @@ class TestFirstPhaseLanes:
         scalar = kernels.simulate_timeopt_first_phase
         seen = []
 
-        def spied(n, rng, check=True):
+        def spied(n, rng):
             seen.append(rng.bit_generator.state)
-            return scalar(n, rng, check)
+            return scalar(n, rng)
 
         monkeypatch.setattr(kernels, "simulate_timeopt_first_phase", spied)
         assert estimate_allflip_probability(2, 2048, 8) == sum(
@@ -1220,6 +1248,23 @@ class TestFirstPhaseLanes:
 
 
 class TestBatch:
+    def test_import_loads_no_process_pool(self):
+        # run_batch imports its pool where it uses one, so a one-worker run
+        # does not pay for loading it
+        code = (
+            "import sys, popcountlab; "
+            "pools = {'multiprocessing', 'concurrent.futures'}; "
+            "print(sorted(pools & set(sys.modules)))"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
     def test_batches_are_deterministic(self):
         spec = TrialBatchSpec(protocol=ProtocolId.FLIP, n=4, trials=16, seed=11)
         assert run_batch(spec).records == run_batch(spec).records
