@@ -282,8 +282,8 @@ def _check_exact_vs_mc(params, seed, inst, shared):
             init=InitPolicy.UNIFORM_RANDOM_MARKS,
             seed=derive_seed(seed, 7, n),
         )
-        # keep only the summary, so that one batch's records are freed
-        # before the next batch is run
+        # keep only the summary, so that one batch's columns are freed
+        # before the next batch is run; no RunRecord is built
         stats = inst.run(
             f"exact-vs-mc n={n}", params.exact_trials, run_batch, spec
         ).summary.bst_interactions

@@ -7,9 +7,10 @@ kernels are tested against it step for step.
 """
 
 import math
-from dataclasses import dataclass
-from enum import Enum, unique
+from dataclasses import dataclass, fields
+from enum import Enum, IntEnum, unique
 from functools import lru_cache
+from typing import get_args
 
 from . import protocols
 from .protocols import FlipBst, GrosBst, ProtocolId, TimeOptBst
@@ -213,6 +214,19 @@ class RunRecord:
     @property
     def truncated(self) -> bool:
         return not self.converged
+
+
+# A batch's results as columns: one int64 row per RunRecord field, in field
+# order, and one column per trial, with None stored as -1.  While a lane's
+# trial is unfinished its column reads PENDING in row 0; no field of a
+# finished trial is below -1.
+RecordRow = IntEnum(
+    "RecordRow", [(f.name, i) for i, f in enumerate(fields(RunRecord))]
+)
+NULLABLE_ROWS = tuple(
+    RecordRow[f.name] for f in fields(RunRecord) if type(None) in get_args(f.type)
+)
+PENDING = -2
 
 
 def default_budget(protocol: ProtocolId, n: int) -> int:

@@ -25,6 +25,11 @@ words; their records equal run_trial's.  The first-phase estimate steps its
 trials the same way, with verdicts equal to the scalar first-phase kernel's.
 One runner, _by_seed_block, cuts both at chunk edges and sends what lanes
 cannot finish back one trial at a time.
+
+A batch keeps its results as int64 columns, one row per RunRecord field
+and one column per trial (None as -1): lanes write them without building a
+RunRecord, summarize reads them, and pool workers send them back.  A
+BatchResult builds its records only when they are read.
 """
 
 import math
@@ -32,7 +37,7 @@ import operator
 import os
 from dataclasses import dataclass, replace
 from enum import Enum, unique
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -41,7 +46,10 @@ from numpy.random.bit_generator import ISeedSequence
 from . import kernels
 from .engine import (
     NAMING_NEEDS_PAIRS,
+    NULLABLE_ROWS,
+    PENDING,
     InvariantViolation,
+    RecordRow,
     RunRecord,
     StopCondition,
     StopKind,
@@ -169,11 +177,51 @@ class Summary:
     truncated: int
 
 
-@dataclass(frozen=True)
+_FIELDS = operator.attrgetter(*RecordRow.__members__)
+
+
+def _column(record: RunRecord) -> list[int]:
+    """One trial's column (see engine.RecordRow)."""
+    return [-1 if v is None else v for v in _FIELDS(record)]
+
+
+def _columns(records: list[RunRecord]) -> np.ndarray:
+    """The columns of `records`, one per record."""
+    rows = len(RecordRow)
+    return np.array(list(map(_column, records)), dtype=np.int64).reshape(-1, rows).T
+
+
+def _records(columns: np.ndarray) -> list[RunRecord]:
+    """The RunRecords of `columns`, with Python ints and None."""
+    rows = columns.tolist()
+    for f in NULLABLE_ROWS:
+        if np.count_nonzero(columns[f] < 0):
+            rows[f] = [None if v < 0 else v for v in rows[f]]
+    return list(map(RunRecord, *rows))
+
+
+@dataclass(frozen=True, eq=False)
 class BatchResult:
+    """A batch's summary and its trials' results as columns (see
+    engine.RecordRow); the RunRecords are built when first read.  Two
+    results are equal when their specs, summaries and columns are."""
+
     spec: TrialBatchSpec
     summary: Summary
-    records: list[RunRecord]
+    columns: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, BatchResult):
+            return NotImplemented
+        return (
+            self.spec == other.spec
+            and self.summary == other.summary
+            and np.array_equal(self.columns, other.columns)
+        )
+
+    @cached_property
+    def records(self) -> list[RunRecord]:
+        return _records(self.columns)
 
 
 def derive_seed(base: int, *key: int) -> int:
@@ -434,35 +482,41 @@ def _takes_lanes(spec: TrialBatchSpec) -> bool:
     )
 
 
-def _by_seed_block(seed: int, lo: int, hi: int, lanes, scalar) -> list:
-    """Trials lo..hi-1 of `seed`, cut at multiples of _CHUNK (2^32 among
-    them).  A share of at least _LANE_MIN_TRIALS trials that ends at or
-    below index 2^32 (one spawn word) goes to `lanes(stream, size)` unless
-    `lanes` is None; every other trial, each None the lanes return, and
-    every trial of a share in which a lane broke an invariant go to
-    `scalar(index)`, which raises at the lowest failing trial.  Results
-    depend only on (seed, index).
+def _by_seed_block(seed: int, lo: int, hi: int, lanes, scalar, rows: int):
+    """Trials lo..hi-1 of `seed` as a (rows, hi - lo) int64 array, one
+    column per trial, cut at multiples of _CHUNK (2^32 among them).  A
+    share of at least _LANE_MIN_TRIALS trials that ends at or below index
+    2^32 (one spawn word) goes to `lanes(stream, size)` unless `lanes` is
+    None; every other trial, each column the lanes leave PENDING in row 0,
+    and every trial of a share in which a lane broke an invariant go to
+    `scalar(index)`, which gives the trial's column and raises at the
+    lowest failing trial.  Results depend only on (seed, index).
     """
-    out = []
+    out = np.empty((rows, hi - lo), dtype=np.int64)
+    first = lo
     while lo < hi:
         end = min(hi, (lo // _CHUNK + 1) * _CHUNK)
-        share = [None] * (end - lo)
+        share = out[:, lo - first : end - first]
+        share[0] = PENDING
         if lanes is not None and end - lo >= _LANE_MIN_TRIALS and end <= 1 << 32:
             blocks = range(lo // _BLOCK, (end - 1) // _BLOCK + 1)
             words = np.concatenate([_seed_block(seed, b) for b in blocks])
             start = lo % _BLOCK
             try:
-                share = lanes(_PCG64Lanes(words[start : start + end - lo]), end - lo)
+                share[:] = lanes(_PCG64Lanes(words[start : start + end - lo]), end - lo)
             except InvariantViolation:
                 pass  # every trial of the share runs again below
-        out += [scalar(i) if r is None else r for i, r in zip(range(lo, end), share)]
+        (left,) = (share[0] == PENDING).nonzero()
+        if len(left):
+            share[:, left] = np.array([scalar(lo + i) for i in left.tolist()]).T
         lo = end
     return out
 
 
-def _lane_chunk(spec: TrialBatchSpec, stream: _PCG64Lanes, size: int) -> list:
+def _lane_chunk(spec: TrialBatchSpec, stream: _PCG64Lanes, size: int) -> np.ndarray:
     """`size` trials of `spec` stepped as lanes on `stream`: run_trial's
-    records, and None for each lane still running when stepping stopped."""
+    records as columns, PENDING for each lane still running when stepping
+    stopped."""
     if spec.init is InitPolicy.UNIFORM_RANDOM_MARKS:
         # initial_mobiles' floor(2u), on the lanes' first n doubles
         marks = np.stack([stream.random() for _ in range(spec.n)], axis=1) >= 0.5
@@ -474,10 +528,13 @@ def _lane_chunk(spec: TrialBatchSpec, stream: _PCG64Lanes, size: int) -> list:
     )
 
 
-def _run_range(spec: TrialBatchSpec, lo: int, hi: int) -> list[RunRecord]:
-    """Trials lo..hi-1 of a batch, as lanes where the spec allows."""
+def _run_range(spec: TrialBatchSpec, lo: int, hi: int) -> np.ndarray:
+    """The columns of trials lo..hi-1 of a batch, as lanes where the spec
+    allows."""
     lanes = partial(_lane_chunk, spec) if _takes_lanes(spec) else None
-    return _by_seed_block(spec.seed, lo, hi, lanes, partial(run_trial, spec))
+    return _by_seed_block(
+        spec.seed, lo, hi, lanes, lambda i: _column(run_trial(spec, i)), len(RecordRow)
+    )
 
 
 def _sqrt_of_ratio(num: int, den: int) -> float:
@@ -494,42 +551,64 @@ def _sqrt_of_ratio(num: int, den: int) -> float:
     return root / (1 << k)
 
 
-def _metric_stats(values: list[int]) -> MetricStats:
-    """fmean, stdev, min and max of `values`, the stdev from exact integer
-    sums: the same floats as statistics.fmean and statistics.stdev."""
+def _metric_stats(values) -> MetricStats:
+    """fmean, stdev, min and max of `values` (ints, or an int64 array): the
+    same floats as statistics.fmean and statistics.stdev, the stdev from
+    exact integer sums.  The sums are taken in int64 while they cannot
+    overflow, and in Python ints otherwise."""
     n = len(values)
-    mean = math.fsum(values) / n
+    if isinstance(values, np.ndarray):
+        low, high = int(values.min()), int(values.max())
+        small = max(high, -low) ** 2 * n < 1 << 63  # no sum can overflow
+        if not small:
+            values = values.tolist()
+    else:
+        low, high, small = min(values), max(values), False
+    if small:
+        # every value is below 2^32, exact as a double, so math.fsum would
+        # round the exact sum once, as float() does
+        total, squares = int(values.sum()), int(values @ values)
+        mean = float(total) / n
+    else:
+        # math.fsum rounds each value to a double first, which from 2^53
+        # is not the exact sum's rounding
+        total, squares = sum(values), sum(map(operator.mul, values, values))
+        mean = math.fsum(values) / n
     stddev = 0.0
     if n > 1:
-        squares = n * sum(map(operator.mul, values, values)) - sum(values) ** 2
-        stddev = _sqrt_of_ratio(squares, n * (n - 1))
+        stddev = _sqrt_of_ratio(n * squares - total * total, n * (n - 1))
     return MetricStats(
         mean=mean,
         stddev=stddev,
-        standard_error=stddev / math.sqrt(len(values)),
-        min=min(values),
-        max=max(values),
+        standard_error=stddev / math.sqrt(n),
+        min=low,
+        max=high,
     )
 
 
-def summarize(records: list[RunRecord]) -> Summary:
-    """Convergence-time statistics; raises AllTrialsTruncated if nothing
-    converged, since means over an empty set would be meaningless."""
-    converged = [r for r in records if r.converged]
-    if not converged:
+def summarize(results) -> Summary:
+    """Convergence-time statistics of a batch's columns (see
+    engine.RecordRow) or of a list of RunRecords; raises AllTrialsTruncated
+    if nothing converged, since means over an empty set would be
+    meaningless."""
+    columns = results if isinstance(results, np.ndarray) else _columns(results)
+    total = columns[RecordRow.total_interactions]
+    bst = columns[RecordRow.converged_at_bst_interaction]
+    non_null = columns[RecordRow.converged_at_non_null]
+    converged = bst >= 0
+    count = int(np.count_nonzero(converged))
+    if not count:
         raise AllTrialsTruncated(
-            f"none of the {len(records)} trials converged within budget"
+            f"none of the {len(bst)} trials converged within budget"
         )
+    if count < len(bst):
+        total, bst, non_null = total[converged], bst[converged], non_null[converged]
     return Summary(
-        bst_interactions=_metric_stats(
-            [r.converged_at_bst_interaction for r in converged]
-        ),
-        total_interactions=_metric_stats([r.total_interactions for r in converged]),
-        non_null_transitions=_metric_stats(
-            [r.converged_at_non_null for r in converged]
-        ),
-        trials=len(converged),
-        truncated=len(records) - len(converged),
+        bst_interactions=_metric_stats(bst),
+        total_interactions=_metric_stats(total),
+        non_null_transitions=_metric_stats(non_null),
+        trials=count,
+        truncated=len(converged) - count,
     )
 
 
@@ -570,12 +649,14 @@ def run_batch(spec: TrialBatchSpec, threads: int | None = None) -> BatchResult:
         # which one-worker runs never use
         from concurrent.futures import ProcessPoolExecutor
 
+        columns = np.empty((len(RecordRow), spec.trials), dtype=np.int64)
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunks = pool.map(_run_range, *zip(*((spec, lo, hi) for lo, hi in ranges)))
-            records = [record for chunk in chunks for record in chunk]
+            for (lo, hi), chunk in zip(ranges, chunks):
+                columns[:, lo:hi] = chunk
     else:
-        records = _run_range(spec, 0, spec.trials)
-    return BatchResult(spec=spec, summary=summarize(records), records=records)
+        columns = _run_range(spec, 0, spec.trials)
+    return BatchResult(spec=spec, summary=summarize(columns), columns=columns)
 
 
 def sweep_n(base: TrialBatchSpec, n_values) -> list[tuple[int, Summary]]:
@@ -590,9 +671,9 @@ def sweep_n(base: TrialBatchSpec, n_values) -> list[tuple[int, Summary]]:
 _OWN_FIRST_PHASE = kernels.simulate_timeopt_first_phase  # see _first_phase_range
 
 
-def _first_phase_range(n: int, seed: int, lo: int, hi: int) -> list[bool]:
-    """First-phase verdicts of trials lo..hi-1, as lanes where the range
-    allows (see _by_seed_block).
+def _first_phase_range(n: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """First-phase verdicts of trials lo..hi-1, 1 for True and 0 for False
+    in an int64 array, as lanes where the range allows (see _by_seed_block).
 
     Lanes bypass the scalar kernel, so they are off while it is replaced
     from outside (a tracer observing each first phase).
@@ -600,14 +681,17 @@ def _first_phase_range(n: int, seed: int, lo: int, hi: int) -> list[bool]:
     scalar = kernels.simulate_timeopt_first_phase
     own = scalar is _OWN_FIRST_PHASE
     lanes = partial(kernels.timeopt_first_phase_lanes, n) if own else None
-    return _by_seed_block(seed, lo, hi, lanes, lambda i: scalar(n, trial_rng(seed, i)))
+    verdicts = _by_seed_block(
+        seed, lo, hi, lanes, lambda i: scalar(n, trial_rng(seed, i)), 1
+    )
+    return verdicts[0]
 
 
 def estimate_allflip_probability(n: int, trials: int, seed: int) -> float:
     """Fraction of first phases (all-zero start) that convert every agent
     before flipping."""
     seed = _checked_batch(n, trials, seed)
-    return sum(_first_phase_range(n, seed, 0, trials)) / trials
+    return int(_first_phase_range(n, seed, 0, trials).sum()) / trials
 
 
 @dataclass(frozen=True)

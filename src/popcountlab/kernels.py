@@ -40,19 +40,21 @@ streak thresholds from one table per n of their integer ceilings
 predicate (_counters_broken); the block kernels raise _step_bits's text.
 
 The lane kernels step many BST-only trials together and give each trial
-the record its scalar kernel gives: one lane loop draws the agents, writes
-their marks back, builds the records and compacts the rows, and each
+the record its scalar kernel gives, as one int64 column of its fields
+(None as -1): one lane loop draws the agents, writes their marks back,
+writes each finished lane's column and compacts the rows, and each
 protocol supplies its per-row state and a step applying its rule and checks.
-The first phase of the phased protocol has its own lane kernel, giving each
-lane the verdict simulate_timeopt_first_phase gives on its stream.
+No RunRecord is built; a lane still running when stepping stops reads
+PENDING.  The first phase of the phased protocol has its own lane kernel,
+giving each lane the verdict simulate_timeopt_first_phase gives on its
+stream, in an int64 array the same way.
 """
 
 from functools import lru_cache, partial
-from itertools import repeat
 
 import numpy as np
 
-from .engine import InvariantViolation, RunRecord
+from .engine import PENDING, InvariantViolation, RecordRow, RunRecord
 from .protocols import NameOverflow, phase_threshold
 
 
@@ -553,20 +555,24 @@ def _lanes(protocol, n, marks, stream, budget, min_live, check=True):
     `stream.random()` gives the next double of every row and
     `stream.keep(rows)` drops the others.  A lane stops at convergence or
     after `budget` meetings, with the record the protocol's scalar BST-only
-    kernel gives on its stream.  Once fewer than `min_live` lanes are left,
-    stepping stops and those lanes get None.  Raises InvariantViolation if
-    a lane breaks an invariant.
+    kernel gives on its stream.  Returns the lanes' columns (see
+    engine.RecordRow): column r holds lane r's record.  Once
+    fewer than `min_live` lanes are left, stepping stops and those lanes'
+    columns read PENDING in row 0.  Raises InvariantViolation if a lane
+    breaks an invariant.
 
-    `protocol(n, marks, check)` gives the rows' state, arrays led by c, the
-    null meetings and the phase flips, and `meet(mark, state, running)`,
-    which applies the rule and checks to the drawn agents and returns
-    their new marks, the running rows that converged and the new state.
+    `protocol(n, marks, check)` gives the rows' state, int64 arrays led by
+    c, the null meetings and the phase flips (-1 where the protocol has no
+    phases), and `meet(mark, state, running)`, which applies the rule and
+    checks to the drawn agents and returns their new marks, the running
+    rows that converged and the new state.
 
     Finished lanes keep stepping, unread, until at most half the rows are
     live; then the rows are compacted.  Few distinct array sizes keep the
     allocator from fragmenting.
     """
-    records = [None] * len(marks)
+    columns = np.empty((len(RecordRow), len(marks)), dtype=np.int64)
+    columns[0] = PENDING
     live = np.arange(len(marks))  # the lane of each row
     offsets = live * n  # each row's first mark in marks.ravel()
     running = np.ones(len(marks), dtype=bool)  # rows whose trial goes on
@@ -575,15 +581,18 @@ def _lanes(protocol, n, marks, stream, budget, min_live, check=True):
     flat = marks.ravel()
     step = 0
 
-    def finish(rows, conv):  # conv: step if `rows` converged, None at the budget
+    def finish(rows, converged):  # at convergence, or at the budget
         (rows,) = rows.nonzero()
-        nn = (step - state[1][rows]).tolist()
-        conv_nn = nn if conv else repeat(None)
-        final, flips = state[0][rows].tolist(), state[2][rows].tolist()
-        steps = repeat(step)
-        new = map(RunRecord, steps, steps, nn, repeat(conv), conv_nn, final, flips)
-        for lane, record in zip(live[rows].tolist(), new):
-            records[lane] = record
+        block = np.empty((len(RecordRow), len(rows)), dtype=np.int64)
+        nn = step - state[1][rows]
+        block[RecordRow.total_interactions] = step
+        block[RecordRow.bst_interactions] = step
+        block[RecordRow.non_null_transitions] = nn
+        block[RecordRow.converged_at_bst_interaction] = step if converged else -1
+        block[RecordRow.converged_at_non_null] = nn if converged else -1
+        block[RecordRow.final_c] = state[0][rows]
+        block[RecordRow.phase_flips] = state[2][rows]
+        columns[:, live[rows]] = block
 
     while count >= min_live and step < budget:
         step += 1
@@ -591,7 +600,7 @@ def _lanes(protocol, n, marks, stream, budget, min_live, check=True):
         flat[cell], done, state = meet(flat[cell], state, running)
         # on a bool array, np.count_nonzero is a cheaper any() than .any()
         if np.count_nonzero(done):
-            finish(done, step)
+            finish(done, True)
             running &= ~done
             count = np.count_nonzero(running)
             if 2 * count <= len(live):
@@ -602,18 +611,18 @@ def _lanes(protocol, n, marks, stream, budget, min_live, check=True):
                 offsets = np.arange(0, len(live) * n, n)
                 stream.keep(keep)
         if step == budget:
-            finish(running, None)
-    return records
+            finish(running, False)
+    return columns
 
 
 def _flip_lanes(n, marks, check):
     """Flip's lane state and step (see _lanes).  After c, the null meetings
-    (none: every meeting flips a mark) and the phase flips (None: flip has
-    no phases), a row keeps c0, c1, its count of ones and whether all-zero
-    and all-one marks were seen."""
+    (none: every meeting flips a mark) and the phase flips (-1, for None:
+    flip has no phases), a row keeps c0, c1, its count of ones and whether
+    all-zero and all-one marks were seen."""
     ones = marks.sum(axis=1)
     c, null, c0, c1 = np.zeros((4, len(ones)), ones.dtype)
-    flips = np.full(len(ones), None)
+    flips = np.full(len(ones), -1, ones.dtype)
 
     def meet(one, state, running):
         c, null, flips, c0, c1, ones, zero_seen, one_seen = state
@@ -870,13 +879,14 @@ def timeopt_first_phase_lanes(n, stream, lanes):
     lanes stepped together: `stream.random()` gives the next double of
     every row and `stream.keep(rows)` drops the others.
 
-    Returns each lane's verdict; a lane still running after the scalar
-    kernel's cap gets None.  Raises InvariantViolation if a lane breaks an
-    invariant.  Finished lanes keep stepping, unread, until at most half
-    the rows are live, as in _lanes.
+    Returns an int64 array of each lane's verdict, 1 for True and 0 for
+    False; a lane still running after the scalar kernel's cap reads
+    PENDING.  Raises InvariantViolation if a lane breaks an invariant.
+    Finished lanes keep stepping, unread, until at most half the rows are
+    live, as in _lanes.
     """
     ceilings = _phase_ceilings(n)
-    verdicts = [None] * lanes
+    verdicts = np.full(lanes, PENDING)
     live = np.arange(lanes)  # the lane of each row
     running = np.ones(lanes, dtype=bool)
     ones, cnt = np.zeros((2, lanes), dtype=np.int64)
@@ -889,8 +899,7 @@ def timeopt_first_phase_lanes(n, stream, lanes):
         if np.count_nonzero((ones > n) & running):
             raise InvariantViolation("a first-phase lane broke an invariant")
         if np.count_nonzero(done):
-            for lane, full in zip(live[done].tolist(), (ones[done] == n).tolist()):
-                verdicts[lane] = full
+            verdicts[live[done]] = ones[done] == n
             running &= ~done
             count = np.count_nonzero(running)
             if not count:

@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -26,6 +26,7 @@ from popcountlab import experiments, kernels, oracle
 
 from popcountlab.engine import (
     InvariantViolation,
+    RunRecord,
     StopCondition,
     StopKind,
     resolve_limits,
@@ -889,7 +890,7 @@ class TestLanes:
         with mock.patch.multiple(
             experiments, _LANE_MIN_TRIALS=min_trials, _LANE_MIN_LIVE=min_live
         ), mock.patch.object(kernels, "FLIP_BLOCK_MIN_N", 15):
-            lanes = experiments._run_range(spec, lo, lo + size)
+            lanes = experiments._records(experiments._run_range(spec, lo, lo + size))
         assert lanes == [run_trial(spec, i) for i in range(lo, lo + size)]
         fields = [v for record in lanes for v in vars(record).values()]
         assert all(type(v) in (int, type(None)) for v in fields)
@@ -914,7 +915,7 @@ class TestLanes:
         seed = data.draw(st.integers(0, 2 ** 64))
         check = data.draw(st.booleans())
         stream = experiments._PCG64Lanes(experiments._seed_block(seed, 0)[:rows])
-        got = lanes(n, marks.copy(), stream, budget, 1, check)
+        got = experiments._records(lanes(n, marks.copy(), stream, budget, 1, check))
         assert got == [
             scalar(n, [int(m) for m in row], trial_rng(seed, i), budget, 2 * budget, check)
             for i, row in enumerate(marks)
@@ -953,7 +954,7 @@ class TestLanes:
             experiments, "_LANE_KERNELS", {ProtocolId.TIME_OPT: spied_lanes}
         )
         with mock.patch.multiple(experiments, _LANE_MIN_TRIALS=4, _LANE_MIN_LIVE=1):
-            got = experiments._run_range(spec, edge - 6, edge + 6)
+            got = experiments._records(experiments._run_range(spec, edge - 6, edge + 6))
         assert got == [run_trial(spec, i) for i in range(edge - 6, edge + 6)]
         below = experiments._seed_block(spec.seed, edge // 1024 - 1)[-6:]
         assert len(shares) == 1
@@ -1029,7 +1030,48 @@ class TestLanes:
             init=InitPolicy.UNIFORM_RANDOM_MARKS,
             seed=23,
         )
-        assert run_batch(spec, threads=1).records == run_batch(spec, threads=2).records
+        one, two = run_batch(spec, threads=1), run_batch(spec, threads=2)
+        assert one == two
+        assert one.records == two.records
+
+    def test_batch_results_compare_by_value(self):
+        spec = TrialBatchSpec(protocol=ProtocolId.FLIP, n=3, trials=20, seed=5)
+        one, again = run_batch(spec), run_batch(spec)
+        assert one == again and one.columns is not again.columns
+        assert one != run_batch(replace(spec, seed=6))
+        # the same spec and summary, the trials in another order
+        assert one != replace(one, columns=one.columns[:, ::-1])
+        assert one != one.records
+
+    def test_lane_batches_build_no_records_until_asked(self, monkeypatch):
+        # only the trials the lanes leave to run_trial become RunRecords
+        # while the batch runs; trial_rng is called once per such trial
+        built, rerun = [], []
+        init = RunRecord.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        def spied_rng(seed, index):
+            rerun.append(index)
+            return trial_rng(seed, index)
+
+        spec = TrialBatchSpec(
+            protocol=ProtocolId.TIME_OPT,
+            n=2,
+            trials=4096,
+            init=InitPolicy.UNIFORM_RANDOM_MARKS,
+            seed=31,
+        )
+        assert experiments._takes_lanes(spec)
+        monkeypatch.setattr(RunRecord, "__init__", counted_init)
+        monkeypatch.setattr(experiments, "trial_rng", spied_rng)
+        result = run_batch(spec, threads=1)
+        assert 0 < len(built) == len(rerun) < 2 * experiments._LANE_MIN_LIVE
+        monkeypatch.undo()
+        assert result.records == [run_trial(spec, i) for i in range(spec.trials)]
+        assert result.records is result.records
 
     def test_a_replaced_run_trial_sees_every_trial(self, monkeypatch):
         spec = TrialBatchSpec(
@@ -1109,7 +1151,7 @@ class TestFirstPhaseLanes:
         edge = data.draw(st.sampled_from([1024, experiments._CHUNK]))
         lo = max(0, edge * data.draw(st.integers(1, 3)) - before)
         with mock.patch.object(experiments, "_LANE_MIN_TRIALS", min_trials):
-            verdicts = experiments._first_phase_range(n, seed, lo, lo + size)
+            verdicts = experiments._first_phase_range(n, seed, lo, lo + size).tolist()
         assert verdicts == [
             kernels.simulate_timeopt_first_phase(n, trial_rng(seed, i))
             for i in range(lo, lo + size)
@@ -1148,7 +1190,7 @@ class TestFirstPhaseLanes:
 
         monkeypatch.setattr(kernels, "timeopt_first_phase_lanes", spied_lanes)
         monkeypatch.setattr(experiments, "_LANE_MIN_TRIALS", 4)
-        got = experiments._first_phase_range(n, seed, edge - 6, edge + 6)
+        got = experiments._first_phase_range(n, seed, edge - 6, edge + 6).tolist()
         assert got == [
             kernels.simulate_timeopt_first_phase(n, trial_rng(seed, i))
             for i in range(edge - 6, edge + 6)
@@ -1332,6 +1374,8 @@ class TestSummaries:
         values=st.lists(st.integers(0, 2 ** 80), min_size=1, max_size=300)
         | st.builds(lambda v, k: [v] * k, st.integers(0, 2 ** 80), st.integers(1, 300))
     )
+    # from 2^53 a value is not exact as a double, and fmean sums the doubles
+    @example(values=[2 ** 53 + 1] * 3)
     def test_metric_stats_are_the_statistics_modules(self, values):
         got = experiments._metric_stats(values)
         stddev = statistics.stdev(values) if len(values) > 1 else 0.0
@@ -1339,6 +1383,54 @@ class TestSummaries:
         assert got.stddev == stddev
         assert got.standard_error == stddev / math.sqrt(len(values))
         assert (got.min, got.max) == (min(values), max(values))
+
+    # shrinking a failure here took 147 s, against 5 s to find it
+    @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
+    @given(data=st.data())
+    def test_column_summary_is_the_record_summary(self, data):
+        # squares of values up to 2^40 pass int64, so Python ints take the
+        # sums, and from 2^53 fmean no longer sums exact doubles; smaller
+        # values keep the sums in int64
+        top = data.draw(st.sampled_from([3, 2 ** 20, 2 ** 40, 2 ** 62]))
+        value = st.integers(0, top)
+        record = st.builds(
+            lambda total, bst, nn, conv, final, flips: RunRecord(
+                total, bst, nn, conv and bst, conv and nn, final, flips
+            ),
+            value,
+            value,
+            value,
+            st.sampled_from([None, True]),
+            value,
+            st.none() | value,
+        )
+        records = data.draw(
+            st.lists(record, min_size=1, max_size=1)
+            | st.lists(record, min_size=1, max_size=60)
+        )
+        columns = experiments._columns(records)
+        assert experiments._records(columns) == records
+        converged = [r for r in records if r.converged]
+        if not converged:
+            message = f"^none of the {len(records)} trials converged within budget$"
+            for results in (records, columns):
+                with pytest.raises(AllTrialsTruncated, match=message):
+                    summarize(results)
+            return
+        got = summarize(columns)
+        assert got == summarize(records)
+        assert got.trials == len(converged)
+        assert got.truncated == len(records) - len(converged)
+        for stats_, field in [
+            (got.bst_interactions, "converged_at_bst_interaction"),
+            (got.total_interactions, "total_interactions"),
+            (got.non_null_transitions, "converged_at_non_null"),
+        ]:
+            values = [getattr(r, field) for r in converged]
+            stddev = statistics.stdev(values) if len(values) > 1 else 0.0
+            assert stats_.mean == statistics.fmean(values)
+            assert stats_.stddev == stddev
+            assert (stats_.min, stats_.max) == (min(values), max(values))
 
     def test_every_four_value_sample_from_1_to_11(self):
         for values in itertools.product(range(1, 12), repeat=4):
