@@ -3,7 +3,8 @@
 Applies single protocol transitions to scheduler-chosen pairs, tracks run
 metrics, and drives executions to a stopping condition.  This is the
 reference implementation: it favours clarity over speed, and the batch
-kernels are tested against it step for step.
+kernels are tested against it step for step.  The bit protocols' invariant
+checks and their texts live here once, and the kernels raise them too.
 """
 
 import math
@@ -32,6 +33,33 @@ class TagMismatch(TypeError):
 
 class InvariantViolation(RuntimeError):
     """A run produced a state forbidden by the protocol's invariants."""
+
+
+def _counters_broken(n, c, before, c0, c1, ones):
+    """The counter check, over ints or arrays, true where it fails: c =
+    c0 + c1 fell below `before`, its value one meeting earlier, or passed
+    n; c1 exceeds `ones`, the agents carrying mark 1, or c0 the agents
+    carrying mark 0.  (With c = c0 + c1, c > n implies one of the last
+    two.)"""
+    return (c < before) | (c > n) | (c1 > ones) | (c0 > n - ones)
+
+
+def _counter_error(n, c0, c1, ones):
+    """The error of a failed counter check."""
+    return InvariantViolation(f"counters c0={c0} c1={c1} invalid with {ones}/{n} ones")
+
+
+def _credit_error(remaining):
+    """The error of a phase that flipped with credit left on its mark."""
+    return InvariantViolation(f"phase flipped with {remaining} unconverted credits")
+
+
+def _structure_error(n, ones):
+    """The error of a flip run that converged without every mark equal, or
+    without the population having carried the opposite mark before."""
+    return InvariantViolation(
+        f"flip converged without the all-same/all-opposite structure: {ones}/{n} ones"
+    )
 
 
 # Each protocol's base-station record type and base-station rule.  The
@@ -339,25 +367,14 @@ def run(
             continue
 
         if check_invariants and bit:
-            bst, c = config.bst, config.bst.c
-            ones = sum(config.mobiles)
-            if c < prev_bst.c or c > n:
-                raise InvariantViolation(
-                    f"estimate left [{prev_bst.c}, {n}]: {c} after {total}"
-                )
-            if bst.c1 > ones or bst.c0 > n - ones:
-                raise InvariantViolation(
-                    f"counters exceed mark counts: c0={bst.c0} c1={bst.c1} "
-                    f"with {ones} one-marks among {n}"
-                )
+            bst, ones = config.bst, sum(config.mobiles)
+            if _counters_broken(n, bst.c, prev_bst.c, bst.c0, bst.c1, ones):
+                raise _counter_error(n, bst.c0, bst.c1, ones)
         if protocol is ProtocolId.TIME_OPT and config.bst.phase != prev_bst.phase:
             phase_flips += 1
-            if check_invariants:
-                stranded = prev_bst.c0 if prev_bst.phase == 0 else prev_bst.c1
-                if stranded != 0:
-                    raise InvariantViolation(
-                        f"phase flipped with {stranded} unconverted credits"
-                    )
+            stranded = prev_bst.c0 if prev_bst.phase == 0 else prev_bst.c1
+            if check_invariants and stranded != 0:
+                raise _credit_error(stranded)
 
         if conv_bst is None and _count(config) == n:
             conv_bst, conv_nn = bst_count, non_null

@@ -516,16 +516,15 @@ def _by_seed_block(seed: int, lo: int, hi: int, lanes, scalar, rows: int):
 def _lane_chunk(spec: TrialBatchSpec, stream: _PCG64Lanes, size: int) -> np.ndarray:
     """`size` trials of `spec` stepped as lanes on `stream`: run_trial's
     records as columns, PENDING for each lane still running when stepping
-    stopped."""
+    stopped.  Lanes always check: a lane fault sends the share back through
+    run_trial (see _by_seed_block), which honours spec.check_invariants."""
     if spec.init is InitPolicy.UNIFORM_RANDOM_MARKS:
         # initial_mobiles' floor(2u), on the lanes' first n doubles
         marks = np.stack([stream.random() for _ in range(spec.n)], axis=1) >= 0.5
     else:
         marks = np.tile(np.array(initial_mobiles(spec, None), dtype=bool), (size, 1))
     budget = min(resolve_limits(spec.protocol, spec.n, NATURAL_STOP)[:2])
-    return _LANE_KERNELS[spec.protocol](
-        spec.n, marks, stream, budget, _LANE_MIN_LIVE, spec.check_invariants
-    )
+    return _LANE_KERNELS[spec.protocol](spec.n, marks, stream, budget, _LANE_MIN_LIVE)
 
 
 def _run_range(spec: TrialBatchSpec, lo: int, hi: int) -> np.ndarray:

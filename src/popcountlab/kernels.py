@@ -35,9 +35,11 @@ and a loop of its own under the adversarial schedule.
 
 All kernels take the limits produced by engine.resolve_limits and halt at
 their protocol's convergence predicate.  Every phased kernel reads its
-streak thresholds from one table per n of their integer ceilings
-(_phase_ceilings), and every vector kernel checks the counters with one
-predicate (_counters_broken); the block kernels raise _step_bits's text.
+streak thresholds from one table of their integer ceilings
+(_phase_ceilings), as long as the run can read; flip reads none.  The
+checks and their texts are the engine's: _step_bits writes the counter
+predicate out inline (a call per meeting cost flip_bst some 8%), and every
+scalar and block loop raises the engine's texts.
 
 The lane kernels step many BST-only trials together and give each trial
 the record its scalar kernel gives, as one int64 column of its fields
@@ -47,7 +49,9 @@ protocol supplies its per-row state and a step applying its rule and checks.
 No RunRecord is built; a lane still running when stepping stops reads
 PENDING.  The first phase of the phased protocol has its own lane kernel,
 giving each lane the verdict simulate_timeopt_first_phase gives on its
-stream, in an int64 array the same way.
+stream, in an int64 array the same way.  Lanes always check and raise
+one text, LANE_FAULT; the batch harness then runs the share again trial
+by trial, where the scalar kernel names the fault.
 """
 
 from functools import lru_cache, partial
@@ -55,6 +59,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .engine import PENDING, InvariantViolation, RecordRow, RunRecord
+from .engine import _counter_error, _counters_broken, _credit_error, _structure_error
 from .protocols import NameOverflow, phase_threshold
 
 
@@ -68,22 +73,12 @@ def _phase_ceilings(n: int) -> np.ndarray:
     """ceil(phase_threshold(c)) for c = 0..n, the streak thresholds of every
     phased kernel: an integer streak reaches a threshold exactly when it
     reaches its ceiling, and a run over n agents converts at most n of them
-    per phase.  The scalar loops read it as a list of ints."""
+    per phase, and at most one per meeting, so a run capped at fewer
+    interactions than agents reads no further than its cap.  The scalar
+    loops read it as a list of ints."""
     ceilings = np.ceil([phase_threshold(c) for c in range(n + 1)]).astype(np.int64)
     ceilings.flags.writeable = False  # cached: shared by every later call
     return ceilings
-
-
-def _counter_error(n, c0, c1, ones):
-    """The counter check's error, one text for the scalar and block loops."""
-    return InvariantViolation(f"counters c0={c0} c1={c1} invalid with {ones}/{n} ones")
-
-
-def _counters_broken(n, c, before, c0, c1, ones):
-    """The counter check over arrays, true where it fails: c = c0 + c1 fell
-    below `before`, its value one meeting earlier, or passed n; c1 exceeds
-    `ones`, the agents carrying mark 1, or c0 the agents carrying mark 0."""
-    return (c < before) | (c > n) | (c1 > ones) | (c0 > n - ones)
 
 
 def _check_block(n, c_start, c, c0, c1, ones):
@@ -227,7 +222,8 @@ def _step_bits(flip, draw, size, n, marks, rng, metric_budget, total_cap, check)
     total_cap interactions, whichever comes first."""
     marks = list(marks)
     ones = sum(marks)
-    ceilings = _phase_ceilings(n).tolist()
+    # only the phased rule reads streak thresholds
+    ceilings = () if flip else _phase_ceilings(min(n, total_cap)).tolist()
     c0 = c1 = c = cnt = phase = 0
     bst_count = nulls = 0
     conv = conv_nn = None
@@ -260,10 +256,7 @@ def _step_bits(flip, draw, size, n, marks, rng, metric_budget, total_cap, check)
                 if c == n:
                     # flip: all marks equal, and all were opposite before
                     if flip and check and (0 < ones < n or n - ones not in seen):
-                        raise InvariantViolation(
-                            "flip converged without the all-same/all-opposite "
-                            f"structure: {ones}/{n} ones"
-                        )
+                        raise _structure_error(n, ones)
                     conv, conv_nn = bst_count, bst_count - nulls
                     break
                 if flip and not 0 < ones < n:
@@ -273,9 +266,7 @@ def _step_bits(flip, draw, size, n, marks, rng, metric_budget, total_cap, check)
                 remaining = c0 if phase == 0 else c1
                 if cnt >= ceilings[converted]:
                     if check and remaining != 0:
-                        raise InvariantViolation(
-                            f"phase flipped with {remaining} unconverted credits"
-                        )
+                        raise _credit_error(remaining)
                     cnt = 0
                     phase = 1 - phase
                     flips += 1
@@ -338,10 +329,7 @@ def _block_flip(draw, size, n, marks, rng, metric_budget, total_cap, check):
                 if final not in (0, full) or not (
                     seen or (after[: end - 1] == opposite).any()
                 ):
-                    raise InvariantViolation(
-                        "flip converged without the all-same/all-opposite "
-                        f"structure: {final.bit_count()}/{n} ones"
-                    )
+                    raise _structure_error(n, final.bit_count())
             zero_seen |= bool((after[:end] == 0).any())
             one_seen |= bool((after[:end] == full).any())
         bst_count += end
@@ -376,7 +364,7 @@ def _block_phased(draw, size, n, marks, rng, metric_budget, total_cap, check):
     flip.  Each invariant check is one compare over a pass's hits up to
     its stop.
     """
-    ceilings = _phase_ceilings(n)
+    ceilings = _phase_ceilings(min(n, total_cap))
     marks = np.array(marks)
     ones = int(marks.sum())
     phase = rem = cvt = cnt = 0  # rem: the credit on the phase's mark
@@ -444,9 +432,7 @@ def _block_phased(draw, size, n, marks, rng, metric_budget, total_cap, check):
                 )
             if flipped:
                 if check and rem:
-                    raise InvariantViolation(
-                        f"phase flipped with {rem} unconverted credits"
-                    )
+                    raise _credit_error(rem)
                 rem, cvt = cvt, rem
                 phase = 1 - phase
                 cnt = 0
@@ -547,7 +533,10 @@ def simulate_timeopt_roundrobin(n, marks, rng, metric_budget, total_cap, check=T
     )
 
 
-def _lanes(protocol, n, marks, stream, budget, min_live, check=True):
+LANE_FAULT = "a lane broke an invariant"
+
+
+def _lanes(protocol, n, marks, stream, budget, min_live):
     """A bit protocol under base-station-only scheduling, one trial per
     lane, all lanes stepped together.
 
@@ -558,10 +547,10 @@ def _lanes(protocol, n, marks, stream, budget, min_live, check=True):
     kernel gives on its stream.  Returns the lanes' columns (see
     engine.RecordRow): column r holds lane r's record.  Once
     fewer than `min_live` lanes are left, stepping stops and those lanes'
-    columns read PENDING in row 0.  Raises InvariantViolation if a lane
-    breaks an invariant.
+    columns read PENDING in row 0.  Raises InvariantViolation(LANE_FAULT)
+    if a lane breaks an invariant.
 
-    `protocol(n, marks, check)` gives the rows' state, int64 arrays led by
+    `protocol(n, marks)` gives the rows' state, int64 arrays led by
     c, the null meetings and the phase flips (-1 where the protocol has no
     phases), and `meet(mark, state, running)`, which applies the rule and
     checks to the drawn agents and returns their new marks, the running
@@ -577,7 +566,7 @@ def _lanes(protocol, n, marks, stream, budget, min_live, check=True):
     offsets = live * n  # each row's first mark in marks.ravel()
     running = np.ones(len(marks), dtype=bool)  # rows whose trial goes on
     count = len(marks)
-    state, meet = protocol(n, marks, check)
+    state, meet = protocol(n, marks)
     flat = marks.ravel()
     step = 0
 
@@ -615,7 +604,7 @@ def _lanes(protocol, n, marks, stream, budget, min_live, check=True):
     return columns
 
 
-def _flip_lanes(n, marks, check):
+def _flip_lanes(n, marks):
     """Flip's lane state and step (see _lanes).  After c, the null meetings
     (none: every meeting flips a mark) and the phase flips (-1, for None:
     flip has no phases), a row keeps c0, c1, its count of ones and whether
@@ -632,23 +621,22 @@ def _flip_lanes(n, marks, check):
         ones = ones + zero - one
         new_c = c0 + c1
         done = (new_c == n) & running
-        if check:
-            bad = _counters_broken(n, new_c, c, c0, c1, ones)
-            if np.count_nonzero(done):
-                # converged: all marks equal, and all were opposite before
-                opposite_seen = np.where(ones == n, zero_seen, one_seen)
-                bad |= done & (((ones != 0) & (ones != n)) | ~opposite_seen)
-            if np.count_nonzero(bad & running):
-                raise InvariantViolation("a flip lane broke an invariant")
-            zero_seen |= ones == 0
-            one_seen |= ones == n
+        bad = _counters_broken(n, new_c, c, c0, c1, ones)
+        if np.count_nonzero(done):
+            # converged: all marks equal, and all were opposite before
+            opposite_seen = np.where(ones == n, zero_seen, one_seen)
+            bad |= done & (((ones != 0) & (ones != n)) | ~opposite_seen)
+        if np.count_nonzero(bad & running):
+            raise InvariantViolation(LANE_FAULT)
+        zero_seen |= ones == 0
+        one_seen |= ones == n
         state = new_c, null, flips, c0, c1, ones, zero_seen, one_seen
         return zero, done, state
 
     return (c, null, flips, c0, c1, ones, ones == 0, ones == n), meet
 
 
-def _timeopt_lanes(n, marks, check):
+def _timeopt_lanes(n, marks):
     """The phased protocol's lane state and step (see _lanes).  After c,
     the null meetings and the phase flips, counters are relative to each
     row's phase: `rem` is the credit on the phase's own mark (c0 in phase
@@ -673,8 +661,8 @@ def _timeopt_lanes(n, marks, check):
         cnt = (cnt + streak) * miss
         null = null + (idle ^ streak)
         if np.count_nonzero(flip):
-            if check and np.count_nonzero(flip & (rem != 0) & running):
-                raise InvariantViolation("a phased lane flipped with credit")
+            if np.count_nonzero(flip & (rem != 0) & running):
+                raise InvariantViolation(LANE_FAULT)
             cnt = cnt * ~flip
             flips = flips + flip
             swap = (cvt - rem) * flip
@@ -682,10 +670,8 @@ def _timeopt_lanes(n, marks, check):
             turned = np.where(flip, n - turned, turned)
             phase = phase ^ flip
         new_c = rem + cvt
-        if check:
-            bad = _counters_broken(n, new_c, c, rem, cvt, turned)
-            if np.count_nonzero(bad & running):
-                raise InvariantViolation("a phased lane broke an invariant")
+        if np.count_nonzero(_counters_broken(n, new_c, c, rem, cvt, turned) & running):
+            raise InvariantViolation(LANE_FAULT)
         done = (new_c == n) & running
         state = new_c, null, flips, rem, cvt, cnt, turned, phase
         return mark ^ hit, done, state
@@ -881,9 +867,9 @@ def timeopt_first_phase_lanes(n, stream, lanes):
 
     Returns an int64 array of each lane's verdict, 1 for True and 0 for
     False; a lane still running after the scalar kernel's cap reads
-    PENDING.  Raises InvariantViolation if a lane breaks an invariant.
-    Finished lanes keep stepping, unread, until at most half the rows are
-    live, as in _lanes.
+    PENDING.  Raises InvariantViolation(LANE_FAULT) if a lane breaks an
+    invariant.  Finished lanes keep stepping, unread, until at most half
+    the rows are live, as in _lanes.
     """
     ceilings = _phase_ceilings(n)
     verdicts = np.full(lanes, PENDING)
@@ -897,7 +883,7 @@ def timeopt_first_phase_lanes(n, stream, lanes):
         cnt = (cnt + 1) * hit
         ones = ones + ~hit
         if np.count_nonzero((ones > n) & running):
-            raise InvariantViolation("a first-phase lane broke an invariant")
+            raise InvariantViolation(LANE_FAULT)
         if np.count_nonzero(done):
             verdicts[live[done]] = ones[done] == n
             running &= ~done

@@ -304,16 +304,18 @@ class TestRun:
         "bst,first,non_null,text",
         [
             pytest.param(
-                TimeOptBst(c1=3), (0, 1), False, r"estimate left \[3, 2\]: 3 after 1",
+                TimeOptBst(c1=3), (0, 1), False,
+                "counters c0=0 c1=3 invalid with 2/2 ones",
                 id="estimate-null-mobile-pair",
             ),
             pytest.param(
-                TimeOptBst(c1=3), (BST, 0), True, r"estimate left \[3, 2\]: 3 after 1",
+                TimeOptBst(c1=3), (BST, 0), True,
+                "counters c0=0 c1=3 invalid with 2/2 ones",
                 id="estimate-non-null",
             ),
             pytest.param(
                 TimeOptBst(c0=1), (BST, 0), False,
-                "counters exceed mark counts: c0=1 c1=0 with 2 one-marks among 2",
+                "counters c0=1 c1=0 invalid with 2/2 ones",
                 id="counters-null-bst-meeting",
             ),
         ],
