@@ -19,7 +19,7 @@ from .experiments import (
     AllTrialsTruncated,
     InitPolicy,
     TrialBatchSpec,
-    initial_mobiles,
+    exact_mean,
     run_batch,
 )
 from .protocols import NameOverflow, ProtocolId
@@ -150,33 +150,6 @@ def _echo_command(args) -> str:
     return " ".join(parts)
 
 
-def _oracle_reference(spec: TrialBatchSpec) -> str:
-    """The exact expectation of the batch's mean where an oracle covers the
-    batch's start and scheduler, else "".
-
-    Under uniform pairs the base-station meetings follow the BST-only law,
-    so the bit protocols' values hold for bst_mean under both schedulers.
-    """
-    n, init = spec.n, spec.init
-    if spec.protocol is ProtocolId.GROS_NAMING:
-        worst = (
-            spec.scheduler is SchedulerKind.WEAK_ADVERSARIAL
-            and init is InitPolicy.WORST_CASE_UNNAMED
-        )
-        return str(oracle.gros_worst_case(n)) if worst else ""
-    if spec.scheduler not in (SchedulerKind.BST_ONLY, SchedulerKind.UNIFORM_PAIR):
-        return ""
-    # the start's count of mark-1 agents; None for random marks, which the
-    # phased oracle mixes over
-    random_marks = init is InitPolicy.UNIFORM_RANDOM_MARKS
-    ones = None if random_marks else sum(initial_mobiles(spec, None))
-    if spec.protocol is ProtocolId.FLIP:
-        return str(oracle.flip_expected_closed_form(n)) if ones in (0, n) else ""
-    if n <= oracle.EXACT_TIMEOPT_MAX_N:
-        return str(oracle.timeopt_exact_expected(n, ones))
-    return ""
-
-
 # The row's leading columns; each metric's stats columns follow, then
 # oracle_value (the JSON output puts oracle_value ahead of the stats).
 _HEAD_FIELDS = (
@@ -225,7 +198,8 @@ def _summary_row(args, spec: TrialBatchSpec, summary) -> dict:
         summary.truncated,
     )
     row = dict(zip(_HEAD_FIELDS, head, strict=True))
-    row["oracle_value"] = _oracle_reference(spec)
+    reference = exact_mean(spec)
+    row["oracle_value"] = "" if reference is None else str(reference)
     for prefix, field in _METRICS:
         stats = getattr(summary, field)
         values = (

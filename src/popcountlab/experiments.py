@@ -37,13 +37,14 @@ import operator
 import os
 from dataclasses import dataclass, replace
 from enum import Enum, unique
+from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from . import kernels
+from . import kernels, oracle
 from .engine import (
     NAMING_NEEDS_PAIRS,
     NULLABLE_ROWS,
@@ -57,7 +58,6 @@ from .engine import (
     resolve_limits,
     run,
 )
-from .oracle import Intractable
 from .protocols import SINK_NAME, ProtocolId
 from .schedulers import SchedulerKind, make_scheduler
 
@@ -392,6 +392,33 @@ def initial_mobiles(spec: TrialBatchSpec, rng: np.random.Generator) -> list[int]
     return list(spec.vector)
 
 
+def exact_mean(spec: TrialBatchSpec) -> Fraction | int | None:
+    """The exact expectation of the batch's mean where an oracle covers the
+    batch's start and scheduler, else None.
+
+    Under uniform pairs the base-station meetings follow the BST-only law,
+    so the bit protocols' values hold for bst_mean under both schedulers.
+    """
+    # a bounded batch's mean covers only the trials that converged in time
+    if spec.resolved_stop().bound is not None:
+        return None
+    if spec.protocol is ProtocolId.GROS_NAMING:
+        adversarial = spec.scheduler is SchedulerKind.WEAK_ADVERSARIAL
+        worst = adversarial and spec.init is InitPolicy.WORST_CASE_UNNAMED
+        return oracle.gros_worst_case(spec.n) if worst else None
+    if spec.scheduler not in (SchedulerKind.BST_ONLY, SchedulerKind.UNIFORM_PAIR):
+        return None
+    # the start's count of mark-1 agents; None for random marks, which the
+    # phased oracle mixes over
+    random_marks = spec.init is InitPolicy.UNIFORM_RANDOM_MARKS
+    ones = None if random_marks else sum(initial_mobiles(spec, None))
+    if spec.protocol is ProtocolId.FLIP:
+        return oracle.flip_expected_closed_form(spec.n) if ones in (0, spec.n) else None
+    if spec.n <= oracle.EXACT_TIMEOPT_MAX_N:
+        return oracle.timeopt_exact_expected(spec.n, ones)
+    return None
+
+
 _KERNELS = {
     (ProtocolId.FLIP, SchedulerKind.BST_ONLY): kernels.simulate_flip_bst,
     (ProtocolId.FLIP, SchedulerKind.UNIFORM_PAIR): kernels.simulate_flip_uniform,
@@ -713,7 +740,7 @@ def sweep_worst_unnamed(n: int) -> WorstUnnamedSweep:
     instead of being scored.
     """
     if not 1 <= n <= 16:
-        raise Intractable(f"enumerating 2^{n} starts is out of range")
+        raise oracle.Intractable(f"enumerating 2^{n} starts is out of range")
     limits = resolve_limits(ProtocolId.GROS_NAMING, n, NATURAL_STOP)[:2]
     worst_names = []
     worst = -1

@@ -23,6 +23,11 @@ LEVEL = "full"
 FAST_SEED3_REPORT_SHA256 = (
     "acd947d2dc71ab8f0dc3f5b1ce2360f97cd51f3411ed14ca59454921f424f33b"
 )
+# sha256 of `popcountlab verify --level full --seed 42` stdout, the report
+# of the results below
+FULL_SEED42_REPORT_SHA256 = (
+    "ea6dd847cc30eb5e5598e96c87d3c90a66b9404ffbe5885ef217d3e8c25feabb"
+)
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +47,12 @@ def test_criterion(results, capsys, name):
     result = results[name]
     _report(capsys, name, result.passed, result.detail)
     assert result.passed, f"{name}: {result.detail}"
+
+
+def test_full_report_is_pinned(results):
+    ordered = [results[name] for name in acceptance.CHECK_NAMES]
+    report = acceptance.format_report(ordered, LEVEL, SEED)
+    assert hashlib.sha256(report.encode()).hexdigest() == FULL_SEED42_REPORT_SHA256
 
 
 def test_verification_report_is_deterministic(capsys):

@@ -175,6 +175,14 @@ class TestSimulateCommand:
                  "vector=1,1,0,2"],
                 "",
             ),
+            # a bounded batch's mean covers only the trials that converged
+            # within the bound (here 862 of 2000), so no oracle describes it
+            (["flip", "--n", "4", "--max-interactions", "12"], ""),
+            (
+                ["gros", "--n", "3", "--scheduler", "adversarial", "--init",
+                 "worst", "--max-interactions", "1000"],
+                "",
+            ),
         ],
     )
     def test_oracle_value_is_exact_for_the_start_or_empty(self, capsys, argv, expected):
