@@ -240,7 +240,8 @@ def cmd_simulate(args) -> int:
     except AllTrialsTruncated as exc:
         print(f"popcountlab simulate: {exc}", file=sys.stderr)
         return 2
-    except (NameOverflow, ValueError) as exc:
+    # MemoryError: a batch's columns too large to allocate
+    except (NameOverflow, ValueError, MemoryError) as exc:
         print(f"popcountlab simulate: error: {exc}", file=sys.stderr)
         return 1
 

@@ -244,10 +244,11 @@ class RunRecord:
         return not self.converged
 
 
-# A batch's results as columns: one int64 row per RunRecord field, in field
-# order, and one column per trial, with None stored as -1.  While a lane's
-# trial is unfinished its column reads PENDING in row 0; no field of a
-# finished trial is below -1.
+# A batch's results as columns: one row per RunRecord field, in field
+# order, and one column per trial, with None stored as -1, in a signed
+# integer type wide enough for the batch's limits (experiments._column_type;
+# lane kernels write int64).  While a lane's trial is unfinished its column
+# reads PENDING in row 0; no field of a finished trial is below -1.
 RecordRow = IntEnum(
     "RecordRow", [(f.name, i) for i, f in enumerate(fields(RunRecord))]
 )

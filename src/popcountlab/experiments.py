@@ -26,10 +26,13 @@ trials the same way, with verdicts equal to the scalar first-phase kernel's.
 One runner, _by_seed_block, cuts both at chunk edges and sends what lanes
 cannot finish back one trial at a time.
 
-A batch keeps its results as int64 columns, one row per RunRecord field
+A batch keeps its results as integer columns, one row per RunRecord field
 and one column per trial (None as -1): lanes write them without building a
-RunRecord, summarize reads them, and pool workers send them back.  A
-BatchResult builds its records only when they are read.
+RunRecord, summarize reads them, and pool workers send them back.  Their
+type is the narrowest signed one that the batch's limits allow
+(_column_type): int16 for the phased protocol at n = 2, so a million
+trials take 14 MB, not 56.  A BatchResult builds its records only when
+they are read.
 """
 
 import math
@@ -509,8 +512,8 @@ def _takes_lanes(spec: TrialBatchSpec) -> bool:
     )
 
 
-def _by_seed_block(seed: int, lo: int, hi: int, lanes, scalar, rows: int):
-    """Trials lo..hi-1 of `seed` as a (rows, hi - lo) int64 array, one
+def _by_seed_block(seed: int, lo: int, hi: int, lanes, scalar, rows: int, dtype):
+    """Trials lo..hi-1 of `seed` as a (rows, hi - lo) array of `dtype`, one
     column per trial, cut at multiples of _CHUNK (2^32 among them).  A
     share of at least _LANE_MIN_TRIALS trials that ends at or below index
     2^32 (one spawn word) goes to `lanes(stream, size)` unless `lanes` is
@@ -519,7 +522,7 @@ def _by_seed_block(seed: int, lo: int, hi: int, lanes, scalar, rows: int):
     `scalar(index)`, which gives the trial's column and raises at the
     lowest failing trial.  Results depend only on (seed, index).
     """
-    out = np.empty((rows, hi - lo), dtype=np.int64)
+    out = np.empty((rows, hi - lo), dtype=dtype)
     first = lo
     while lo < hi:
         end = min(hi, (lo // _CHUNK + 1) * _CHUNK)
@@ -535,7 +538,9 @@ def _by_seed_block(seed: int, lo: int, hi: int, lanes, scalar, rows: int):
                 pass  # every trial of the share runs again below
         (left,) = (share[0] == PENDING).nonzero()
         if len(left):
-            share[:, left] = np.array([scalar(lo + i) for i in left.tolist()]).T
+            # a value outside `dtype` raises OverflowError here
+            results = [scalar(lo + i) for i in left.tolist()]
+            share[:, left] = np.array(results, dtype=dtype).T
         lo = end
     return out
 
@@ -554,12 +559,31 @@ def _lane_chunk(spec: TrialBatchSpec, stream: _PCG64Lanes, size: int) -> np.ndar
     return _LANE_KERNELS[spec.protocol](spec.n, marks, stream, budget, _LANE_MIN_LIVE)
 
 
+_COLUMN_TYPES = (np.int8, np.int16, np.int32, np.int64)
+
+
+def _column_type(spec: TrialBatchSpec) -> type:
+    """The narrowest signed integer type that holds the batch's columns:
+    no field of a trial exceeds the total cap, which bounds every count of
+    interactions, or n, which bounds final_c; -1 (None) and PENDING fit
+    every type.  A cap past int64's range gets int64: no run gets that far."""
+    total_cap = resolve_limits(spec.protocol, spec.n, spec.resolved_stop())[1]
+    top = max(total_cap, spec.n)
+    return next((t for t in _COLUMN_TYPES if top <= np.iinfo(t).max), np.int64)
+
+
 def _run_range(spec: TrialBatchSpec, lo: int, hi: int) -> np.ndarray:
     """The columns of trials lo..hi-1 of a batch, as lanes where the spec
     allows."""
     lanes = partial(_lane_chunk, spec) if _takes_lanes(spec) else None
     return _by_seed_block(
-        spec.seed, lo, hi, lanes, lambda i: _column(run_trial(spec, i)), len(RecordRow)
+        spec.seed,
+        lo,
+        hi,
+        lanes,
+        lambda i: _column(run_trial(spec, i)),
+        len(RecordRow),
+        _column_type(spec),
     )
 
 
@@ -578,10 +602,10 @@ def _sqrt_of_ratio(num: int, den: int) -> float:
 
 
 def _metric_stats(values) -> MetricStats:
-    """fmean, stdev, min and max of `values` (ints, or an int64 array): the
-    same floats as statistics.fmean and statistics.stdev, the stdev from
+    """fmean, stdev, min and max of `values` (ints, or an integer array):
+    the same floats as statistics.fmean and statistics.stdev, the stdev from
     exact integer sums.  The sums are taken in int64 while they cannot
-    overflow, and in Python ints otherwise."""
+    overflow, whatever the array's type, and in Python ints otherwise."""
     n = len(values)
     if isinstance(values, np.ndarray):
         low, high = int(values.min()), int(values.max())
@@ -592,8 +616,11 @@ def _metric_stats(values) -> MetricStats:
         low, high, small = min(values), max(values), False
     if small:
         # every value is below 2^32, exact as a double, so math.fsum would
-        # round the exact sum once, as float() does
-        total, squares = int(values.sum()), int(values @ values)
+        # round the exact sum once, as float() does.  Both sums accumulate
+        # in int64 with no int64 copy; a narrow array's own `values @ values`
+        # would wrap
+        total = int(values.sum(dtype=np.int64))
+        squares = int(np.einsum("i,i->", values, values, dtype=np.int64))
         mean = float(total) / n
     else:
         # math.fsum rounds each value to a double first, which from 2^53
@@ -661,6 +688,8 @@ def run_batch(spec: TrialBatchSpec, threads: int | None = None) -> BatchResult:
     """
     threads = resolve_threads(threads)
     if threads > 1 and spec.trials >= 2 * threads:
+        # allocated first, so that a batch too large to hold fails at once
+        columns = np.empty((len(RecordRow), spec.trials), dtype=_column_type(spec))
         if _takes_lanes(spec):
             # whole seed blocks, so each range can take lanes; at most a
             # chunk, and a range for every worker where there are blocks enough
@@ -675,7 +704,6 @@ def run_batch(spec: TrialBatchSpec, threads: int | None = None) -> BatchResult:
         # which one-worker runs never use
         from concurrent.futures import ProcessPoolExecutor
 
-        columns = np.empty((len(RecordRow), spec.trials), dtype=np.int64)
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunks = pool.map(_run_range, *zip(*((spec, lo, hi) for lo, hi in ranges)))
             for (lo, hi), chunk in zip(ranges, chunks):
@@ -699,7 +727,7 @@ _OWN_FIRST_PHASE = kernels.simulate_timeopt_first_phase  # see _first_phase_rang
 
 def _first_phase_range(n: int, seed: int, lo: int, hi: int) -> np.ndarray:
     """First-phase verdicts of trials lo..hi-1, 1 for True and 0 for False
-    in an int64 array, as lanes where the range allows (see _by_seed_block).
+    in an int8 array, as lanes where the range allows (see _by_seed_block).
 
     Lanes bypass the scalar kernel, so they are off while it is replaced
     from outside (a tracer observing each first phase).
@@ -708,7 +736,7 @@ def _first_phase_range(n: int, seed: int, lo: int, hi: int) -> np.ndarray:
     own = scalar is _OWN_FIRST_PHASE
     lanes = partial(kernels.timeopt_first_phase_lanes, n) if own else None
     verdicts = _by_seed_block(
-        seed, lo, hi, lanes, lambda i: scalar(n, trial_rng(seed, i)), 1
+        seed, lo, hi, lanes, lambda i: scalar(n, trial_rng(seed, i)), 1, np.int8
     )
     return verdicts[0]
 

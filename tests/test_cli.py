@@ -288,6 +288,25 @@ class TestSimulateCommand:
         )
         assert code == 2 and "converged" in err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_batch_too_large_to_allocate_exits_one(self, capsys, monkeypatch, threads):
+        # 7 int16 rows of 10^14 trials pass any 64-bit address space, so
+        # the columns' allocation fails at once, before any trial runs
+        monkeypatch.setenv("POPCOUNT_THREADS", threads)
+        code, out, err = invoke(
+            capsys,
+            "simulate",
+            "--protocol",
+            "timeopt",
+            "--n",
+            "2",
+            "--trials",
+            str(10**14),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("popcountlab simulate: error: Unable to allocate")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "protocol,scheduler,stop",
         [

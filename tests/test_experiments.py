@@ -26,6 +26,7 @@ from popcountlab import experiments, kernels, oracle, protocols
 
 from popcountlab.engine import (
     InvariantViolation,
+    RecordRow,
     RunRecord,
     StopCondition,
     StopKind,
@@ -1123,6 +1124,7 @@ class TestLanes:
         one, two = run_batch(spec, threads=1), run_batch(spec, threads=2)
         assert one == two
         assert one.records == two.records
+        assert one.columns.dtype == two.columns.dtype == np.int16
 
     def test_batch_results_compare_by_value(self):
         spec = TrialBatchSpec(protocol=ProtocolId.FLIP, n=3, trials=20, seed=5)
@@ -1253,7 +1255,8 @@ class TestFirstPhaseLanes:
     def test_hit_counts_are_frozen(self, n, trials, hits):
         # the allflip-probability check's seeds at verify seed 42
         seed = derive_seed(42, 5, n)
-        assert sum(experiments._first_phase_range(n, seed, 0, trials)) == hits
+        # verdicts are int8: the builtin sum would add them in int8
+        assert int(experiments._first_phase_range(n, seed, 0, trials).sum()) == hits
         assert estimate_allflip_probability(n, trials, seed) == hits / trials
 
     def test_an_estimate_steps_a_chunk_of_seed_blocks_at_a_time(self, monkeypatch):
@@ -1408,6 +1411,30 @@ class TestBatch:
         assert serial.records == parallel.records
         assert serial.summary == parallel.summary
 
+    @pytest.mark.parametrize(
+        "protocol,n,stop,dtype",
+        [
+            # total cap 3448
+            (ProtocolId.TIME_OPT, 2, None, np.int16),
+            (ProtocolId.FLIP, 4, StopCondition(StopKind.COUNT_REACHES_N, 100), np.int8),
+            # total cap about 1.9 * 10^8
+            (ProtocolId.TIME_OPT, 256, None, np.int32),
+            # total cap about 2.3 * 10^10
+            (ProtocolId.FLIP, 20, None, np.int64),
+            (ProtocolId.FLIP, 4, StopCondition(StopKind.MAX_INTERACTIONS, 2**40), np.int64),
+        ],
+    )
+    def test_columns_take_the_narrowest_type_the_limits_allow(
+        self, protocol, n, stop, dtype
+    ):
+        spec = TrialBatchSpec(protocol=protocol, n=n, trials=1, stop=stop)
+        assert experiments._column_type(spec) is dtype
+        total_cap = resolve_limits(protocol, n, spec.resolved_stop())[1]
+        assert np.iinfo(dtype).max >= total_cap
+        if dtype is not np.int8:
+            narrower = experiments._COLUMN_TYPES[experiments._COLUMN_TYPES.index(dtype) - 1]
+            assert np.iinfo(narrower).max < total_cap
+
     def test_thread_resolution(self, monkeypatch):
         cpus = os.cpu_count() or 1
         monkeypatch.delenv("POPCOUNT_THREADS", raising=False)
@@ -1521,6 +1548,37 @@ class TestSummaries:
             assert stats_.mean == statistics.fmean(values)
             assert stats_.stddev == stddev
             assert (stats_.min, stats_.max) == (min(values), max(values))
+
+    @settings(max_examples=150, deadline=None, phases=NO_SHRINK)
+    @given(data=st.data())
+    def test_summaries_do_not_depend_on_column_width(self, data):
+        # int64 columns within a narrow type's range, with its extremes, -1
+        # fields and truncated trials; repeated trials take the sums of
+        # squares past the narrow type, through int64 and through Python ints
+        dtype = data.draw(st.sampled_from([np.int8, np.int16, np.int32]))
+        info = np.iinfo(dtype)
+        top = data.draw(st.sampled_from([info.max, math.isqrt(info.max) + 1]))
+        value = st.sampled_from([info.min, info.max, -1, 0]) | st.integers(
+            max(info.min, -top), top
+        )
+        width = data.draw(st.integers(1, 12))
+        row = st.lists(value, min_size=width, max_size=width)
+        rows = st.lists(row, min_size=len(RecordRow), max_size=len(RecordRow))
+        columns = np.array(data.draw(rows), dtype=np.int64)
+        flags = st.lists(st.booleans(), min_size=width, max_size=width)
+        truncated = np.array(data.draw(flags))
+        columns[RecordRow.converged_at_bst_interaction, truncated] = -1
+        columns[RecordRow.converged_at_non_null, truncated] = -1
+        columns = np.tile(columns, data.draw(st.sampled_from([1, 3, 5000])))
+        narrow = columns.astype(dtype)
+        assert np.array_equal(narrow, columns)
+        try:
+            wide = summarize(columns)
+        except AllTrialsTruncated as exc:
+            with pytest.raises(AllTrialsTruncated, match=f"^{re.escape(str(exc))}$"):
+                summarize(narrow)
+            return
+        assert summarize(narrow) == wide
 
     def test_every_four_value_sample_from_1_to_11(self):
         for values in itertools.product(range(1, 12), repeat=4):
