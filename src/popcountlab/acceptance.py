@@ -21,6 +21,7 @@ from .experiments import (
     TrialBatchSpec,
     derive_seed,
     estimate_allflip_probability,
+    exact_mean,
     run_batch,
     subset_start,
     sweep_n,
@@ -186,7 +187,7 @@ def _check_flip_mean(params, seed, inst, shared):
         stats = inst.run(
             f"flip n={n}", trials, run_batch, spec
         ).summary.bst_interactions
-        expected = float(oracle.flip_expected_closed_form(n))
+        expected = float(exact_mean(spec))
         tolerance = max(3 * stats.standard_error, 0.02 * expected)
         ratio = abs(stats.mean - expected) / tolerance
         if ratio > worst_ratio:
@@ -273,7 +274,6 @@ def _check_allflip(params, seed, inst, shared):
 def _check_exact_vs_mc(params, seed, inst, shared):
     gaps = []
     for n in params.exact_ns:
-        expected = float(oracle.timeopt_exact_expected(n))
         spec = TrialBatchSpec(
             protocol=ProtocolId.TIME_OPT,
             n=n,
@@ -287,6 +287,7 @@ def _check_exact_vs_mc(params, seed, inst, shared):
         stats = inst.run(
             f"exact-vs-mc n={n}", params.exact_trials, run_batch, spec
         ).summary.bst_interactions
+        expected = float(exact_mean(spec))
         gaps.append((n, abs(stats.mean - expected) / stats.standard_error))
     shown = ", ".join(f"n={n}: {g:.2f}SE" for n, g in gaps)
     return (

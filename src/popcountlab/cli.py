@@ -12,6 +12,7 @@ import json
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import isqrt
 
 from . import acceptance, oracle
 from .engine import StopCondition, StopKind
@@ -258,6 +259,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _past_digit_limit() -> ValueError:
+    return ValueError(
+        f"the value has more than {sys.get_int_max_str_digits()} digits; "
+        "PYTHONINTMAXSTRDIGITS=0 lifts the limit"
+    )
+
+
 def format_exact(value) -> str:
     """Integers print bare; other rationals as p/q ~= 20 significant digits.
 
@@ -272,10 +280,37 @@ def format_exact(value) -> str:
             approx = Decimal(value.numerator) / Decimal(value.denominator)
         return f"{value.numerator}/{value.denominator} ~= {approx}"
     except ValueError:
-        raise ValueError(
-            f"the value has more than {sys.get_int_max_str_digits()} digits; "
-            "PYTHONINTMAXSTRDIGITS=0 lifts the limit"
-        ) from None
+        raise _past_digit_limit() from None
+
+
+def _flip_numerator_bits(n: int) -> int:
+    """For n >= 2 the flip expectation is at least 2^n (its k = 0 and
+    k = n - 1 terms alone give 2^(n-1) * 2), so its numerator is too."""
+    return n if n >= 2 else 0
+
+
+def _harmonic_denominator_bits(n: int) -> int:
+    """A lower bound on log2 of the reduced denominator of n * H_n.
+
+    Each prime p in (n/2, n) divides exactly one of 1..n, and not n, so it
+    divides that denominator; with m = n // 2 those primes include every
+    prime in (m, 2m].  Erdos's proof of Bertrand's postulate bounds their
+    product from below by 4^(m/3) / ((2m + 1) * (2m)^sqrt(2m)): C(2m, m)
+    >= 4^m / (2m + 1), its prime powers are each at most 2m, and its
+    primes in (sqrt(2m), 2m/3] have product below 4^(2m/3).
+    """
+    m = n // 2
+    small_prime_powers = isqrt(2 * m) * (2 * m).bit_length()
+    return max(2 * m // 3 - (2 * m + 1).bit_length() - small_prime_powers, 0)
+
+
+# `oracle --which` name -> a lower bound b, in the operand, such that the
+# value prints an integer of at least 2^b
+_PRINTED_BITS = {
+    "flip-closed": _flip_numerator_bits,
+    "flip-recurrence": _flip_numerator_bits,
+    "harmonic": _harmonic_denominator_bits,
+}
 
 
 def cmd_oracle(args) -> int:
@@ -286,6 +321,14 @@ def cmd_oracle(args) -> int:
             f"popcountlab oracle: error: --{operand} is required for {args.which}",
             file=sys.stderr,
         )
+        return 1
+    # refuse a value that cannot be printed before computing it, which can
+    # take hours (harmonic at n = 10^8); 2^10 > 10^3, so an integer of at least 2^b has more than
+    # 3b/10 digits
+    limit = sys.get_int_max_str_digits()
+    bits = _PRINTED_BITS.get(args.which, lambda _: 0)(argument)
+    if limit and 3 * bits // 10 >= limit:
+        print(f"popcountlab oracle: error: {_past_digit_limit()}", file=sys.stderr)
         return 1
     try:
         text = format_exact(function(argument))

@@ -417,9 +417,10 @@ def exact_mean(spec: TrialBatchSpec) -> Fraction | int | None:
     ones = None if random_marks else sum(initial_mobiles(spec, None))
     if spec.protocol is ProtocolId.FLIP:
         return oracle.flip_expected_closed_form(spec.n) if ones in (0, spec.n) else None
-    if spec.n <= oracle.EXACT_TIMEOPT_MAX_N:
+    try:
         return oracle.timeopt_exact_expected(spec.n, ones)
-    return None
+    except oracle.Intractable:
+        return None
 
 
 _KERNELS = {

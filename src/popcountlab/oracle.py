@@ -9,6 +9,7 @@ can compare the two without trusting either side.
 
 from collections import deque
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, comb
 
 from .protocols import TimeOptBst, gros_term, phase_threshold, timeopt_step
@@ -44,33 +45,25 @@ def flip_expected_closed_form(n: int) -> Fraction:
 def flip_hitting_times(n: int) -> list[Fraction]:
     """Exact hitting times t_0..t_n of the mark-flipping walk on {0, .., n}.
 
-    t_k is the expected number of steps to reach n when k agents carry the
-    new mark, each step flipping a uniformly random agent except that state
-    n-1 is entered from n deterministically:
+    t_k is the expected number of steps to reach state 0 when k agents
+    still carry the old mark, each step flipping a uniformly random agent
+    except that state n - 1 is entered from n deterministically:
 
         t_0 = 0
         t_k = 1 + (k/n) t_{k-1} + ((n-k)/n) t_{k+1}    (1 <= k <= n-1)
         t_n = 1 + t_{n-1}
 
-    Solved by forward elimination of the tridiagonal system, independently
-    of the closed form.
+    The differences u_k = t_k - t_{k-1} follow a first-order recurrence,
+    solved in one backward pass, independently of the closed form:
+
+        u_n = 1,    k u_k = n + (n-k) u_{k+1},    t_k = u_1 + .. + u_k
     """
     if n < 1:
         raise ValueError(f"population size must be >= 1, got {n}")
-    # Express t_k = alpha_k + beta_k * t_{k+1} and sweep upward.
-    alpha = [Fraction(0)] * n
-    beta = [Fraction(0)] * n
-    for k in range(1, n):
-        down = Fraction(k, n)
-        up = Fraction(n - k, n)
-        denom = 1 - down * beta[k - 1]
-        alpha[k] = (1 + down * alpha[k - 1]) / denom
-        beta[k] = up / denom
-    times = [Fraction(0)] * (n + 1)
-    times[n] = (1 + alpha[n - 1]) / (1 - beta[n - 1])
-    for k in range(n - 1, -1, -1):
-        times[k] = alpha[k] + beta[k] * times[k + 1]
-    return times
+    steps = [Fraction(1)]  # u_n, u_{n-1}, .., u_1
+    for k in range(n - 1, 0, -1):
+        steps.append((n + (n - k) * steps[-1]) / k)
+    return [Fraction(0), *accumulate(reversed(steps))]
 
 
 def flip_expected_recurrence(n: int) -> Fraction:

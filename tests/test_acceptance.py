@@ -14,7 +14,8 @@ import pytest
 
 from popcountlab import acceptance, oracle
 from popcountlab.engine import InvariantViolation
-from popcountlab.experiments import AllTrialsTruncated
+from popcountlab.experiments import AllTrialsTruncated, exact_mean, run_batch
+from popcountlab.protocols import ProtocolId
 
 SEED = 42
 LEVEL = "full"
@@ -22,6 +23,10 @@ LEVEL = "full"
 # keeps the simulated results must keep the report byte for byte
 FAST_SEED3_REPORT_SHA256 = (
     "acd947d2dc71ab8f0dc3f5b1ce2360f97cd51f3411ed14ca59454921f424f33b"
+)
+# sha256 of `popcountlab verify --level fast --seed 42` stdout
+FAST_SEED42_REPORT_SHA256 = (
+    "41f00f4dc26e9002a8ed1bddff02c544db65a4330347ceb19e2653d6f905b0bb"
 )
 # sha256 of `popcountlab verify --level full --seed 42` stdout, the report
 # of the results below
@@ -76,6 +81,34 @@ def test_verification_report_is_deterministic(capsys):
     assert first.stdout.count("PASS") == len(acceptance.CHECK_NAMES) + 1
     digest = hashlib.sha256(first.stdout.encode()).hexdigest()
     assert digest == FAST_SEED3_REPORT_SHA256
+
+
+def test_expected_means_come_from_exact_mean(monkeypatch):
+    # the report's expected means follow one rule, the one behind the CSV's
+    # oracle_value: exact_mean of the very spec the check runs
+    ran, expected = [], []
+
+    def spy_run_batch(spec):
+        ran.append(spec)
+        return run_batch(spec)
+
+    def spy_exact_mean(spec):
+        expected.append((spec, exact_mean(spec)))
+        return expected[-1][1]
+
+    monkeypatch.setattr(acceptance, "run_batch", spy_run_batch)
+    monkeypatch.setattr(acceptance, "exact_mean", spy_exact_mean)
+    report = acceptance.format_report(acceptance.run_all("fast", SEED), "fast", SEED)
+    assert hashlib.sha256(report.encode()).hexdigest() == FAST_SEED42_REPORT_SHA256
+    params = acceptance.PARAMS["fast"]
+    assert len(ran) == len(params.flip_ns) + len(params.exact_ns)
+    assert [spec for spec, _ in expected] == ran
+    # and exact_mean picked the oracle each check means
+    for spec, value in expected:
+        if spec.protocol is ProtocolId.FLIP:
+            assert value == oracle.flip_expected_recurrence(spec.n)
+        else:
+            assert value == oracle.timeopt_exact_expected(spec.n)
 
 
 # every check still runs, at sizes that take a second or two

@@ -4,9 +4,11 @@ codes, and reproducibility."""
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -54,15 +56,68 @@ class TestOracleCommand:
         code, _, err = invoke(capsys, "oracle", "--which", "timeopt-exact", "--n", "9")
         assert code == 1 and "exact solve" in err
 
-    def test_value_past_the_digit_limit_fails_in_one_line(self):
-        # 2^20000 - 1 has 6021 digits, past Python's default 4300
+    # the first three values are past Python's default 4300 digits by a
+    # proven bound and are refused before they are computed, which would
+    # take a minute or far longer; 2^20000 - 1 (6021 digits) is computed
+    # and refused in one line, and a value under the limit prints
+    @pytest.mark.parametrize(
+        "argv,code,stdout",
+        [
+            (["flip-closed", "--n", "100000"], 1, ""),
+            (["flip-recurrence", "--n", "20000"], 1, ""),
+            (["harmonic", "--n", "100000000"], 1, ""),
+            (["gros-length", "--n", "20000"], 1, ""),
+            (["flip-closed", "--n", "10"], 0, "74752/63 ~= 1186.5396825396825397\n"),
+        ],
+        ids=["flip-closed", "flip-recurrence", "harmonic", "gros-length", "printed"],
+    )
+    def test_values_past_the_digit_limit_end_at_once(self, argv, code, stdout):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
-        argv = [sys.executable, "-m", "popcountlab", "oracle", "--which", "gros-length",
-                "--n", "20000"]
-        result = subprocess.run(argv, capture_output=True, text=True, env=env)
-        assert result.returncode == 1 and result.stdout == ""
-        assert "Traceback" not in result.stderr
-        assert result.stderr.count("\n") == 1 and "4300 digits" in result.stderr
+        command = [sys.executable, "-m", "popcountlab", "oracle", "--which", *argv]
+        started = time.perf_counter()
+        result = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+        assert time.perf_counter() - started < 2.0
+        assert (result.returncode, result.stdout) == (code, stdout)
+        if code:
+            assert result.stderr == (
+                "popcountlab oracle: error: the value has more than 4300 digits; "
+                "PYTHONINTMAXSTRDIGITS=0 lifts the limit\n"
+            )
+
+    def test_the_digit_limit_is_read_when_the_command_runs(self, capsys):
+        # 2^2200 > 10^660: refused under the smallest limit, printed with
+        # the limit lifted
+        argv = ("oracle", "--which", "flip-recurrence", "--n", "2200")
+        default = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (1, "") and "more than 640 digits" in err
+            sys.set_int_max_str_digits(0)
+            code, out, _ = invoke(capsys, *argv)
+        finally:
+            sys.set_int_max_str_digits(default)
+        assert code == 0 and len(out.split("/")[0]) > 660
+
+    def test_flip_numerator_bound_holds(self):
+        for n in range(1, 40):
+            value = oracle.flip_expected_closed_form(n)
+            assert value.numerator >= 2 ** cli._flip_numerator_bits(n)
+
+    def test_harmonic_denominator_bound_holds(self):
+        top = 60000
+        sieve = bytearray([1]) * top
+        sieve[:2] = b"\0\0"
+        for p in range(2, math.isqrt(top) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, top, p)))
+        for n in range(1, top, 1009):
+            primes = [p for p in range(n // 2 + 1, n) if sieve[p]]
+            assert math.prod(primes) >= 2 ** cli._harmonic_denominator_bits(n)
+        # and through the value itself, where the bound is positive
+        for n in (1000, 3000):
+            value = oracle.harmonic_bound(n)
+            assert value.denominator >= 2 ** cli._harmonic_denominator_bits(n) > 1
 
 
 SIMULATE_ARGS = [

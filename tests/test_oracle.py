@@ -36,8 +36,26 @@ class TestFlipExpectation:
         assert flip_expected_closed_form(4) == Fraction(64, 3)
         assert flip_expected_closed_form(5) == Fraction(128, 3)
 
-    def test_frozen_hitting_times(self):
-        assert flip_hitting_times(3) == [0, 7, 9, 10]
+    # every t_k at n = 1-10, frozen from a tridiagonal solve
+    @pytest.mark.parametrize(
+        "n,times",
+        [
+            (1, "0 1"),
+            (2, "0 3 4"),
+            (3, "0 7 9 10"),
+            (4, "0 15 56/3 61/3 64/3"),
+            (5, "0 31 75/2 241/6 125/3 128/3"),
+            (6, "0 63 372/5 393/5 404/5 411/5 416/5"),
+            (7, "0 127 147 768/5 784/5 2381/15 2401/15 2416/15"),
+            (8, "0 255 2032/7 2105/7 10688/35 10781/35 32528/105 32663/105 32768/105"),
+            (9, "0 511 2295/4 16531/28 8361/14 42061/70 84447/140 84677/140 "
+                "21213/35 21248/35"),
+            (10, "0 1023 10220/9 10462/9 73870/63 74189/63 3542/3 24838/21 "
+                 "74612/63 74689/63 74752/63"),
+        ],
+    )
+    def test_frozen_hitting_time_vectors(self, n, times):
+        assert flip_hitting_times(n) == [Fraction(t) for t in times.split()]
 
     def test_frozen_hitting_law(self):
         # n = 3: the first three meetings hit three distinct agents, 3!/3^3
