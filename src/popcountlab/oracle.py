@@ -3,21 +3,24 @@
 Everything here is computed in exact rational arithmetic (stdlib Fraction);
 floats appear only when callers convert for reporting.  Where a value has a
 closed form, an independent route to the same number is also provided (a
-solved recurrence, a brute-force expansion, a linear-system solve) so tests
-can compare the two without trusting either side.
+solved recurrence, a brute-force expansion) so tests can compare the two
+without trusting either side.  The phased protocol's mean has one route, a
+recurrence over streaks; tests check it against the exact values a state
+elimination over its full chain once gave, pinned for every start at
+n <= EXACT_TIMEOPT_MAX_N, and against Monte Carlo means.
 """
 
-from collections import deque
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, comb
 
-from .protocols import TimeOptBst, gros_term, phase_threshold, timeopt_step
+from .protocols import gros_term, phase_threshold
 
 # Largest population for which the exact phased-protocol expectation is
-# solved; beyond this the lumped chain grows too fast to be worth it (on a
-# 2-core x86-64 machine the solve took 0.09 s at n = 5 and 1.7 s at n = 8,
-# about 2.7 times as long for each agent added).
+# solved.  Solving costs little past it (on a 2-core x86-64 machine, 3 ms at
+# n = 8, 0.05 s at n = 13 and 0.19 s at n = 16), but the value's numerator
+# has 4762 digits at n = 13, past the 4300 that Python prints by default, so
+# the range stays where every output prints it today.
 EXACT_TIMEOPT_MAX_N = 8
 
 # gros_sequence materializes 2^m - 1 terms; keep it to list sizes that are
@@ -158,6 +161,13 @@ def harmonic_bound(n: int) -> Fraction:
     return n * sum(Fraction(1, l) for l in range(1, n + 1))
 
 
+def _streak_length(converted: int) -> int:
+    """Meetings in a row with converted agents, once no credit is left to
+    convert, that flip the phase: the streak counts up to
+    ceil(phase_threshold(converted)) and the next such meeting flips."""
+    return ceil(phase_threshold(converted)) + 1
+
+
 def timeopt_exact_expected(n: int, initial_ones: int | None = None) -> Fraction:
     """Exact expected base-station interactions for the phased protocol to
     reach estimate c = n, under uniform agent choice per interaction.
@@ -167,24 +177,45 @@ def timeopt_exact_expected(n: int, initial_ones: int | None = None) -> Fraction:
     2^n mark vectors with binomial weights; otherwise it conditions on the
     given number of mark-1 agents.
 
-    The interaction sequence only depends on the drawn agent's mark, so the
-    chain is lumped to (ones, c0, c1, cnt, phase) and solved exactly by
-    state elimination.  Only n <= EXACT_TIMEOPT_MAX_N is supported; the
-    lumped space grows too quickly after that.
+    Solved by one recurrence over streaks.  In phase b, S(u, c) is the
+    expectation when u agents carry mark b, c credits sit on the other mark,
+    none on mark b, and the streak is 0.  The streak is a run of misses,
+    each with probability q = (n - u)/n.  It flips the phase at miss
+    m = _streak_length(c), with probability q^m, and otherwise ends in a
+    conversion, which leads to S(u - 1, c + 1); its expected length is
+    (1 - q^m)/(1 - q), or m when u = 0.  A flip is followed by c credited
+    conversions, which take n (H_(n-u) - H_(n-u-c)) meetings on average
+    and lead to S(n - u - c, c).  So each layer c pairs u with n - u - c in
+    a 2x2 system, solved from c = n - 1 down to 0 with layer n worth 0.  A
+    start with k ones is S(n - k, 0).
     """
     if not 1 <= n <= EXACT_TIMEOPT_MAX_N:
         raise Intractable(
             f"exact solve supports 1 <= n <= {EXACT_TIMEOPT_MAX_N}, got {n}"
         )
-    if initial_ones is None:
-        weights = {
-            (k, 0, 0, 0, 0): Fraction(comb(n, k), 2 ** n) for k in range(n + 1)
-        }
-    else:
-        if not 0 <= initial_ones <= n:
-            raise ValueError(f"initial_ones must be in [0, {n}]")
-        weights = {(initial_ones, 0, 0, 0, 0): Fraction(1)}
-    return _expected_absorption_steps(n, weights)
+    if initial_ones is not None and not 0 <= initial_ones <= n:
+        raise ValueError(f"initial_ones must be in [0, {n}]")
+    harmonic = [Fraction(0), *accumulate(Fraction(1, l) for l in range(1, n + 1))]
+    layer = [Fraction(0)]  # S(u, c + 1) for u = 0..n - c - 1, while c is solved
+    for c in range(n - 1, -1, -1):
+        m = _streak_length(c)
+        flip, rest = [], []  # q^m, and S(u, c) less q^m S(n - u - c, c)
+        for u in range(n - c + 1):
+            q = Fraction(n - u, n)
+            p = q ** m
+            streak = (1 - p) / (1 - q) if u else Fraction(m)
+            refill = n * (harmonic[n - u] - harmonic[n - u - c])
+            flip.append(p)
+            rest.append(streak + p * refill + (1 - p) * (layer[u - 1] if u else 0))
+        # S(u) = rest_u + flip_u S(v) and S(v) = rest_v + flip_v S(u), with
+        # v = n - u - c; where u = v this still gives rest_u / (1 - flip_u)
+        layer = [
+            (rest[u] + flip[u] * rest[v]) / (1 - flip[u] * flip[v])
+            for u, v in enumerate(reversed(range(n - c + 1)))
+        ]
+    if initial_ones is not None:
+        return layer[n - initial_ones]
+    return sum(Fraction(comb(n, k), 2 ** n) * layer[n - k] for k in range(n + 1))
 
 
 def timeopt_uniform_total_expected(n: int, initial_ones: int | None = None) -> Fraction:
@@ -199,94 +230,15 @@ def first_phase_full_conversion(n: int) -> Fraction:
     all-zero start with uniform agent choice, converts every agent before
     it flips:
 
-        prod_{k=1}^{n-1} (1 - (k/n)^(m_k)),  m_k = ceil(T_k) + 1
+        prod_{k=1}^{n-1} (1 - (k/n)^(m_k)),  m_k = _streak_length(k)
 
-    With k agents converted and threshold T_k = phase_threshold(k), the
-    phase flips on the m_k-th meeting in a row with a converted agent; a
-    meeting with an unconverted agent converts it and resets the streak.
+    With k agents converted, the phase flips on the m_k-th meeting in a row
+    with a converted agent; a meeting with an unconverted agent converts it
+    and resets the streak.
     """
     if n < 1:
         raise ValueError(f"population size must be >= 1, got {n}")
     out = Fraction(1)
     for k in range(1, n):
-        out *= 1 - Fraction(k, n) ** (ceil(phase_threshold(k)) + 1)
+        out *= 1 - Fraction(k, n) ** _streak_length(k)
     return out
-
-
-def _lumped_successors(n, state):
-    """Transitions of the lumped chain: draw a mark-1 agent with probability
-    ones/n, a mark-0 agent otherwise, and apply the base-station rule."""
-    ones, c0, c1, cnt, phase = state
-    bst = TimeOptBst(c0=c0, c1=c1, cnt=cnt, phase=phase)
-    out = []
-    for mark, count in ((1, ones), (0, n - ones)):
-        if count == 0:
-            continue
-        nxt, new_mark = timeopt_step(bst, mark)
-        succ = (ones - mark + new_mark, nxt.c0, nxt.c1, nxt.cnt, nxt.phase)
-        out.append((Fraction(count, n), succ))
-    return out
-
-
-def _expected_absorption_steps(n, start_weights):
-    """Expected steps to absorption (c reaches n) from a weighted mixture of
-    start states, by exact state elimination.
-
-    Every transient state costs one step; transitions into absorbing states
-    are dropped since the remaining expectation there is zero.  cnt is
-    intrinsically bounded (it only grows while below the current phase
-    threshold), so the reachable transient set is finite without any cap.
-    """
-    absorbed = lambda s: s[1] + s[2] >= n
-
-    trans: dict = {}
-    queue = deque(s for s in start_weights if not absorbed(s))
-    seen = set(queue)
-    while queue:
-        state = queue.popleft()
-        row: dict = {}
-        for prob, succ in _lumped_successors(n, state):
-            if absorbed(succ):
-                continue
-            row[succ] = row.get(succ, Fraction(0)) + prob
-            if succ not in seen:
-                seen.add(succ)
-                queue.append(succ)
-        trans[state] = row
-
-    start = object()  # virtual source, eliminated last
-    trans[start] = {s: w for s, w in start_weights.items() if not absorbed(s)}
-    cost = {s: Fraction(1) for s in trans}
-    cost[start] = Fraction(0)
-
-    preds: dict = {s: set() for s in trans}
-    for state, row in trans.items():
-        for succ in row:
-            preds[succ].add(state)
-
-    # Eliminate transient states one at a time, cheapest fill-in first.
-    remaining = set(trans) - {start}
-    while remaining:
-        state = min(
-            remaining, key=lambda s: len(preds[s]) * len(trans[s])
-        )
-        remaining.discard(state)
-        row = trans.pop(state)
-        self_prob = row.pop(state, None)
-        if self_prob is not None:
-            preds[state].discard(state)
-            scale = 1 / (1 - self_prob)
-            cost[state] *= scale
-            row = {succ: prob * scale for succ, prob in row.items()}
-        for succ in row:
-            preds[succ].discard(state)
-        for pred in preds.pop(state):
-            weight = trans[pred].pop(state)
-            cost[pred] += weight * cost[state]
-            pred_row = trans[pred]
-            for succ, prob in row.items():
-                pred_row[succ] = pred_row.get(succ, Fraction(0)) + weight * prob
-                preds[succ].add(pred)
-
-    assert not trans[start], "elimination left unresolved successors"
-    return cost[start]

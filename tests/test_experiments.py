@@ -1851,18 +1851,23 @@ class TestStatisticalCrossChecks:
         z = (total.mean - exact) / total.standard_error
         assert abs(z) < 4, (total.mean, exact, z)
 
-    @pytest.mark.parametrize("n", [5, 6, 7, 8])
-    def test_phased_means_match_the_exact_solve(self, n):
-        # BST-only batches from random marks, stepped as lanes
-        spec = TrialBatchSpec(
-            protocol=ProtocolId.TIME_OPT,
-            n=n,
-            trials=4096,
-            init=InitPolicy.UNIFORM_RANDOM_MARKS,
-            seed=derive_seed(73, n),
-        )
+    @pytest.mark.parametrize(
+        "n,ones",
+        [(n, None) for n in (5, 6, 7, 8)] + [(6, k) for k in range(7)] + [(8, 8)],
+    )
+    def test_phased_means_match_the_exact_solve(self, n, ones):
+        # BST-only batches, stepped as lanes, from random marks or from a
+        # vector whose first `ones` agents carry mark 1
+        if ones is None:
+            start = dict(init=InitPolicy.UNIFORM_RANDOM_MARKS, seed=derive_seed(73, n))
+        else:
+            vector = (1,) * ones + (0,) * (n - ones)
+            start = dict(
+                init=InitPolicy.EXPLICIT_VECTOR, vector=vector, seed=derive_seed(73, n, ones)
+            )
+        spec = TrialBatchSpec(protocol=ProtocolId.TIME_OPT, n=n, trials=4096, **start)
         bst = run_batch(spec).summary.bst_interactions
-        exact = float(oracle.timeopt_exact_expected(n))
+        exact = float(oracle.timeopt_exact_expected(n, ones))
         z = (bst.mean - exact) / bst.standard_error
         assert abs(z) < 4, (bst.mean, exact, z)
 

@@ -1,5 +1,6 @@
 """The exact reference values, frozen, plus cross-route identities."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -147,6 +148,21 @@ class TestHarmonicBound:
         assert n <= value <= n * (math.log(n) + 1)
 
 
+# sha256 of repr([E(n, 0), .., E(n, n), E(n)]) for timeopt_exact_expected,
+# as a state elimination over the lumped chain (ones, c0, c1, cnt, phase)
+# solved it; at n = 8 the values run to about 620 digits
+ELIMINATION_DIGESTS = {
+    1: "a16ccbdfe9b6e187e3db25c0d9d1d955d55c258dc8aba690c0a69b659befaf8c",
+    2: "0f047e2903c19c67b185b2b028c6995a7b2168f2129b644e0e0ace5633f9a9ad",
+    3: "b7b5d3ca9b6187b18d533ca2e1c79cd6a7c0197238f2f04bff32be93bd188804",
+    4: "a44a20a906294b73172d9076a2b1bf50bdc518a65ffa7ef6274c05503c5543c2",
+    5: "51de9366a757c8ffe627c430b6ce3511d96061b6699b2d1f66ed480c191d7a64",
+    6: "dfc14b3bf3ec24ad3f059f89c19dfd330d63c02999ea163c7b83f21ca6c8f263",
+    7: "18e6588d7a9f1386b71cab60aaf6b8eebfec543f71343ee2cd83d0f54d69e1f2",
+    8: "03329c66fa50fef08a0c15177b9fb09374e0993b72594b515bea3f50be5bf173",
+}
+
+
 class TestTimeOptExact:
     def test_frozen_single_agent(self):
         # a zero mark converts at the first meeting; a one mark needs the
@@ -165,6 +181,12 @@ class TestTimeOptExact:
         assert float(timeopt_exact_expected(6)) == 58.57337124763068
         assert float(timeopt_exact_expected(7)) == 73.84033748153917
         assert float(timeopt_exact_expected(8)) == 89.25553858745312
+
+    @pytest.mark.parametrize("n", sorted(ELIMINATION_DIGESTS))
+    def test_every_start_matches_the_state_elimination_solve(self, n):
+        values = [timeopt_exact_expected(n, k) for k in range(n + 1)]
+        values.append(timeopt_exact_expected(n))
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == ELIMINATION_DIGESTS[n]
 
     def test_uniform_pair_totals_scale_by_walds_identity(self):
         assert timeopt_uniform_total_expected(1, initial_ones=1) == 8
