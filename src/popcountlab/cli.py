@@ -284,8 +284,9 @@ def format_exact(value) -> str:
 
 
 def _flip_numerator_bits(n: int) -> int:
-    """For n >= 2 the flip expectation is at least 2^n (its k = 0 and
-    k = n - 1 terms alone give 2^(n-1) * 2), so its numerator is too."""
+    """For n >= 2 the flip expectation is at least 2^n (in the form
+    2^(n-1) * sum_k 1/C(n-1, k), its k = 0 and k = n - 1 terms alone give
+    2^(n-1) * 2), so its numerator is too."""
     return n if n >= 2 else 0
 
 

@@ -262,11 +262,12 @@ def default_budget(protocol: ProtocolId, n: int) -> int:
     """Safety budget in the protocol's own work metric: base-station
     meetings for the bit protocols, non-null transitions for naming.
 
-    Flip converges in 2^(n-1) * sum_k 1/C(n-1, k) < 2^(n+1) base-station
-    meetings on average, the phased protocol in O(n log n), and the
-    adversarially scheduled naming protocol within 2 * 2^n non-null
-    transitions; each budget leaves more than an order of magnitude of
-    headroom.
+    From all zeros flip converges when its count of ones first reaches n,
+    in (n/2) * sum_{k=1}^{n} 2^k/k = 2^(n-1) * sum_k 1/C(n-1, k) < 2^(n+1)
+    base-station meetings on average; the phased protocol converges in
+    O(n log n), and the adversarially scheduled naming protocol within
+    2 * 2^n non-null transitions; each budget leaves more than an order of
+    magnitude of headroom.
     """
     if protocol is ProtocolId.FLIP:
         return 64 * 2 ** (n + 1)

@@ -34,7 +34,8 @@ pairs included (_step_gros), fed by _uniform_pairs or _roundrobin_pairs,
 and a loop of its own under the adversarial schedule.
 
 All kernels take the limits produced by engine.resolve_limits and halt at
-their protocol's convergence predicate.  Every phased kernel reads its
+their protocol's convergence predicate.  A bit kernel consumes its list of
+marks: the scalar loop steps it in place.  Every phased kernel reads its
 streak thresholds from one table of their integer ceilings
 (_phase_ceilings), as long as the run can read; flip reads none.  The
 checks and their texts are the engine's: _step_bits writes the counter
@@ -49,9 +50,9 @@ protocol supplies its per-row state and a step applying its rule and checks.
 No RunRecord is built; a lane still running when stepping stops reads
 PENDING.  The first phase of the phased protocol has its own lane kernel,
 giving each lane the verdict simulate_timeopt_first_phase gives on its
-stream, in an int64 array the same way.  Lanes always check and raise
-one text, LANE_FAULT; the batch harness then runs the share again trial
-by trial, where the scalar kernel names the fault.
+stream, in an int64 array: none outlives _first_phase_length(n).  Lanes
+always check and raise one text, LANE_FAULT; the batch harness then runs
+the share again trial by trial, where the scalar kernel names the fault.
 """
 
 from functools import lru_cache, partial
@@ -219,8 +220,7 @@ def _step_bits(flip, draw, size, n, marks, rng, metric_budget, total_cap, check)
     drawn agent; null meetings, the only ones that change nothing, are
     phased misses with credit left on the phase's mark.  Stops at
     convergence, after metric_budget base-station meetings, or after
-    total_cap interactions, whichever comes first."""
-    marks = list(marks)
+    total_cap interactions, whichever comes first.  Consumes `marks`."""
     ones = sum(marks)
     # only the phased rule reads streak thresholds
     ceilings = () if flip else _phase_ceilings(min(n, total_cap)).tolist()
@@ -827,25 +827,27 @@ def simulate_gros_roundrobin(names, bound, rng, metric_budget, total_cap):
     )
 
 
-def _first_phase_cap(n):
-    """Meetings after which a first phase that has not flipped is an error."""
-    return 1 << 24 if n < 1024 else 1 << 40
+@lru_cache(maxsize=64)
+def _first_phase_length(n):
+    """The longest first phase, in meetings: n conversions, after the k-th
+    of them ceil(phase_threshold(k)) misses in a row, and the flipping miss."""
+    return n + 1 + int(_phase_ceilings(n)[1:].sum())
 
 
 def simulate_timeopt_first_phase(n, rng):
     """Run the phased protocol's first phase from an all-zero population
     until the phase flips; True iff every agent was converted by then.
     Every conversion credits c1, so the count of ones stands for c1; a draw
-    of n or more (a corrupt stream) converts one agent too many and raises
-    InvariantViolation."""
-    cap = _first_phase_cap(n)
+    of n or more (a corrupt stream) converts one agent too many, and a run
+    past _first_phase_length(n): both raise InvariantViolation."""
+    length = _first_phase_length(n)
     ceilings = _phase_ceilings(n).tolist()
     ones = cnt = 0
     size = min(4096, max(32, 8 * n))
-    for start in range(0, cap, size):
+    for start in range(0, length, size):
         # the drawn index only matters through its mark: the `ones`
         # converted agents can be taken to be indices 0..ones-1
-        for i in _bst_draw(rng, n, start, min(size, cap - start))[1].tolist():
+        for i in _bst_draw(rng, n, start, min(size, length - start))[1].tolist():
             if i < ones:
                 if cnt >= ceilings[ones]:
                     return ones == n
@@ -857,7 +859,7 @@ def simulate_timeopt_first_phase(n, rng):
                     raise InvariantViolation(
                         f"first phase converted {ones} of {n} agents"
                     )
-    raise RuntimeError(f"first phase still running after {cap} meetings")
+    raise InvariantViolation(f"first phase still running after {length} meetings")
 
 
 def timeopt_first_phase_lanes(n, stream, lanes):
@@ -866,17 +868,17 @@ def timeopt_first_phase_lanes(n, stream, lanes):
     every row and `stream.keep(rows)` drops the others.
 
     Returns an int64 array of each lane's verdict, 1 for True and 0 for
-    False; a lane still running after the scalar kernel's cap reads
-    PENDING.  Raises InvariantViolation(LANE_FAULT) if a lane breaks an
-    invariant.  Finished lanes keep stepping, unread, until at most half
-    the rows are live, as in _lanes.
+    False.  Raises InvariantViolation(LANE_FAULT) if a lane breaks an
+    invariant, running past _first_phase_length(n) included.  Finished
+    lanes keep stepping, unread, until at most half the rows are live, as
+    in _lanes.
     """
     ceilings = _phase_ceilings(n)
-    verdicts = np.full(lanes, PENDING)
+    verdicts = np.empty(lanes, dtype=np.int64)
     live = np.arange(lanes)  # the lane of each row
     running = np.ones(lanes, dtype=bool)
     ones, cnt = np.zeros((2, lanes), dtype=np.int64)
-    for _ in range(_first_phase_cap(n)):
+    for _ in range(_first_phase_length(n)):
         # converted agents taken as indices 0..ones-1, as in the scalar kernel
         hit = (stream.random() * n).astype(np.int64) < ones
         done = hit & (cnt >= ceilings[ones]) & running
@@ -889,9 +891,9 @@ def timeopt_first_phase_lanes(n, stream, lanes):
             running &= ~done
             count = np.count_nonzero(running)
             if not count:
-                break
+                return verdicts
             if 2 * count <= len(live):
                 keep = np.flatnonzero(running)
                 live, running, ones, cnt = (a[keep] for a in (live, running, ones, cnt))
                 stream.keep(keep)
-    return verdicts
+    raise InvariantViolation(LANE_FAULT)

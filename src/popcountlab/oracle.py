@@ -4,7 +4,8 @@ Everything here is computed in exact rational arithmetic (stdlib Fraction);
 floats appear only when callers convert for reporting.  Where a value has a
 closed form, an independent route to the same number is also provided (a
 solved recurrence, a brute-force expansion) so tests can compare the two
-without trusting either side.  The phased protocol's mean has one route, a
+without trusting either side.  Flip's values ride the walk of its count
+of ones from all zeros.  The phased protocol's mean has one route, a
 recurrence over streaks; tests check it against the exact values a state
 elimination over its full chain once gave, pinned for every start at
 n <= EXACT_TIMEOPT_MAX_N, and against Monte Carlo means.
@@ -36,13 +37,13 @@ def flip_expected_closed_form(n: int) -> Fraction:
     """Expected base-station interactions for the flip protocol to turn an
     all-same-mark population of n agents into the all-opposite one:
 
-        2^(n-1) * sum_{k=0}^{n-1} 1 / C(n-1, k)
+        (n/2) * sum_{k=1}^{n} 2^k / k  =  2^(n-1) * sum_{k=0}^{n-1} 1 / C(n-1, k)
+
+    by sum_{k=0}^{m} 1/C(m, k) = (m+1)/2^(m+1) * sum_{j=1}^{m+1} 2^j/j.
     """
     if n < 1:
         raise ValueError(f"population size must be >= 1, got {n}")
-    return Fraction(2) ** (n - 1) * sum(
-        Fraction(1, comb(n - 1, k)) for k in range(n)
-    )
+    return Fraction(n, 2) * sum(Fraction(2 ** k, k) for k in range(1, n + 1))
 
 
 def flip_hitting_times(n: int) -> list[Fraction]:
@@ -93,28 +94,22 @@ def flip_hitting_law(n: int, horizon: int) -> list[Fraction]:
     base-station meetings from all zeros until c = n, under uniform agent
     choice per meeting.
 
-    A DP over (ones, c0, c1) that keeps integer path counts, each step
-    weighting a move by the number of agents carrying the drawn mark; its
-    mean over an unbounded horizon is flip_expected_closed_form(n).
+    From all zeros c1 is the count of ones and c0 the most ones so far less
+    the count, so c first reaches n when the count does.  A first-passage
+    DP over the counts 0..n-1 keeps integer path counts, each step weighting
+    a move by the agents carrying the drawn mark; its mean over an
+    unbounded horizon is flip_expected_closed_form(n).
     """
     if n < 1:
         raise ValueError(f"population size must be >= 1, got {n}")
-    paths = {(0, 0, 0): 1}
+    paths = [1] + [0] * (n - 1)  # by count of ones, before it first reaches n
     law = [Fraction(0)]
     for t in range(1, horizon):
-        after: dict = {}
-        hits = 0
-        for (ones, c0, c1), count in paths.items():
-            for state, ways in (
-                ((ones - 1, c0 + 1, max(c1 - 1, 0)), ones),
-                ((ones + 1, max(c0 - 1, 0), c1 + 1), n - ones),
-            ):
-                if state[1] + state[2] == n:
-                    hits += count * ways
-                elif ways:
-                    after[state] = after.get(state, 0) + count * ways
-        paths = after
-        law.append(Fraction(hits, n ** t))
+        # n - 1 ones reach n through the one agent still carrying a 0
+        law.append(Fraction(paths[-1], n ** t))
+        # k ones come up from k - 1 and down from k + 1
+        padded = [0, *paths, 0]
+        paths = [(n - k + 1) * padded[k] + (k + 1) * padded[k + 2] for k in range(n)]
     return law
 
 

@@ -7,12 +7,13 @@ capture) so a test run doubles as a readable report.
 
 import dataclasses
 import hashlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from popcountlab import acceptance, oracle
+from popcountlab import acceptance, cli, kernels, oracle
 from popcountlab.engine import InvariantViolation
 from popcountlab.experiments import AllTrialsTruncated, exact_mean, run_batch
 from popcountlab.protocols import ProtocolId
@@ -154,6 +155,18 @@ def test_a_run_that_raises_fails_its_check(monkeypatch, error, tally):
         "timeopt-exact-vs-montecarlo": (False, "exact-vs-mc n=1: planted"),
         "run-invariants": (False, f"{tally}, first: flip n=2: planted"),
     }
+
+
+def test_a_first_phase_past_its_bound_fails_its_check(monkeypatch, capsys):
+    # with the bound cut to n meetings every first phase outlives it: an
+    # invariant violation, which verify reports on the allflip line
+    monkeypatch.setitem(acceptance.PARAMS, "tiny", TINY)
+    monkeypatch.setattr(kernels, "_first_phase_length", lambda n: n)
+    assert cli.main(["verify", "--level", "tiny", "--seed", "1"]) == 1
+    detail = "first phase n=2: first phase still running after 2 meetings"
+    assert re.search(
+        f"^allflip-probability +FAIL +{detail}$", capsys.readouterr().out, re.M
+    )
 
 
 def test_naming_sequence_lengths_follow_the_recurrence(monkeypatch):

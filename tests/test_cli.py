@@ -59,24 +59,40 @@ class TestOracleCommand:
     # the first three values are past Python's default 4300 digits by a
     # proven bound and are refused before they are computed, which would
     # take a minute or far longer; 2^20000 - 1 (6021 digits) is computed
-    # and refused in one line, and a value under the limit prints
+    # and refused in one line, and so is the flip value at n = 14000, past
+    # the limit but below the bound: computing it takes about a second (on
+    # a 2-core x86-64 machine), so it gets 5 s; a value under the limit
+    # prints
     @pytest.mark.parametrize(
-        "argv,code,stdout",
+        "argv,code,stdout,seconds",
         [
-            (["flip-closed", "--n", "100000"], 1, ""),
-            (["flip-recurrence", "--n", "20000"], 1, ""),
-            (["harmonic", "--n", "100000000"], 1, ""),
-            (["gros-length", "--n", "20000"], 1, ""),
-            (["flip-closed", "--n", "10"], 0, "74752/63 ~= 1186.5396825396825397\n"),
+            (["flip-closed", "--n", "100000"], 1, "", 2.0),
+            (["flip-recurrence", "--n", "20000"], 1, "", 2.0),
+            (["harmonic", "--n", "100000000"], 1, "", 2.0),
+            (["gros-length", "--n", "20000"], 1, "", 2.0),
+            (["flip-closed", "--n", "14000"], 1, "", 5.0),
+            (
+                ["flip-closed", "--n", "10"],
+                0,
+                "74752/63 ~= 1186.5396825396825397\n",
+                2.0,
+            ),
         ],
-        ids=["flip-closed", "flip-recurrence", "harmonic", "gros-length", "printed"],
+        ids=[
+            "flip-closed",
+            "flip-recurrence",
+            "harmonic",
+            "gros-length",
+            "flip-closed-computed",
+            "printed",
+        ],
     )
-    def test_values_past_the_digit_limit_end_at_once(self, argv, code, stdout):
+    def test_values_past_the_digit_limit_end_at_once(self, argv, code, stdout, seconds):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
         command = [sys.executable, "-m", "popcountlab", "oracle", "--which", *argv]
         started = time.perf_counter()
         result = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
-        assert time.perf_counter() - started < 2.0
+        assert time.perf_counter() - started < seconds
         assert (result.returncode, result.stdout) == (code, stdout)
         if code:
             assert result.stderr == (

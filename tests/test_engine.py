@@ -217,6 +217,34 @@ class TestStopAndLimits:
         assert default_budget(ProtocolId.FLIP, 100) == 64 * 2 ** 101
 
 
+class TestFlipWalk:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        marks=st.integers(1, 10).flatmap(
+            lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        ),
+        zeros=st.booleans(),
+        kind=st.sampled_from([SchedulerKind.BST_ONLY, SchedulerKind.UNIFORM_PAIR]),
+        seed=st.integers(0, 2 ** 32),
+    )
+    def test_flip_counters_follow_the_count_of_ones(self, marks, zeros, kind, seed):
+        # From zeroed counters c1 is the count of ones less the fewest so
+        # far and c0 the most so far less the count, so c is the spread of
+        # the ones walk.  From all zeros the fewest is 0: c1 is the count
+        # and c the most so far, which oracle.flip_hitting_law rests on.
+        if zeros:
+            marks = [0] * len(marks)
+        config = initial_configuration(ProtocolId.FLIP, marks)
+        scheduler = make_scheduler(kind, seed)
+        most = fewest = sum(marks)
+        for _ in range(400):
+            pair = scheduler.next_pair(config)
+            config, _, _ = apply_interaction(ProtocolId.FLIP, config, pair)
+            ones = sum(config.mobiles)
+            most, fewest = max(most, ones), min(fewest, ones)
+            assert (config.bst.c1, config.bst.c0) == (ones - fewest, most - ones)
+
+
 class TestRun:
     def test_adversarial_naming_from_all_sinks(self):
         config = initial_configuration(ProtocolId.GROS_NAMING, [0, 0, 0])

@@ -309,8 +309,9 @@ class TestReplayEquality:
             kernels._timeopt_uniform_block(n, limits[0]),
             kernels._timeopt_bst_block(n, limits[0]),
         ]
+        # each kernel steps its own copy of the marks
         records = [
-            step(draw, size, n, marks, trial_rng(seed, 0), *limits, True)
+            step(draw, size, n, list(marks), trial_rng(seed, 0), *limits, True)
             for size in sizes
         ]
         assert records[1:] == records[:-1]
@@ -416,7 +417,7 @@ class TestReplayEquality:
         seed = data.draw(st.integers(0, 2 ** 32))
         check = data.draw(st.booleans())
         scalar, block = (
-            step(draw, size, n, marks, trial_rng(seed, 0), *limits, check)
+            step(draw, size, n, list(marks), trial_rng(seed, 0), *limits, check)
             for step in (partial(kernels._step_bits, True), kernels._block_flip)
         )
         assert block == scalar
@@ -452,11 +453,11 @@ class TestReplayEquality:
         limits = resolve_limits(ProtocolId.FLIP, n, experiments.NATURAL_STOP)[:2]
         errors, records = [], []
         for step in (partial(kernels._step_bits, True), kernels._block_flip):
-            run = partial(step, kernels._bst_draw, 64, n, marks)
+            run = partial(step, kernels._bst_draw, 64, n)
             with pytest.raises(InvariantViolation, match="^counters ") as caught:
-                run(trial_rng(5, 0), *limits, True)
+                run(list(marks), trial_rng(5, 0), *limits, True)
             errors.append(str(caught.value))
-            records.append(run(trial_rng(5, 0), *limits, False))
+            records.append(run(list(marks), trial_rng(5, 0), *limits, False))
         assert errors[0] == errors[1]
         assert records[0] == records[1]
 
@@ -500,7 +501,7 @@ class TestReplayEquality:
         seed = data.draw(st.integers(0, 2 ** 32))
         check = data.draw(st.booleans())
         scalar, block = (
-            step(draw, size, n, marks, trial_rng(seed, 0), *limits, check)
+            step(draw, size, n, list(marks), trial_rng(seed, 0), *limits, check)
             for step in (partial(kernels._step_bits, False), kernels._block_phased)
         )
         assert block == scalar
@@ -1221,6 +1222,59 @@ class TestLanes:
         assert rerun == list(range(lowest + 1))
 
 
+class _SameDoubles(_Doubles):
+    """A lanes stream giving every row the same fixed doubles in order."""
+
+    def __init__(self, values, rows):
+        super().__init__(values)
+        self.rows = rows
+
+    def random(self):
+        return np.full(self.rows, super().random())
+
+    def keep(self, rows):
+        self.rows = len(rows)
+
+
+def longest_first_phase(n):
+    """The doubles of the longest first phase at n agents: each conversion
+    (agent n - 1, unconverted until the last) followed by the most misses
+    (agent 0) its count of ones allows, then the miss that flips."""
+    ceilings = kernels._phase_ceilings(n)
+    doubles = []
+    for ones in range(1, n + 1):
+        doubles += [(n - 0.5) / n] + [0.0] * int(ceilings[ones])
+    return np.array(doubles + [0.0])
+
+
+class TestFirstPhaseBound:
+    """No first phase outlives _first_phase_length(n) meetings; one that
+    does has broken an invariant, on the scalar kernel and on the lanes."""
+
+    @pytest.mark.parametrize("n,length", [(1, 8), (2, 24), (8, 416), (20, 3328)])
+    def test_the_longest_first_phase_ends_at_the_bound(self, n, length):
+        doubles = longest_first_phase(n)
+        assert len(doubles) == kernels._first_phase_length(n) == length
+        rng = _Doubles(doubles)
+        assert kernels.simulate_timeopt_first_phase(n, rng) is True
+        assert rng.taken == length
+        stream = _SameDoubles(doubles, 3)
+        assert kernels.timeopt_first_phase_lanes(n, stream, 3).tolist() == [1, 1, 1]
+        assert stream.taken == length
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 20])
+    def test_a_run_past_the_bound_breaks_an_invariant(self, monkeypatch, n):
+        length = kernels._first_phase_length(n)
+        monkeypatch.setattr(kernels, "_first_phase_length", lambda m: length - 1)
+        doubles = longest_first_phase(n)
+        with pytest.raises(
+            InvariantViolation, match=f"^first phase still running after {length - 1} "
+        ):
+            kernels.simulate_timeopt_first_phase(n, _Doubles(doubles))
+        with pytest.raises(InvariantViolation, match=f"^{kernels.LANE_FAULT}$"):
+            kernels.timeopt_first_phase_lanes(n, _SameDoubles(doubles, 3), 3)
+
+
 class TestFirstPhaseLanes:
     """The first-phase estimate steps its seed blocks as lanes; the
     verdicts must be the scalar kernel's, trial for trial."""
@@ -1694,7 +1748,7 @@ class TestSpecValidation:
         }
         assert len(blocks) == 2 * n
         for marks in itertools.product((0, 1), repeat=n):
-            record = kernels.simulate_flip_roundrobin(n, marks, None, budget, cap)
+            record = kernels.simulate_flip_roundrobin(n, list(marks), None, budget, cap)
             if marks in blocks:
                 assert record.converged_at_bst_interaction is not None
             else:
@@ -1775,10 +1829,15 @@ class TestStatisticalCrossChecks:
             # the batch whose mean fails flip-mean-vs-exact at z = -4.2 in
             # `verify --level fast --seed 9`
             (4, derive_seed(9, 2, 4), 4000),
+            (6, 31, 20000),
+            (8, 31, 20000),
         ],
     )
     def test_flip_meeting_counts_follow_the_exact_law(self, n, seed, trials):
-        law = oracle.flip_hitting_law(n, 400)
+        # each horizon leaves a tail below 1e-6 beyond it, and a mean within
+        # 1e-6 of the closed form
+        law = oracle.flip_hitting_law(n, {6: 2000, 8: 7000}.get(n, 400))
+        assert 1 - sum(law) < 1e-6
         mean = sum(t * p for t, p in enumerate(law))
         assert abs(mean - oracle.flip_expected_closed_form(n)) < 1e-6
         spec = TrialBatchSpec(protocol=ProtocolId.FLIP, n=n, trials=trials, seed=seed)

@@ -64,6 +64,34 @@ class TestFlipExpectation:
             0, 0, 0, Fraction(2, 9), 0, Fraction(14, 81), 0, Fraction(98, 729)
         ]
 
+    # sha256 of repr(flip_hitting_law(n, 200)), taken from the DP over
+    # (ones, c0, c1) that restated the flip rule, before the law became the
+    # ones walk's first passage
+    @pytest.mark.parametrize(
+        "n,digest",
+        [
+            (1, "738b38b1928a689d565746c933a50c430942ed6b485ccf75e76e3139ecfcf54e"),
+            (2, "1e136f471778cd2e24e6450b81a8845207d77d44fe4019c102f1cc81a4bf2f0f"),
+            (3, "79d5619df8540bb23fd2fe955554b3adff4d0d027709342db2482a5639058111"),
+            (4, "2461b74bd3c71d25ae9dd09e6ced7bc133f4b0c669794a91250020457d02e751"),
+            (5, "df700db613128e2486d94bb6ba5a5f5669ac43966b858066b03c46a571b1b2a2"),
+            (6, "54faf9f5b9a04e8a6ae57c6634020d816609d857dcaebf00b1c23d64e990dc2b"),
+            (7, "16fa04ad19a8f032e0933aa2a5839aa67fc5e6d264dbb2ea66959e62459ea865"),
+            (8, "2eda0a8bffb7511f990cf8294ad2964de8387d4ab453b7acdccd052c7bedc0c9"),
+        ],
+    )
+    def test_hitting_law_matches_the_counter_dp(self, n, digest):
+        law = flip_hitting_law(n, 200)
+        assert hashlib.sha256(repr(law).encode()).hexdigest() == digest
+
+    def test_closed_form_equals_the_binomial_sum(self):
+        # (n/2) sum_k 2^k/k against the form it replaced
+        for n in range(1, 301):
+            binomial = 2 ** (n - 1) * sum(
+                Fraction(1, math.comb(n - 1, k)) for k in range(n)
+            )
+            assert flip_expected_closed_form(n) == binomial, n
+
     def test_frozen_uniform_pair_totals(self):
         # E[bst] * (n + 1) / 2; at n = 1 every pair meets the base station
         assert [flip_uniform_total_expected(n) for n in (1, 2, 3, 4, 10)] == [
