@@ -151,7 +151,7 @@ def _adversarial_run(inst, where, trials, start):
     """One adversarial naming run from `start` at bound n + 1: (record,
     final names)."""
     n = len(start)
-    limits = resolve_limits(ProtocolId.GROS_NAMING, n, NATURAL_STOP)[:2]
+    limits = resolve_limits(ProtocolId.GROS_NAMING, n, NATURAL_STOP)
     return inst.run(
         where, trials, kernels.simulate_gros_adversarial, start, n + 1, *limits
     )

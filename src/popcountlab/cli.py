@@ -23,21 +23,10 @@ from .experiments import (
     exact_mean,
     run_batch,
 )
-from .protocols import NameOverflow, ProtocolId
+from .protocols import ProtocolId
 from .schedulers import RNG_ALGORITHM, SchedulerKind
 
 SCHEMA_VERSION = "1"
-
-
-# `oracle --which` name -> (exact value function, the operand it takes)
-_ORACLES = {
-    "flip-closed": (oracle.flip_expected_closed_form, "n"),
-    "flip-recurrence": (oracle.flip_expected_recurrence, "n"),
-    "gros-term": (oracle.gros_term, "k"),
-    "gros-length": (oracle.gros_length, "n"),
-    "harmonic": (oracle.harmonic_bound, "n"),
-    "timeopt-exact": (oracle.timeopt_exact_expected, "n"),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,83 +123,52 @@ def _parse_init(text: str) -> tuple[InitPolicy, tuple[int, ...] | None]:
 
 
 def _echo_command(args) -> str:
-    parts = [
-        "simulate",
-        f"--protocol {args.protocol}",
-        f"--n {args.n}",
-        f"--trials {args.trials}",
-        f"--scheduler {args.scheduler}",
-        f"--init {args.init}",
-        f"--seed {args.seed}",
-        f"--format {args.format}",
-    ]
-    if args.max_interactions is not None:
-        parts.append(f"--max-interactions {args.max_interactions}")
-    if args.p is not None:
-        parts.append(f"--p {args.p}")
-    return " ".join(parts)
+    """The command line that reproduces a batch: every flag that has a
+    value, in the parser's order (argparse enters each flag's default into
+    the namespace in that order before it parses)."""
+    flags = (
+        f"--{name.replace('_', '-')} {value}"
+        for name, value in vars(args).items()
+        if name not in ("command", "handler") and value is not None
+    )
+    return " ".join([args.command, *flags])
 
 
-# The row's leading columns; each metric's stats columns follow, then
-# oracle_value (the JSON output puts oracle_value ahead of the stats).
-_HEAD_FIELDS = (
-    "schema_version",
-    "command",
-    "protocol",
-    "n",
-    "p",
-    "trials",
-    "scheduler",
-    "init",
-    "seed",
-    "rng",
-    "max_interactions",
-    "converged_trials",
-    "truncated_trials",
-)
 # (column prefix, Summary field) of each convergence metric
 _METRICS = (
     ("bst", "bst_interactions"),
     ("total", "total_interactions"),
     ("nonnull", "non_null_transitions"),
 )
-_STATS = ("mean", "stddev", "se", "min", "max")
-_ROW_FIELDS = (
-    *_HEAD_FIELDS,
-    *(f"{prefix}_{stat}" for prefix, _ in _METRICS for stat in _STATS),
-    "oracle_value",
-)
 
 
 def _summary_row(args, spec: TrialBatchSpec, summary) -> dict:
-    head = (
-        SCHEMA_VERSION,
-        _echo_command(args),
-        spec.protocol.value,
-        spec.n,
-        spec.resolved_bound if spec.protocol is ProtocolId.GROS_NAMING else "",
-        spec.trials,
-        spec.scheduler.value,
-        args.init,
-        spec.seed,
-        RNG_ALGORITHM,
-        args.max_interactions if args.max_interactions else "",
-        summary.trials,
-        summary.truncated,
-    )
-    row = dict(zip(_HEAD_FIELDS, head, strict=True))
+    """The batch's schema-v1 row in the JSON order, which has oracle_value
+    ahead of the stats columns; the CSV puts it last."""
     reference = exact_mean(spec)
-    row["oracle_value"] = "" if reference is None else str(reference)
+    row = {
+        "schema_version": SCHEMA_VERSION,
+        "command": _echo_command(args),
+        "protocol": spec.protocol.value,
+        "n": spec.n,
+        "p": spec.resolved_bound if spec.protocol is ProtocolId.GROS_NAMING else "",
+        "trials": spec.trials,
+        "scheduler": spec.scheduler.value,
+        "init": args.init,
+        "seed": spec.seed,
+        "rng": RNG_ALGORITHM,
+        "max_interactions": args.max_interactions or "",
+        "converged_trials": summary.trials,
+        "truncated_trials": summary.truncated,
+        "oracle_value": "" if reference is None else str(reference),
+    }
     for prefix, field in _METRICS:
         stats = getattr(summary, field)
-        values = (
-            repr(stats.mean),
-            repr(stats.stddev),
-            repr(stats.standard_error),
-            stats.min,
-            stats.max,
-        )
-        row.update(zip((f"{prefix}_{stat}" for stat in _STATS), values, strict=True))
+        row[f"{prefix}_mean"] = repr(stats.mean)
+        row[f"{prefix}_stddev"] = repr(stats.stddev)
+        row[f"{prefix}_se"] = repr(stats.standard_error)
+        row[f"{prefix}_min"] = stats.min
+        row[f"{prefix}_max"] = stats.max
     return row
 
 
@@ -242,7 +200,7 @@ def cmd_simulate(args) -> int:
         print(f"popcountlab simulate: {exc}", file=sys.stderr)
         return 2
     # MemoryError: a batch's columns too large to allocate
-    except (NameOverflow, ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"popcountlab simulate: error: {exc}", file=sys.stderr)
         return 1
 
@@ -252,7 +210,8 @@ def cmd_simulate(args) -> int:
         sys.stdout.write(json.dumps([row], indent=2) + "\n")
     else:
         buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=_ROW_FIELDS, lineterminator="\n")
+        fields = [*(name for name in row if name != "oracle_value"), "oracle_value"]
+        writer = csv.DictWriter(buffer, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
         writer.writerow(row)
         sys.stdout.write(buffer.getvalue())
@@ -305,17 +264,25 @@ def _harmonic_denominator_bits(n: int) -> int:
     return max(2 * m // 3 - (2 * m + 1).bit_length() - small_prime_powers, 0)
 
 
-# `oracle --which` name -> a lower bound b, in the operand, such that the
-# value prints an integer of at least 2^b
-_PRINTED_BITS = {
-    "flip-closed": _flip_numerator_bits,
-    "flip-recurrence": _flip_numerator_bits,
-    "harmonic": _harmonic_denominator_bits,
+def _unbounded(_: int) -> int:
+    return 0
+
+
+# `oracle --which` name -> (exact value function, the operand it takes, a
+# lower bound b, in the operand, such that the value prints an integer of
+# at least 2^b)
+_ORACLES = {
+    "flip-closed": (oracle.flip_expected_closed_form, "n", _flip_numerator_bits),
+    "flip-recurrence": (oracle.flip_expected_recurrence, "n", _flip_numerator_bits),
+    "gros-term": (oracle.gros_term, "k", _unbounded),
+    "gros-length": (oracle.gros_length, "n", _unbounded),
+    "harmonic": (oracle.harmonic_bound, "n", _harmonic_denominator_bits),
+    "timeopt-exact": (oracle.timeopt_exact_expected, "n", _unbounded),
 }
 
 
 def cmd_oracle(args) -> int:
-    function, operand = _ORACLES[args.which]
+    function, operand, printed_bits = _ORACLES[args.which]
     argument = getattr(args, operand)
     if argument is None:
         print(
@@ -327,7 +294,7 @@ def cmd_oracle(args) -> int:
     # take hours (harmonic at n = 10^8); 2^10 > 10^3, so an integer of at least 2^b has more than
     # 3b/10 digits
     limit = sys.get_int_max_str_digits()
-    bits = _PRINTED_BITS.get(args.which, lambda _: 0)(argument)
+    bits = printed_bits(argument)
     if limit and 3 * bits // 10 >= limit:
         print(f"popcountlab oracle: error: {_past_digit_limit()}", file=sys.stderr)
         return 1

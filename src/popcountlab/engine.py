@@ -54,6 +54,19 @@ def _credit_error(remaining):
     return InvariantViolation(f"phase flipped with {remaining} unconverted credits")
 
 
+def _silence_broken(names):
+    """The naming check on a run reported silent, true where it fails: the
+    n agents do not hold n distinct non-sink names."""
+    return protocols.SINK_NAME in names or len(set(names)) != len(names)
+
+
+def _silence_error(names):
+    """The error of a failed naming check."""
+    return InvariantViolation(
+        f"silent run left names {names} (want {len(names)} distinct non-sink)"
+    )
+
+
 def _structure_error(n, ones):
     """The error of a flip run that converged without every mark equal, or
     without the population having carried the opposite mark before."""
@@ -283,25 +296,23 @@ UNBOUNDED = 1 << 127
 @lru_cache(maxsize=256)
 def resolve_limits(
     protocol: ProtocolId, n: int, stop: StopCondition
-) -> tuple[int, int, bool]:
+) -> tuple[int, int]:
     """Turn a stop condition into loop limits.
 
-    Returns (metric_budget, total_cap, halt_on_predicate).  The metric
-    budget counts base-station meetings for the bit protocols and non-null
-    transitions for naming; the total cap counts all interactions and is
-    the hard safety net against schedulers that starve the metric.
-    Memoized: every trial of a batch asks for the same limits.
+    Returns (metric_budget, total_cap).  The metric budget counts
+    base-station meetings for the bit protocols and non-null transitions
+    for naming; the total cap counts all interactions and is the hard
+    safety net against schedulers that starve the metric.  Memoized: every
+    trial of a batch asks for the same limits.
     """
-    if stop.kind is StopKind.MAX_INTERACTIONS:
-        return UNBOUNDED, stop.bound, False
-    if stop.bound is not None:
-        return UNBOUNDED, stop.bound, True
+    if stop.bound is not None:  # always so under MAX_INTERACTIONS
+        return UNBOUNDED, stop.bound
     budget = default_budget(protocol, n)
     if protocol is ProtocolId.GROS_NAMING:
         total_cap = 64 + 8 * (n + 1) ** 2 * budget
     else:
         total_cap = 64 + 8 * (n + 1) * budget
-    return budget, total_cap, True
+    return budget, total_cap
 
 
 # bst-only scheduling never pairs two mobiles, so naming homonyms would
@@ -342,7 +353,8 @@ def run(
         raise ValueError(NAMING_NEEDS_PAIRS)
     n = config.n
     bit = protocol is not ProtocolId.GROS_NAMING
-    metric_budget, total_cap, halt_on_predicate = resolve_limits(protocol, n, stop)
+    metric_budget, total_cap = resolve_limits(protocol, n, stop)
+    halt_on_predicate = stop.kind is StopKind.COUNT_REACHES_N
 
     total = bst_count = non_null = 0
     conv_bst: int | None = None

@@ -451,7 +451,7 @@ def run_trial(spec: TrialBatchSpec, index: int, force_engine: bool = False) -> R
     protocol = spec.protocol
 
     if not force_engine and stop.kind is not StopKind.MAX_INTERACTIONS:
-        limits = resolve_limits(protocol, spec.n, stop)[:2]
+        limits = resolve_limits(protocol, spec.n, stop)
         if protocol is not ProtocolId.GROS_NAMING:
             kernel = _KERNELS[protocol, spec.scheduler]
             return kernel(spec.n, mobiles, rng, *limits, spec.check_invariants)
@@ -556,7 +556,7 @@ def _lane_chunk(spec: TrialBatchSpec, stream: _PCG64Lanes, size: int) -> np.ndar
         marks = np.stack([stream.random() for _ in range(spec.n)], axis=1) >= 0.5
     else:
         marks = np.tile(np.array(initial_mobiles(spec, None), dtype=bool), (size, 1))
-    budget = min(resolve_limits(spec.protocol, spec.n, NATURAL_STOP)[:2])
+    budget = min(resolve_limits(spec.protocol, spec.n, NATURAL_STOP))
     return _LANE_KERNELS[spec.protocol](spec.n, marks, stream, budget, _LANE_MIN_LIVE)
 
 
@@ -770,7 +770,7 @@ def sweep_worst_unnamed(n: int) -> WorstUnnamedSweep:
     """
     if not 1 <= n <= 16:
         raise oracle.Intractable(f"enumerating 2^{n} starts is out of range")
-    limits = resolve_limits(ProtocolId.GROS_NAMING, n, NATURAL_STOP)[:2]
+    limits = resolve_limits(ProtocolId.GROS_NAMING, n, NATURAL_STOP)
     worst_names = []
     worst = -1
     for mask in range(2 ** n - 1):

@@ -60,7 +60,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .engine import PENDING, InvariantViolation, RecordRow, RunRecord
-from .engine import _counter_error, _counters_broken, _credit_error, _structure_error
+from .engine import _counter_error, _counters_broken, _credit_error, _silence_broken
+from .engine import _silence_error, _structure_error
 from .protocols import NameOverflow, phase_threshold
 
 
@@ -702,7 +703,6 @@ def simulate_gros_adversarial(names, bound, metric_budget, total_cap, check=True
     non-null.  Returns the run record and the final name vector.
     """
     names = list(names)
-    n = len(names)
     counts, homonyms = _name_tally(names, bound)
     k = 1
     total = bst_count = 0
@@ -733,18 +733,15 @@ def simulate_gros_adversarial(names, bound, metric_budget, total_cap, check=True
             counts[name] -= 2
             homonyms -= counts[name] < 2
         total += 1
-    distinct = sum(c > 0 for c in counts[1:])
-    if check and conv_bst is not None and (distinct != n or 0 in names):
-        raise InvariantViolation(
-            f"silent run left names {names} (want {n} distinct non-sink)"
-        )
+    if check and conv_bst is not None and _silence_broken(names):
+        raise _silence_error(names)
     record = RunRecord(
         total_interactions=total,
         bst_interactions=bst_count,
         non_null_transitions=total,
         converged_at_bst_interaction=conv_bst,
         converged_at_non_null=conv_nn,
-        final_c=distinct,
+        final_c=sum(c > 0 for c in counts[1:]),
     )
     return record, names
 
@@ -757,18 +754,17 @@ def _step_gros(pairs, size, names, bound, rng, metric_budget, total_cap):
     Per-name counts and the count of names held twice or more tell silence,
     as in simulate_gros_adversarial.  Stops where engine.run does: at
     silence (a silent start converges at 0), after metric_budget non-null
-    transitions, or after total_cap interactions.
+    transitions, or after total_cap interactions.  Every run it reports
+    silent is checked to hold n distinct non-sink names.
     """
     names = list(names)
     n = len(names)
     counts, homonyms = _name_tally(names, bound)
-    if not counts[0] and not homonyms:
-        return RunRecord(0, 0, 0, 0, 0, n)
     k = 1
     bst_count = non_null = 0
-    conv = None
-    total = total_cap
-    for start in range(0, total_cap, size):
+    conv = None if counts[0] or homonyms else 0
+    total = total_cap if conv is None else 0
+    for start in range(0, total, size):
         first, second = pairs(rng, n, start, min(size, total_cap - start))
         for j, (a, b) in enumerate(zip(first.tolist(), second.tolist())):
             if a == n or b == n:
@@ -803,6 +799,8 @@ def _step_gros(pairs, size, names, bound, rng, metric_budget, total_cap):
         # the inner loop stopped the run at its j-th pair
         total = start + j + 1
         break
+    if conv is not None and _silence_broken(names):
+        raise _silence_error(names)
     return RunRecord(
         total_interactions=total,
         bst_interactions=bst_count,

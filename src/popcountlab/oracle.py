@@ -46,6 +46,24 @@ def flip_expected_closed_form(n: int) -> Fraction:
     return Fraction(n, 2) * sum(Fraction(2 ** k, k) for k in range(1, n + 1))
 
 
+def _flip_tail_sums(n: int):
+    """Yield (D_k, W_k) for k = n down to 1, one integer backward sweep of
+    flip_hitting_times' recurrence: D_k = (n-1)!/(k-1)!, P_k = u_k D_k and
+    W_k = D_k (u_k + .. + u_n), so that
+
+        D_n = P_n = W_n = 1,    D_k = k D_{k+1},
+        P_k = n D_{k+1} + (n-k) P_{k+1},    W_k = P_k + k W_{k+1}
+    """
+    if n < 1:
+        raise ValueError(f"population size must be >= 1, got {n}")
+    d = p = w = 1
+    yield d, w
+    for k in range(n - 1, 0, -1):
+        d, p = k * d, n * d + (n - k) * p
+        w = p + k * w
+        yield d, w
+
+
 def flip_hitting_times(n: int) -> list[Fraction]:
     """Exact hitting times t_0..t_n of the mark-flipping walk on {0, .., n}.
 
@@ -61,19 +79,20 @@ def flip_hitting_times(n: int) -> list[Fraction]:
     solved in one backward pass, independently of the closed form:
 
         u_n = 1,    k u_k = n + (n-k) u_{k+1},    t_k = u_1 + .. + u_k
+
+    so t_n = W_1/D_1 and t_k = t_n - W_{k+1}/D_{k+1} (see _flip_tail_sums).
     """
-    if n < 1:
-        raise ValueError(f"population size must be >= 1, got {n}")
-    steps = [Fraction(1)]  # u_n, u_{n-1}, .., u_1
-    for k in range(n - 1, 0, -1):
-        steps.append((n + (n - k) * steps[-1]) / k)
-    return [Fraction(0), *accumulate(reversed(steps))]
+    tails = list(_flip_tail_sums(n))  # k = n..1
+    t_n = Fraction(tails[-1][1], tails[-1][0])
+    return [t_n - Fraction(w, d) for d, w in reversed(tails)] + [t_n]
 
 
 def flip_expected_recurrence(n: int) -> Fraction:
-    """The flip expectation from the solved recurrence; must equal the
-    closed form for every n."""
-    return flip_hitting_times(n)[n]
+    """The flip expectation t_n from the solved recurrence, W_1/D_1 of one
+    sweep without the list; must equal the closed form for every n."""
+    for d, w in _flip_tail_sums(n):
+        pass
+    return Fraction(w, d)
 
 
 def flip_uniform_total_expected(n: int) -> Fraction:

@@ -109,39 +109,6 @@ def phase_threshold(converted: int) -> float:
     return 6.0 * (converted * math.log(converted) + 1.0)
 
 
-def timeopt_step(bst: TimeOptBst, mark: int) -> tuple[TimeOptBst, int]:
-    """One base-station interaction of the phased protocol.
-
-    Returns the successor base-station state and the agent's new mark.
-    Meeting a mark equal to the current phase converts the agent and resets
-    the streak.  Meeting the opposite mark either flips the phase (streak
-    long enough), extends the streak (no credit left to convert), or does
-    nothing.
-    """
-    c0, c1, cnt, phase = bst.c0, bst.c1, bst.cnt, bst.phase
-    if mark == phase:
-        cnt = 0
-        if mark == 0:
-            if c0 > 0:
-                c0 -= 1
-            mark = 1
-            c1 += 1
-        else:
-            if c1 > 0:
-                c1 -= 1
-            mark = 0
-            c0 += 1
-    else:
-        converted = c1 if phase == 0 else c0
-        remaining = c0 if phase == 0 else c1
-        if cnt >= phase_threshold(converted):
-            cnt = 0
-            phase = 1 - phase
-        elif remaining == 0:
-            cnt += 1
-    return TimeOptBst(c0=c0, c1=c1, cnt=cnt, phase=phase), mark
-
-
 def flip_step(bst: FlipBst, mark: int) -> tuple[FlipBst, int]:
     """One base-station interaction of the flip protocol.
 
@@ -161,6 +128,29 @@ def flip_step(bst: FlipBst, mark: int) -> tuple[FlipBst, int]:
         mark = 0
         c0 += 1
     return FlipBst(c0=c0, c1=c1), mark
+
+
+def timeopt_step(bst: TimeOptBst, mark: int) -> tuple[TimeOptBst, int]:
+    """One base-station interaction of the phased protocol.
+
+    Returns the successor base-station state and the agent's new mark.
+    Meeting a mark equal to the current phase converts the agent as flip's
+    meeting does and resets the streak.  Meeting the opposite mark either
+    flips the phase (streak long enough), extends the streak (no credit
+    left to convert), or does nothing.
+    """
+    c0, c1, cnt, phase = bst.c0, bst.c1, bst.cnt, bst.phase
+    if mark == phase:
+        counters, mark = flip_step(FlipBst(c0, c1), mark)
+        return TimeOptBst(counters.c0, counters.c1, cnt=0, phase=phase), mark
+    converted = c1 if phase == 0 else c0
+    remaining = c0 if phase == 0 else c1
+    if cnt >= phase_threshold(converted):
+        cnt = 0
+        phase = 1 - phase
+    elif remaining == 0:
+        cnt += 1
+    return TimeOptBst(c0=c0, c1=c1, cnt=cnt, phase=phase), mark
 
 
 def gros_term(k: int) -> int:

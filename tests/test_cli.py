@@ -59,10 +59,10 @@ class TestOracleCommand:
     # the first three values are past Python's default 4300 digits by a
     # proven bound and are refused before they are computed, which would
     # take a minute or far longer; 2^20000 - 1 (6021 digits) is computed
-    # and refused in one line, and so is the flip value at n = 14000, past
-    # the limit but below the bound: computing it takes about a second (on
-    # a 2-core x86-64 machine), so it gets 5 s; a value under the limit
-    # prints
+    # and refused in one line, and so is the flip value at n = 14000 by
+    # either route, past the limit but below the bound: computing it takes
+    # about a second (on a 2-core x86-64 machine), so it gets 5 s; a value
+    # under the limit prints
     @pytest.mark.parametrize(
         "argv,code,stdout,seconds",
         [
@@ -71,6 +71,7 @@ class TestOracleCommand:
             (["harmonic", "--n", "100000000"], 1, "", 2.0),
             (["gros-length", "--n", "20000"], 1, "", 2.0),
             (["flip-closed", "--n", "14000"], 1, "", 5.0),
+            (["flip-recurrence", "--n", "14000"], 1, "", 5.0),
             (
                 ["flip-closed", "--n", "10"],
                 0,
@@ -84,6 +85,7 @@ class TestOracleCommand:
             "harmonic",
             "gros-length",
             "flip-closed-computed",
+            "flip-recurrence-computed",
             "printed",
         ],
     )
@@ -160,6 +162,25 @@ SCHEMA_V1_STATS = ",".join(
     for prefix in ("bst", "total", "nonnull")
     for stat in ("mean", "stddev", "se", "min", "max")
 )
+SCHEMA_V1_CSV = f"{SCHEMA_V1_HEAD},{SCHEMA_V1_STATS},oracle_value"
+
+# every protocol/scheduler pairing simulate accepts
+PAIRINGS = [
+    ("flip", "bst"),
+    ("flip", "uniform"),
+    ("flip", "roundrobin"),
+    ("timeopt", "bst"),
+    ("timeopt", "uniform"),
+    ("timeopt", "roundrobin"),
+    ("gros", "adversarial"),
+    ("gros", "uniform"),
+    ("gros", "roundrobin"),
+]
+# simulate's flags in the parser's order, the order the command column uses
+SIMULATE_FLAGS = [
+    "--protocol", "--n", "--trials", "--scheduler", "--init", "--seed", "--format",
+    "--max-interactions", "--p",
+]
 
 
 class TestSimulateCommand:
@@ -178,7 +199,7 @@ class TestSimulateCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 1
         row = rows[0]
-        assert list(row) == list(cli._ROW_FIELDS)
+        assert ",".join(row) == SCHEMA_V1_CSV
         assert row["schema_version"] == "1"
         assert row["protocol"] == "flip"
         assert row["rng"] == "numpy-pcg64"
@@ -197,10 +218,45 @@ class TestSimulateCommand:
         _, out, _ = invoke(capsys, *SIMULATE_ARGS)
         rows = list(csv.DictReader(io.StringIO(out)))
         buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=cli._ROW_FIELDS, lineterminator="\n")
+        writer = csv.DictWriter(
+            buffer, fieldnames=SCHEMA_V1_CSV.split(","), lineterminator="\n"
+        )
         writer.writeheader()
         writer.writerows(rows)
         assert buffer.getvalue() == out
+
+    # flags in another order than the parser's, and every optional one
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                ["--format", fmt, "--scheduler", scheduler, "--protocol", protocol]
+                for protocol, scheduler in PAIRINGS
+                for fmt in ("csv", "json")
+            ),
+            ["--init", "vector=1,0,1,1", "--protocol", "flip"],
+            ["--protocol", "timeopt", "--init", "vector=0,1,1,0", "--format", "json"],
+            ["--p", "9", "--protocol", "gros", "--scheduler", "uniform"],
+            ["--max-interactions", "40", "--protocol", "flip", "--seed", "5"],
+            [
+                "--protocol", "gros", "--scheduler", "roundrobin", "--init", "worst",
+                "--max-interactions", "3000", "--p", "6", "--format", "json",
+            ],
+        ],
+    )
+    def test_command_column_reruns_the_same_bytes(self, capsys, argv):
+        code, out, err = invoke(capsys, "simulate", "--n", "4", "--trials", "3", *argv)
+        assert (code, err) == (0, "")
+        if "json" in argv:
+            (row,) = json.loads(out)
+        else:
+            row = next(csv.DictReader(io.StringIO(out)))
+        command = row["command"].split()
+        flags = command[1::2]
+        assert command[0] == "simulate"
+        assert flags == sorted(flags, key=SIMULATE_FLAGS.index)
+        assert set(SIMULATE_FLAGS[:7]) <= set(flags)
+        assert invoke(capsys, *command) == (0, out, "")
 
     def test_output_is_deterministic(self, capsys):
         _, first, _ = invoke(capsys, *SIMULATE_ARGS)

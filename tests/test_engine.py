@@ -196,13 +196,13 @@ class TestStopAndLimits:
 
     def test_resolve_forms(self):
         stop = StopCondition(StopKind.MAX_INTERACTIONS, 50)
-        assert resolve_limits(ProtocolId.FLIP, 4, stop) == (UNBOUNDED, 50, False)
+        assert resolve_limits(ProtocolId.FLIP, 4, stop) == (UNBOUNDED, 50)
         stop = StopCondition(StopKind.COUNT_REACHES_N, 70)
-        assert resolve_limits(ProtocolId.FLIP, 4, stop) == (UNBOUNDED, 70, True)
-        budget, cap, halt = resolve_limits(
+        assert resolve_limits(ProtocolId.FLIP, 4, stop) == (UNBOUNDED, 70)
+        budget, cap = resolve_limits(
             ProtocolId.FLIP, 4, StopCondition(StopKind.COUNT_REACHES_N)
         )
-        assert halt and budget == default_budget(ProtocolId.FLIP, 4)
+        assert budget == default_budget(ProtocolId.FLIP, 4)
         assert cap == 64 + 8 * 5 * budget
 
     def test_default_budgets(self):

@@ -1742,7 +1742,7 @@ class TestSpecValidation:
         # Every cycle flips every mark.  Exactly the 2n starts 0^a 1^b and
         # 1^a 0^b converge; every other start runs its whole budget, which
         # is why flip above FLIP_MAX_N needs a bound under round-robin too.
-        budget, cap, _ = resolve_limits(ProtocolId.FLIP, n, experiments.NATURAL_STOP)
+        budget, cap = resolve_limits(ProtocolId.FLIP, n, experiments.NATURAL_STOP)
         blocks = {
             tuple([x] * a + [1 - x] * (n - a)) for x in (0, 1) for a in range(n + 1)
         }
@@ -1817,6 +1817,38 @@ class TestAdversarialNaming:
         assert subset_start(4, 0b0101) == [1, 3, 0, 0]
         assert subset_start(3, 0) == [0, 0, 0]
         assert subset_start(3, 0b111) == [1, 2, 3]
+
+
+class TestNamingSilenceCheck:
+    # With a tally blind to homonyms, a naming loop takes a start or a
+    # run with a shared name for silence; each loop checks the names
+    # themselves before it reports a run as silent.
+    @pytest.mark.parametrize("scheduler", PAIR_SCHEDULERS)
+    @pytest.mark.parametrize(
+        "start,left",
+        [((1, 1, 2, 3), r"\[1, 1, 2, 3\]"), ((0, 2, 2, 3), r"\[.*\]")],
+        ids=["silent-start", "run"],
+    )
+    def test_a_blind_name_tally_breaks_the_silence_check(
+        self, monkeypatch, scheduler, start, left
+    ):
+        real_tally = kernels._name_tally
+
+        def blind_tally(names, bound):
+            return real_tally(names, bound)[0], 0
+
+        monkeypatch.setattr(kernels, "_name_tally", blind_tally)
+        spec = TrialBatchSpec(
+            protocol=ProtocolId.GROS_NAMING,
+            n=4,
+            trials=1,
+            scheduler=scheduler,
+            init=InitPolicy.EXPLICIT_VECTOR,
+            vector=start,
+        )
+        message = rf"^silent run left names {left} \(want 4 distinct non-sink\)$"
+        with pytest.raises(InvariantViolation, match=message):
+            run_trial(spec, 0)
 
 
 class TestStatisticalCrossChecks:

@@ -104,14 +104,18 @@ class TestFlipExpectation:
         with pytest.raises(ValueError):
             flip_hitting_times(0)
         with pytest.raises(ValueError):
+            flip_expected_recurrence(0)
+        with pytest.raises(ValueError):
             flip_hitting_law(0, 4)
         with pytest.raises(ValueError):
             flip_uniform_total_expected(0)
 
-    @given(st.integers(min_value=1, max_value=48))
-    @settings(max_examples=30, deadline=None)
-    def test_closed_form_equals_recurrence(self, n):
-        assert flip_expected_closed_form(n) == flip_expected_recurrence(n)
+    def test_closed_form_equals_recurrence(self):
+        for n in range(1, 301):
+            assert flip_expected_closed_form(n) == flip_expected_recurrence(n), n
+        # the whole list ends at the same value
+        for n in range(1, 61):
+            assert flip_hitting_times(n)[n] == flip_expected_recurrence(n), n
 
     def test_growth_is_eventually_doubling(self):
         # u_n / u_{n-1} -> 2; by n = 30 the ratio is already within 5%
