@@ -3,8 +3,11 @@
 Applies single protocol transitions to scheduler-chosen pairs, tracks run
 metrics, and drives executions to a stopping condition.  This is the
 reference implementation: it favours clarity over speed, and the batch
-kernels are tested against it step for step.  The bit protocols' invariant
-checks and their texts live here once, and the kernels raise them too.
+kernels are tested against it step for step.  A run's start is checked
+whole when it is built; each successor is checked only on the values its
+step wrote, with the same predicate and texts.  The bit protocols'
+invariant checks and their texts live here once, and the kernels raise
+them too.
 """
 
 import math
@@ -84,37 +87,52 @@ _PROTOCOLS = {
 }
 
 
+def _check_mobile(bst: BstState, value) -> None:
+    """Raise unless `value` lies in the mobiles' state space that `bst`
+    fixes: names in [0, bound) under a GrosBst, marks 0 or 1 (`value in
+    (0, 1)`, so True passes) under the bit protocols' records."""
+    if isinstance(bst, GrosBst):
+        if not 0 <= value < bst.bound:
+            raise ValueError(f"name {value} outside [0, {bst.bound}) state space")
+    elif value not in (0, 1):
+        raise ValueError("marks must all be 0 or 1")
+
+
 @dataclass(frozen=True)
 class Configuration:
     """One global state: the base station plus n >= 1 mobile agents.
 
     The base station's type fixes the mobiles' state space: names in
     [0, bound) under a GrosBst, marks 0 or 1 under the bit protocols'
-    records.  Mobiles are stored as raw ints; they are anonymous, the index
-    only serves scheduling.
+    records.  Construction checks every mobile; the engine's successors
+    (`_successor`) are checked only on the values their step wrote, the
+    rest being their predecessor's.  Mobiles are stored as raw ints; they
+    are anonymous, the index only serves scheduling.
     """
 
     bst: BstState
     mobiles: tuple[int, ...]
 
     def __post_init__(self):
-        mobiles = self.mobiles
-        if len(mobiles) < 1:
+        if len(self.mobiles) < 1:
             raise ValueError("a configuration needs at least one mobile agent")
-        if isinstance(self.bst, GrosBst):
-            bound = self.bst.bound
-            for value in mobiles:
-                if not 0 <= value < bound:
-                    raise ValueError(
-                        f"name {value} outside [0, {bound}) state space"
-                    )
-        # `value in (0, 1)` for every mark, counted at C speed
-        elif len(mobiles) - mobiles.count(0) - mobiles.count(1):
-            raise ValueError("marks must all be 0 or 1")
+        for value in self.mobiles:
+            _check_mobile(self.bst, value)
 
     @property
     def n(self) -> int:
         return len(self.mobiles)
+
+
+def _successor(bst: BstState, mobiles: tuple[int, ...]) -> Configuration:
+    """A Configuration built without __post_init__'s scan: the caller has
+    checked each value it changed from a checked configuration of the same
+    state space."""
+    config = object.__new__(Configuration)
+    attrs = config.__dict__
+    attrs["bst"] = bst
+    attrs["mobiles"] = mobiles
+    return config
 
 
 def initial_configuration(
@@ -187,16 +205,19 @@ def _apply(protocol: ProtocolId, bst_rule, config: Configuration, pair):
         bst, new_value = bst_rule(config.bst, value)
         if new_value == value and bst == config.bst:
             return config, False, True
+        _check_mobile(bst, new_value)
         new_mobiles = mobiles[:b] + (new_value,) + mobiles[b + 1 :]
-        return Configuration(bst, new_mobiles), True, True
+        return _successor(bst, new_mobiles), True, True
 
     if protocol is ProtocolId.GROS_NAMING:
         s1, s2 = protocols.gros_mobile_step(mobiles[a], mobiles[b])
         if (s1, s2) == (mobiles[a], mobiles[b]):
             return config, False, False
+        _check_mobile(config.bst, s1)
+        _check_mobile(config.bst, s2)
         items = list(mobiles)
         items[a], items[b] = s1, s2
-        return Configuration(config.bst, tuple(items)), True, False
+        return _successor(config.bst, tuple(items)), True, False
 
     # The bit protocols have no mobile/mobile rule.
     return config, False, False
@@ -352,25 +373,28 @@ def run(
     if protocol is ProtocolId.GROS_NAMING and kind is SchedulerKind.BST_ONLY:
         raise ValueError(NAMING_NEEDS_PAIRS)
     n = config.n
-    bit = protocol is not ProtocolId.GROS_NAMING
+    naming = protocol is ProtocolId.GROS_NAMING
+    phased = protocol is ProtocolId.TIME_OPT
+    next_pair = scheduler.next_pair
     metric_budget, total_cap = resolve_limits(protocol, n, stop)
     halt_on_predicate = stop.kind is StopKind.COUNT_REACHES_N
 
     total = bst_count = non_null = 0
     conv_bst: int | None = None
     conv_nn: int | None = None
-    phase_flips = 0 if protocol is ProtocolId.TIME_OPT else None
+    phase_flips = 0 if phased else None
+    # the base station of the last configuration checked, and its count
+    prev_bst, prev_c = config.bst, _count(config)
 
-    if _count(config) == n:
+    if prev_c == n:
         conv_bst, conv_nn = 0, 0
 
     while (
         total < total_cap
-        and (bst_count if bit else non_null) < metric_budget
+        and (non_null if naming else bst_count) < metric_budget
         and not (halt_on_predicate and conv_bst is not None)
     ):
-        prev_bst = config.bst
-        pair = scheduler.next_pair(config)
+        pair = next_pair(config)
         config, was_non_null, with_bst = _apply(protocol, bst_rule, config, pair)
         total += 1
         bst_count += with_bst
@@ -380,17 +404,24 @@ def run(
         if not was_non_null and total > 1:
             continue
 
-        if check_invariants and bit:
-            bst, ones = config.bst, sum(config.mobiles)
-            if _counters_broken(n, bst.c, prev_bst.c, bst.c0, bst.c1, ones):
-                raise _counter_error(n, bst.c0, bst.c1, ones)
-        if protocol is ProtocolId.TIME_OPT and config.bst.phase != prev_bst.phase:
-            phase_flips += 1
-            stranded = prev_bst.c0 if prev_bst.phase == 0 else prev_bst.c1
-            if check_invariants and stranded != 0:
-                raise _credit_error(stranded)
+        if naming:
+            c = _count(config)
+        else:
+            bst = config.bst
+            c0, c1 = bst.c0, bst.c1
+            c = c0 + c1
+            if check_invariants:
+                ones = sum(config.mobiles)
+                if _counters_broken(n, c, prev_c, c0, c1, ones):
+                    raise _counter_error(n, c0, c1, ones)
+            if phased and bst.phase != prev_bst.phase:
+                phase_flips += 1
+                stranded = prev_bst.c0 if prev_bst.phase == 0 else prev_bst.c1
+                if check_invariants and stranded != 0:
+                    raise _credit_error(stranded)
+            prev_bst, prev_c = bst, c
 
-        if conv_bst is None and _count(config) == n:
+        if conv_bst is None and c == n:
             conv_bst, conv_nn = bst_count, non_null
 
     record = RunRecord(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from popcountlab import engine
+from popcountlab import engine, protocols
 from popcountlab.engine import (
     BST,
     Configuration,
@@ -92,6 +92,10 @@ class TestConfiguration:
             initial_configuration(ProtocolId.GROS_NAMING, [0, -1])
 
 
+# the text of a name one past the last of bound 3 (n = 2)
+NAME_3_OUTSIDE = r"^name 3 outside \[0, 3\) state space$"
+
+
 class TestApplyInteraction:
     def test_bst_must_come_first(self):
         config = initial_configuration(ProtocolId.FLIP, [0, 0])
@@ -116,9 +120,10 @@ class TestApplyInteraction:
                 apply_interaction(ProtocolId.GROS_NAMING, config, pair)
 
     @pytest.mark.parametrize("through_run", [False, True], ids=["apply", "run"])
-    def test_a_rule_that_leaves_the_bits_fails(self, through_run):
+    @pytest.mark.parametrize("mark", [2, -1, 0.5, None, [0]])
+    def test_a_rule_that_leaves_the_bits_fails(self, through_run, mark):
         # every successor is checked like a configuration built by hand
-        bad = (FlipBst, lambda bst, mark: (flip_step(bst, mark)[0], 2))
+        bad = (FlipBst, lambda bst, old: (flip_step(bst, old)[0], mark))
         config = initial_configuration(ProtocolId.FLIP, [0, 0])
         scheduler = make_scheduler(SchedulerKind.BST_ONLY, seed=0)
         stop = StopCondition(StopKind.COUNT_REACHES_N)
@@ -128,6 +133,53 @@ class TestApplyInteraction:
                     run(ProtocolId.FLIP, scheduler, config, stop)
                 else:
                     apply_interaction(ProtocolId.FLIP, config, (BST, 0))
+
+    def test_a_rule_that_writes_true_passes(self):
+        # True == 1, as construction accepts it
+        def as_bool(bst, old):
+            bst, mark = flip_step(bst, old)
+            return bst, mark == 1
+
+        config = initial_configuration(ProtocolId.FLIP, [0, 0])
+        scheduler = make_scheduler(SchedulerKind.BST_ONLY, seed=0)
+        stop = StopCondition(StopKind.COUNT_REACHES_N)
+        bools = (FlipBst, as_bool)
+        with mock.patch.dict(engine._PROTOCOLS, {ProtocolId.FLIP: bools}):
+            after, _, _ = apply_interaction(ProtocolId.FLIP, config, (BST, 0))
+            _, record = run(ProtocolId.FLIP, scheduler, config, stop)
+        assert after.mobiles == (True, 0)
+        assert record.converged
+
+    @pytest.mark.parametrize("through_run", [False, True], ids=["apply", "run"])
+    def test_a_base_station_rule_that_leaves_the_names_fails(self, through_run):
+        # the named agent gets the bound itself, one past the last name
+        bad = (GrosBst, lambda bst, name: (bst, bst.bound))
+        config = initial_configuration(ProtocolId.GROS_NAMING, [0, 0])
+        stop = StopCondition(StopKind.COUNT_REACHES_N)
+        with mock.patch.dict(engine._PROTOCOLS, {ProtocolId.GROS_NAMING: bad}):
+            with pytest.raises(ValueError, match=NAME_3_OUTSIDE):
+                if through_run:
+                    scheduler = make_scheduler(SchedulerKind.ROUND_ROBIN)
+                    run(ProtocolId.GROS_NAMING, scheduler, config, stop)
+                else:
+                    apply_interaction(ProtocolId.GROS_NAMING, config, (BST, 0))
+
+    @pytest.mark.parametrize("through_run", [False, True], ids=["apply", "run"])
+    @pytest.mark.parametrize("side", [0, 1], ids=["first", "second"])
+    def test_a_mobile_rule_that_leaves_the_names_fails(self, through_run, side):
+        # a homonym pair where one side gets the bound, one past the last name
+        def bad(s1, s2):
+            return (3, s2) if side == 0 else (s1, 3)
+
+        config = initial_configuration(ProtocolId.GROS_NAMING, [1, 1])
+        stop = StopCondition(StopKind.COUNT_REACHES_N)
+        with mock.patch.object(protocols, "gros_mobile_step", bad):
+            with pytest.raises(ValueError, match=NAME_3_OUTSIDE):
+                if through_run:
+                    scheduler = make_scheduler(SchedulerKind.ROUND_ROBIN)
+                    run(ProtocolId.GROS_NAMING, scheduler, config, stop)
+                else:
+                    apply_interaction(ProtocolId.GROS_NAMING, config, (0, 1))
 
     def test_null_returns_the_same_object(self):
         config = initial_configuration(ProtocolId.FLIP, [0, 1])

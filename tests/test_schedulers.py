@@ -1,6 +1,10 @@
 """Scheduler contracts: documented stream consumption, fairness shapes,
 and the adversarial schedule's selection rules."""
 
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,6 +12,7 @@ from scipy import stats
 from popcountlab.engine import BST, initial_configuration
 from popcountlab.protocols import ProtocolId
 from popcountlab.schedulers import (
+    READ_AHEAD,
     BstOnlyScheduler,
     IncompatibleProtocol,
     RoundRobinScheduler,
@@ -53,7 +58,8 @@ class TestBstOnly:
         config = initial_configuration(ProtocolId.FLIP, [0] * 6)
         scheduler = BstOnlyScheduler(seed=77)
         replay = np.random.default_rng(77)
-        for _ in range(200):
+        # 1000 draws cross several READ_AHEAD block refills
+        for _ in range(1000):
             assert scheduler.next_pair(config) == (BST, int(replay.random() * 6))
 
 
@@ -148,11 +154,39 @@ def test_make_scheduler_kinds():
     )
 
 
-def test_make_scheduler_accepts_a_generator():
+@pytest.mark.parametrize(
+    "kind", [SchedulerKind.BST_ONLY, SchedulerKind.UNIFORM_PAIR], ids=["bst", "uniform"]
+)
+def test_a_dropped_scheduler_is_freed_without_the_cycle_collector(kind):
+    # a scheduler and its read-ahead stream form no reference cycle
+    config = initial_configuration(ProtocolId.FLIP, [0] * 3)
+    scheduler = make_scheduler(kind, 5)
+    scheduler.next_pair(config)
+    ref = weakref.ref(scheduler)
+    gc.disable()
+    try:
+        del scheduler
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "kind, doubles_per_draw",
+    [(SchedulerKind.BST_ONLY, 1), (SchedulerKind.UNIFORM_PAIR, 2)],
+    ids=["bst", "uniform"],
+)
+def test_make_scheduler_accepts_a_generator(kind, doubles_per_draw):
+    # 600 draws take several READ_AHEAD blocks, so refills are crossed
     config = initial_configuration(ProtocolId.FLIP, [0] * 3)
     rng = np.random.default_rng(4)
-    shared = make_scheduler(SchedulerKind.BST_ONLY, rng)
-    fresh = make_scheduler(SchedulerKind.BST_ONLY, 4)
-    assert [shared.next_pair(config) for _ in range(20)] == [
-        fresh.next_pair(config) for _ in range(20)
+    shared = make_scheduler(kind, rng)
+    fresh = make_scheduler(kind, 4)
+    draws = 600
+    assert [shared.next_pair(config) for _ in range(draws)] == [
+        fresh.next_pair(config) for _ in range(draws)
     ]
+    # the shared generator has advanced past the doubles used, to the end
+    # of the last block read
+    read = math.ceil(draws * doubles_per_draw / READ_AHEAD) * READ_AHEAD
+    assert rng.random() == np.random.default_rng(4).random(read + 1)[-1]
