@@ -8,7 +8,7 @@ parameter level; every check is deterministic in (level, seed).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,20 +30,6 @@ from .experiments import (
 )
 from .protocols import ProtocolId
 from .schedulers import SchedulerKind
-
-CHECK_NAMES = (
-    "oracle-identity",
-    "flip-mean-vs-exact",
-    "timeopt-convergence-scaling",
-    "timeopt-harmonic-floor",
-    "allflip-probability",
-    "run-invariants",
-    "timeopt-exact-vs-montecarlo",
-    "adversarial-worst-case-range",
-    "naming-sequence",
-    "terminal-naming",
-)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -125,7 +111,7 @@ class _RunFailed(Exception):
 
 
 @dataclass
-class _Instrumentation:
+class Instrumentation:
     """Counts every instrumented run so the invariant check can report how
     much evidence backs it, and keeps every run failure by its kind."""
 
@@ -145,6 +131,29 @@ class _Instrumentation:
             raise _RunFailed(failures[-1]) from exc
         self.trials += trials
         return out
+
+
+# The paper's claims as spec templates, which scripts/paper_claims.py prints
+# too: the bit protocols run under bst-only pairs, whose meetings follow the
+# uniform-pair law, and naming under the adversary from its worst start.
+# Each batch fills in its size, trials and seed.
+FLIP = TrialBatchSpec(ProtocolId.FLIP, 1, 1)
+PHASED = TrialBatchSpec(ProtocolId.TIME_OPT, 1, 1, init=InitPolicy.UNIFORM_RANDOM_MARKS)
+NAMING = TrialBatchSpec(
+    ProtocolId.GROS_NAMING, 1, 1, SchedulerKind.WEAK_ADVERSARIAL,
+    InitPolicy.WORST_CASE_UNNAMED,
+)
+
+
+def run_batches(inst, where, template, sizes, seed, key):
+    """A batch of `template` for each (n, trials) in `sizes`, seeded
+    derive_seed(seed, key, n): yields n, the batch's BST-meeting stats and
+    the exact mean they estimate.  Only the summary is kept, so that one
+    batch's columns are freed before the next batch is run."""
+    for n, trials in sizes:
+        spec = replace(template, n=n, trials=trials, seed=derive_seed(seed, key, n))
+        summary = inst.run(f"{where} n={n}", trials, run_batch, spec).summary
+        yield n, summary.bst_interactions, exact_mean(spec)
 
 
 def _adversarial_run(inst, where, trials, start):
@@ -175,19 +184,8 @@ def _check_flip_mean(params, seed, inst, shared):
     sizes = [(n, params.flip_trials_small if n <= 8 else params.flip_trials_large)
              for n in params.flip_ns]
     sizes += [(n, params.flip_extra_trials) for n in params.flip_extra_ns]
-    for n, trials in sizes:
-        spec = TrialBatchSpec(
-            protocol=ProtocolId.FLIP,
-            n=n,
-            trials=trials,
-            scheduler=SchedulerKind.BST_ONLY,
-            init=InitPolicy.ALL_ZERO,
-            seed=derive_seed(seed, 2, n),
-        )
-        stats = inst.run(
-            f"flip n={n}", trials, run_batch, spec
-        ).summary.bst_interactions
-        expected = float(exact_mean(spec))
+    for n, stats, exact in run_batches(inst, "flip", FLIP, sizes, seed, 2):
+        expected = float(exact)
         tolerance = max(3 * stats.standard_error, 0.02 * expected)
         ratio = abs(stats.mean - expected) / tolerance
         if ratio > worst_ratio:
@@ -200,12 +198,8 @@ def _check_flip_mean(params, seed, inst, shared):
 
 
 def _check_timeopt_scaling(params, seed, inst, shared):
-    base = TrialBatchSpec(
-        protocol=ProtocolId.TIME_OPT,
-        n=params.timeopt_ns[0],
-        trials=params.timeopt_trials,
-        scheduler=SchedulerKind.BST_ONLY,
-        init=InitPolicy.UNIFORM_RANDOM_MARKS,
+    base = replace(
+        PHASED, n=params.timeopt_ns[0], trials=params.timeopt_trials,
         seed=derive_seed(seed, 3),
     )
     trials = params.timeopt_trials * len(params.timeopt_ns)
@@ -272,23 +266,11 @@ def _check_allflip(params, seed, inst, shared):
 
 
 def _check_exact_vs_mc(params, seed, inst, shared):
-    gaps = []
-    for n in params.exact_ns:
-        spec = TrialBatchSpec(
-            protocol=ProtocolId.TIME_OPT,
-            n=n,
-            trials=params.exact_trials,
-            scheduler=SchedulerKind.BST_ONLY,
-            init=InitPolicy.UNIFORM_RANDOM_MARKS,
-            seed=derive_seed(seed, 7, n),
-        )
-        # keep only the summary, so that one batch's columns are freed
-        # before the next batch is run; no RunRecord is built
-        stats = inst.run(
-            f"exact-vs-mc n={n}", params.exact_trials, run_batch, spec
-        ).summary.bst_interactions
-        expected = float(exact_mean(spec))
-        gaps.append((n, abs(stats.mean - expected) / stats.standard_error))
+    sizes = [(n, params.exact_trials) for n in params.exact_ns]
+    gaps = [
+        (n, abs(stats.mean - float(exact)) / stats.standard_error)
+        for n, stats, exact in run_batches(inst, "exact-vs-mc", PHASED, sizes, seed, 7)
+    ]
     shown = ", ".join(f"n={n}: {g:.2f}SE" for n, g in gaps)
     return (
         all(g <= 3.0 for _, g in gaps),
@@ -386,20 +368,20 @@ def _check_invariants(params, seed, inst, shared):
     return True, f"zero violations across {inst.trials} instrumented runs"
 
 
-# check name -> check, in run order: run-invariants comes last so that it
-# sees every run
+# check name -> check, in report order
 _CHECKS = {
     "oracle-identity": _check_oracle_identity,
     "flip-mean-vs-exact": _check_flip_mean,
     "timeopt-convergence-scaling": _check_timeopt_scaling,
     "timeopt-harmonic-floor": _check_harmonic_floor,
     "allflip-probability": _check_allflip,
+    "run-invariants": _check_invariants,
     "timeopt-exact-vs-montecarlo": _check_exact_vs_mc,
     "adversarial-worst-case-range": _check_worst_case_range,
     "naming-sequence": _check_naming_sequence,
     "terminal-naming": _check_terminal_naming,
-    "run-invariants": _check_invariants,
 }
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_all(level: str, seed: int) -> list[CheckResult]:
@@ -408,12 +390,13 @@ def run_all(level: str, seed: int) -> list[CheckResult]:
     if level not in PARAMS:
         raise ValueError(f"unknown level {level!r}, pick one of {sorted(PARAMS)}")
     params = PARAMS[level]
-    inst = _Instrumentation()
+    inst = Instrumentation()
     shared = {}
     results = {}
-    for name, check in _CHECKS.items():
+    # run-invariants runs last, so that it sees every run
+    for name in sorted(_CHECKS, key="run-invariants".__eq__):
         try:
-            passed, detail = check(params, seed, inst, shared)
+            passed, detail = _CHECKS[name](params, seed, inst, shared)
         except _RunFailed as exc:
             passed, detail = False, str(exc)
         results[name] = CheckResult(name, passed, detail)

@@ -264,6 +264,11 @@ def _harmonic_denominator_bits(n: int) -> int:
     return max(2 * m // 3 - (2 * m + 1).bit_length() - small_prime_powers, 0)
 
 
+def _gros_length_bits(n: int) -> int:
+    """2^n - 1 >= 2^(n-1)."""
+    return n - 1
+
+
 def _unbounded(_: int) -> int:
     return 0
 
@@ -275,7 +280,7 @@ _ORACLES = {
     "flip-closed": (oracle.flip_expected_closed_form, "n", _flip_numerator_bits),
     "flip-recurrence": (oracle.flip_expected_recurrence, "n", _flip_numerator_bits),
     "gros-term": (oracle.gros_term, "k", _unbounded),
-    "gros-length": (oracle.gros_length, "n", _unbounded),
+    "gros-length": (oracle.gros_length, "n", _gros_length_bits),
     "harmonic": (oracle.harmonic_bound, "n", _harmonic_denominator_bits),
     "timeopt-exact": (oracle.timeopt_exact_expected, "n", _unbounded),
 }

@@ -56,13 +56,13 @@ class TestOracleCommand:
         code, _, err = invoke(capsys, "oracle", "--which", "timeopt-exact", "--n", "9")
         assert code == 1 and "exact solve" in err
 
-    # the first three values are past Python's default 4300 digits by a
+    # the first five values are past Python's default 4300 digits by a
     # proven bound and are refused before they are computed, which would
-    # take a minute or far longer; 2^20000 - 1 (6021 digits) is computed
-    # and refused in one line, and so is the flip value at n = 14000 by
-    # either route, past the limit but below the bound: computing it takes
-    # about a second (on a 2-core x86-64 machine), so it gets 5 s; a value
-    # under the limit prints
+    # take from seconds (2^(10^9) - 1: 5 s at a 449 MB peak) to far longer; the
+    # flip value at n = 14000 by either route is past the limit but below
+    # the bound, so it is computed and refused in one line: computing it
+    # takes about a second (on a 2-core x86-64 machine), so it gets 5 s; a
+    # value under the limit prints
     @pytest.mark.parametrize(
         "argv,code,stdout,seconds",
         [
@@ -70,6 +70,7 @@ class TestOracleCommand:
             (["flip-recurrence", "--n", "20000"], 1, "", 2.0),
             (["harmonic", "--n", "100000000"], 1, "", 2.0),
             (["gros-length", "--n", "20000"], 1, "", 2.0),
+            (["gros-length", "--n", "1000000000"], 1, "", 2.0),
             (["flip-closed", "--n", "14000"], 1, "", 5.0),
             (["flip-recurrence", "--n", "14000"], 1, "", 5.0),
             (
@@ -84,6 +85,7 @@ class TestOracleCommand:
             "flip-recurrence",
             "harmonic",
             "gros-length",
+            "gros-length-huge",
             "flip-closed-computed",
             "flip-recurrence-computed",
             "printed",

@@ -1,6 +1,7 @@
 """The paper-claims script: a tiny run prints every claim's rows against the
 references the library gives, and a bad value fails in one line."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,6 +11,10 @@ from popcountlab import InitPolicy, ProtocolId, TrialBatchSpec, harmonic_bound
 from popcountlab.experiments import exact_mean
 
 ROOT = Path(__file__).resolve().parent.parent
+# sha256 of `paper_claims.py --max-n 16 --trials 200` stdout
+CLAIMS_MAX_N16_TRIALS200_SHA256 = (
+    "fbfa00367cf1f654cfec66c4795bc882f8a817dc0e1a1bc8f0a410235c86ee75"
+)
 
 
 def start_claims(*args):
@@ -40,6 +45,9 @@ def test_every_claim_prints_its_rows_against_its_reference():
             exact[protocol, n] = f"{float(exact_mean(spec)):.6g}"
     out, err = claims.communicate(timeout=300)
     assert claims.returncode == 0, err
+    # pinned byte for byte; the table is the same for every worker count
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == CLAIMS_MAX_N16_TRIALS200_SHA256
     tables = {}  # claim -> its rows, split into fields
     for line in out.splitlines():
         if not line.startswith(" "):
@@ -62,8 +70,14 @@ def test_every_claim_prints_its_rows_against_its_reference():
     assert ratio[0] == "mean/(n*H_n)" and 3 < float(ratio[1]) < 5
 
 
-def test_a_bad_value_exits_two_in_one_line():
+def test_a_bad_value_exits_two_in_one_line(monkeypatch):
     claims = start_claims("--trials", "0")
     out, err = claims.communicate(timeout=60)
     assert claims.returncode == 2 and out == ""
     assert err.count("\n") == 1 and "--trials" in err
+    # so does a bad worker count, read before the first batch
+    monkeypatch.setenv("POPCOUNT_THREADS", "abc")
+    claims = start_claims()
+    out, err = claims.communicate(timeout=60)
+    assert (claims.returncode, out) == (2, "")
+    assert err == "paper_claims.py: error: POPCOUNT_THREADS must be an integer, got 'abc'\n"
