@@ -190,18 +190,16 @@ def cmd_simulate(args) -> int:
             bound=args.p,
             stop=stop,
         )
-    except ValueError as exc:
-        print(f"popcountlab simulate: error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         result = run_batch(spec)
     except AllTrialsTruncated as exc:
         print(f"popcountlab simulate: {exc}", file=sys.stderr)
         return 2
-    # MemoryError: a batch's columns too large to allocate
+    # MemoryError: a batch's columns too large to allocate, with numpy's
+    # text, or a list of n agents or p names, with none
     except (ValueError, MemoryError) as exc:
-        print(f"popcountlab simulate: error: {exc}", file=sys.stderr)
+        sizes = f"n = {args.n}" + (f", p = {args.p}" if args.p else "")
+        text = str(exc) or f"out of memory at {sizes}"
+        print(f"popcountlab simulate: error: {text}", file=sys.stderr)
         return 1
 
     row = _summary_row(args, spec, result.summary)

@@ -12,10 +12,10 @@ setup.
 
 run_trial sends every (protocol, scheduler) pairing that stops at its
 count reaching n through a kernel: the bit protocols through an event
-source and a stepping loop, naming under uniform and round-robin pairs
-through one naming loop (kernels._step_gros), and naming under the
-adversarial schedule through its own.  engine.run, the reference, takes
-force_engine and StopKind.MAX_INTERACTIONS.
+source and a stepping loop, and naming through one naming loop
+(kernels._step_gros) fed by one of three pair sources, uniform pairs,
+round-robin pairs or the adversarial schedule.  engine.run, the
+reference, takes force_engine and StopKind.MAX_INTERACTIONS.
 
 Large BST-only batches of the phased protocol below
 kernels.TIMEOPT_BLOCK_MIN_N agents, and of flip below kernels.FLIP_BLOCK_MIN_N,
@@ -38,6 +38,7 @@ they are read.
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum, unique
 from fractions import Fraction
@@ -118,6 +119,9 @@ class TrialBatchSpec:
     def __post_init__(self):
         seed = _checked_batch(self.n, self.trials, self.seed)
         object.__setattr__(self, "seed", seed)
+        for what, size in (("n", self.n), ("the name bound p", self.bound or 0)):
+            if size > sys.maxsize:
+                raise ValueError(f"{what} = {size} is past the list size limit, {sys.maxsize}")
         gros = self.protocol is ProtocolId.GROS_NAMING
         if self.init is InitPolicy.EXPLICIT_VECTOR:
             if self.vector is None or len(self.vector) != self.n:

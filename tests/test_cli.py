@@ -437,6 +437,42 @@ class TestSimulateCommand:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # a list of 2^62 agents or name counts is refused at once,
+            # before anything is allocated, by a MemoryError with no text
+            (
+                ["--protocol", "flip", "--n", str(2**62), "--max-interactions", "5"],
+                f"out of memory at n = {2**62}",
+            ),
+            (
+                ["--protocol", "gros", "--scheduler", "uniform", "--n", "4",
+                 "--p", str(2**62)],
+                f"out of memory at n = 4, p = {2**62}",
+            ),
+            # past sys.maxsize no list length is possible at all
+            (
+                ["--protocol", "flip", "--n", str(10**20), "--max-interactions", "5"],
+                f"n = {10**20} is past the list size limit, {sys.maxsize}",
+            ),
+            (
+                ["--protocol", "gros", "--scheduler", "uniform", "--n", "4",
+                 "--p", str(10**20)],
+                f"the name bound p = {10**20} is past the list size limit, {sys.maxsize}",
+            ),
+        ],
+        ids=["n-2^62", "p-2^62", "n-10^20", "p-10^20"],
+    )
+    def test_population_or_name_bound_too_large_to_hold_exits_one(
+        self, capsys, argv, message
+    ):
+        started = time.perf_counter()
+        code, out, err = invoke(capsys, "simulate", *argv)
+        assert time.perf_counter() - started < 2
+        assert code == 1 and out == ""
+        assert err == f"popcountlab simulate: error: {message}\n"
+
+    @pytest.mark.parametrize(
         "protocol,scheduler,stop",
         [
             ("gros", "adversarial", StopCondition(StopKind.COUNT_REACHES_N, 500)),

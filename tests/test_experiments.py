@@ -22,7 +22,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from popcountlab import experiments, kernels, oracle, protocols
+from popcountlab import engine, experiments, kernels, oracle, protocols
 
 from popcountlab.engine import (
     InvariantViolation,
@@ -51,7 +51,7 @@ from popcountlab.experiments import (
 )
 from popcountlab.oracle import Intractable
 from popcountlab.protocols import NameOverflow, ProtocolId
-from popcountlab.schedulers import SchedulerKind
+from popcountlab.schedulers import SchedulerKind, WeakAdversarialScheduler
 
 REPLAY_CASES = [
     (ProtocolId.FLIP, SchedulerKind.BST_ONLY, InitPolicy.ALL_ZERO),
@@ -331,10 +331,9 @@ class TestReplayEquality:
         seed = data.draw(st.integers(0, 2 ** 32))
         outcomes = []
         for size in (1, 3, 32, 4096):
+            source = partial(kernels._blocks, pairs, size, trial_rng(seed, 0))
             try:
-                outcomes.append(
-                    kernels._step_gros(pairs, size, names, bound, trial_rng(seed, 0), *limits)
-                )
+                outcomes.append(kernels._step_gros(source, names, bound, *limits))
             except NameOverflow as exc:
                 outcomes.append(str(exc))
         assert outcomes[1:] == outcomes[:-1]
@@ -1809,6 +1808,59 @@ class TestAdversarialNaming:
     def test_sweep_validation(self):
         with pytest.raises(Intractable):
             sweep_worst_unnamed(17)
+
+    def test_every_swept_start_keeps_its_record_and_names(self):
+        # sha256 over repr((record fields, final names)) of every start the
+        # sweep enumerates at n = 1-9, in sweep order
+        digest = hashlib.sha256()
+        for n in range(1, 10):
+            limits = resolve_limits(ProtocolId.GROS_NAMING, n, experiments.NATURAL_STOP)
+            for mask in range(2 ** n - 1):
+                record, names = kernels.simulate_gros_adversarial(
+                    subset_start(n, mask), n + 1, *limits
+                )
+                digest.update(repr((tuple(vars(record).values()), names)).encode())
+        assert digest.hexdigest() == (
+            "97be44a88b93e383a068e14149f3adc16532664c366d7ef65c8d6211a9405a02"
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_the_pair_source_is_the_schedulers_schedule(self, data):
+        # step for step, with engine.BST as index n, until silence, a name
+        # overflow or the cap
+        n = data.draw(st.integers(1, 8))
+        bound = data.draw(st.integers(1, n + 2))
+        names = data.draw(st.lists(st.integers(0, bound - 1), min_size=n, max_size=n))
+        stop = StopCondition(
+            StopKind.COUNT_REACHES_N, data.draw(st.sampled_from([None, 1, 2, 5, 31]))
+        )
+        limits = resolve_limits(ProtocolId.GROS_NAMING, n, stop)
+        kernel_pairs, engine_pairs = [], []
+
+        def source(names, counts):
+            for pair in kernels._adversary(names, counts):
+                kernel_pairs.append(pair)
+                yield pair
+
+        class Recording(WeakAdversarialScheduler):
+            def next_pair(self, config):
+                a, b = super().next_pair(config)
+                engine_pairs.append((n if a == engine.BST else a, b))
+                return a, b
+
+        config = engine.initial_configuration(ProtocolId.GROS_NAMING, names, bound=bound)
+        try:
+            kernel = kernels._step_gros(source, names, bound, *limits)
+        except NameOverflow as exc:
+            kernel = str(exc)
+        try:
+            final, record = engine.run(ProtocolId.GROS_NAMING, Recording(), config, stop)
+            reference = record, list(final.mobiles)
+        except NameOverflow as exc:
+            reference = str(exc)
+        assert kernel_pairs == engine_pairs
+        assert kernel == reference
 
     def test_worst_start_shape(self):
         assert worst_unnamed_start(4) == [0, 1, 2, 3]
