@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -416,6 +417,27 @@ class TestSimulateCommand:
             "3",
         )
         assert code == 2 and "converged" in err
+
+    @pytest.mark.parametrize("scheduler", ["roundrobin", "uniform", "adversarial"])
+    def test_bounded_naming_run_at_large_n_ends_at_once(self, scheduler):
+        # a bounded run costs what its bound allows, whatever n: the
+        # round-robin pairs are worked out from their slots, never from
+        # the cycle's 5 * 10^11 pairs.  The address-space limit makes a
+        # run that builds the cycle fail at once rather than fill memory
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        command = [
+            sys.executable, "-m", "popcountlab", "simulate", "--protocol", "gros",
+            "--scheduler", scheduler, "--n", "1000000", "--max-interactions", "5",
+        ]
+        started = time.perf_counter()
+        result = subprocess.run(
+            command, capture_output=True, text=True, preexec_fn=limit, timeout=60
+        )
+        assert time.perf_counter() - started < 2
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.count("\n") == 1 and "converged" in result.stderr
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_batch_too_large_to_allocate_exits_one(self, capsys, monkeypatch, threads):

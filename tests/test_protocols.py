@@ -81,6 +81,22 @@ class TestFlipStep:
         assert after.c >= before.c
         assert after.c == after.c0 + after.c1
 
+    @given(
+        st.integers(min_value=0, max_value=70),
+        st.integers(min_value=0, max_value=70),
+        st.sampled_from([0, 1, True]),
+    )
+    def test_memoized_rule_is_the_rule(self, c0, c1, mark):
+        bst = FlipBst(c0=c0, c1=c1)
+        assert flip_step(bst, mark) == flip_step.__wrapped__(bst, mark)
+
+    def test_memo_stays_bounded(self):
+        for c0 in range(70):
+            for c1 in range(70):
+                flip_step(FlipBst(c0=c0, c1=c1), 0)
+        info = flip_step.cache_info()
+        assert info.maxsize == 4096 and info.currsize <= 4096
+
 
 def _timeopt_states():
     return st.builds(
