@@ -5,9 +5,10 @@ metrics, and drives executions to a stopping condition.  This is the
 reference implementation: it favours clarity over speed, and the batch
 kernels are tested against it step for step.  A run's start is checked
 whole when it is built; each successor is checked only on the values its
-step wrote, with the same predicate and texts.  The bit protocols'
-invariant checks and their texts live here once, and the kernels raise
-them too.
+step wrote, with the same predicate and texts.  Configurations, like the
+base-station records, are frozen dataclasses with slots, and a successor
+is built through the two slot descriptors.  The bit protocols' invariant
+checks and their texts live here once, and the kernels raise them too.
 """
 
 import math
@@ -98,7 +99,7 @@ def _check_mobile(bst: BstState, value) -> None:
         raise ValueError("marks must all be 0 or 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     """One global state: the base station plus n >= 1 mobile agents.
 
@@ -107,7 +108,8 @@ class Configuration:
     records.  Construction checks every mobile; the engine's successors
     (`_successor`) are checked only on the values their step wrote, the
     rest being their predecessor's.  Mobiles are stored as raw ints; they
-    are anonymous, the index only serves scheduling.
+    are anonymous, the index only serves scheduling.  Frozen, with slots:
+    equal and hashable by value, with no per-instance __dict__.
     """
 
     bst: BstState
@@ -124,14 +126,19 @@ class Configuration:
         return len(self.mobiles)
 
 
+_new_object = object.__new__
+_set_bst = Configuration.bst.__set__
+_set_mobiles = Configuration.mobiles.__set__
+
+
 def _successor(bst: BstState, mobiles: tuple[int, ...]) -> Configuration:
     """A Configuration built without __post_init__'s scan: the caller has
     checked each value it changed from a checked configuration of the same
-    state space."""
-    config = object.__new__(Configuration)
-    attrs = config.__dict__
-    attrs["bst"] = bst
-    attrs["mobiles"] = mobiles
+    state space.  The fields are set through their slot descriptors, which
+    the frozen __setattr__ does not guard."""
+    config = _new_object(Configuration)
+    _set_bst(config, bst)
+    _set_mobiles(config, mobiles)
     return config
 
 

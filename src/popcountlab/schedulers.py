@@ -5,7 +5,8 @@ many doubles each draw consumes, in stream order, so the batch kernels can
 reproduce their streams without going through the engine.  They read ahead:
 the doubles come READ_AHEAD at a time, the first block at the first draw, so
 a generator shared with a scheduler has advanced past the doubles its draws
-used.  The deterministic schedulers keep only an internal cursor.
+used.  Of the deterministic schedulers, round-robin reads its cycle from a
+generator and the adversary keeps no state.
 """
 
 from enum import Enum, unique
@@ -79,7 +80,7 @@ class BstOnlyScheduler(_SeededScheduler):
     kind = SchedulerKind.BST_ONLY
 
     def next_pair(self, config: Configuration) -> tuple[int, int]:
-        return (BST, int(next(self._doubles) * config.n))
+        return (BST, int(next(self._doubles) * len(config.mobiles)))
 
 
 class UniformPairScheduler(_SeededScheduler):
@@ -94,7 +95,7 @@ class UniformPairScheduler(_SeededScheduler):
     kind = SchedulerKind.UNIFORM_PAIR
 
     def next_pair(self, config: Configuration) -> tuple[int, int]:
-        n = config.n
+        n = len(config.mobiles)
         doubles = self._doubles
         first = int(next(doubles) * (n + 1))
         second = int(next(doubles) * n)
@@ -107,27 +108,36 @@ class UniformPairScheduler(_SeededScheduler):
         return (first, second) if first < second else (second, first)
 
 
+def _roundrobin_cycle(n: int):
+    """RoundRobinScheduler's cycle over n mobiles, repeated without end:
+    the base station's pairs (BST, 0..n-1), then each mobile i's pairs
+    (i, i+1..n-1).  O(1) memory: the n(n+1)/2 pairs are never listed."""
+    while True:
+        for i in range(n):
+            yield (BST, i)
+        for i in range(n):
+            for j in range(i + 1, n):
+                yield (i, j)
+
+
 class RoundRobinScheduler(Scheduler):
     """Cycles through all pairs in a fixed order, a weak-fairness witness:
-    any window of C(n+1, 2) consecutive draws contains every pair once."""
+    any window of C(n+1, 2) consecutive draws contains every pair once.
+    The cycle is read from a generator, restarted at its first pair when
+    n changes, so a bounded run at any n costs only the pairs it draws."""
 
     kind = SchedulerKind.ROUND_ROBIN
 
     def __init__(self):
-        self._pairs: list[tuple[int, int]] = []
         self._n = 0
-        self._cursor = 0
+        self._pairs = iter(())
 
     def next_pair(self, config: Configuration) -> tuple[int, int]:
-        if config.n != self._n:
-            n = self._n = config.n
-            self._pairs = [(BST, i) for i in range(n)] + [
-                (i, j) for i in range(n) for j in range(i + 1, n)
-            ]
-            self._cursor = 0
-        pair = self._pairs[self._cursor]
-        self._cursor = (self._cursor + 1) % len(self._pairs)
-        return pair
+        n = len(config.mobiles)
+        if n != self._n:
+            self._n = n
+            self._pairs = _roundrobin_cycle(n)
+        return next(self._pairs)
 
 
 class WeakAdversarialScheduler(Scheduler):

@@ -1,7 +1,10 @@
 """Reference engine semantics: pair validation, null-by-default, silence,
 stop conditions, and run metrics."""
 
+import copy
+import dataclasses
 import math
+import pickle
 from unittest import mock
 
 import pytest
@@ -90,6 +93,39 @@ class TestConfiguration:
             initial_configuration(ProtocolId.GROS_NAMING, [0, 3], bound=3)
         with pytest.raises(ValueError):
             initial_configuration(ProtocolId.GROS_NAMING, [0, -1])
+
+
+# one record of each protocol, with mobiles from its state space
+_STARTS = [
+    (FlipBst(c0=2, c1=1), (0, 1, 1)),
+    (TimeOptBst(c0=1, c1=3, cnt=4, phase=1), (1, 1, 0, 1)),
+    (GrosBst(k=5, bound=9), (0, 3, 8)),
+]
+_STATES = [bst for bst, _ in _STARTS] + [Configuration(*start) for start in _STARTS]
+
+
+class TestSlottedStates:
+    @pytest.mark.parametrize("bst, mobiles", _STARTS)
+    def test_a_successor_is_the_configuration(self, bst, mobiles):
+        built = engine._successor(bst, mobiles)
+        assert type(built) is Configuration
+        assert built == Configuration(bst, mobiles)
+        assert hash(built) == hash(Configuration(bst, mobiles))
+
+    @pytest.mark.parametrize("state", _STATES)
+    def test_no_instance_has_a_dict(self, state):
+        assert not hasattr(state, "__dict__")
+
+    @pytest.mark.parametrize("state", _STATES)
+    def test_fields_stay_frozen(self, state):
+        field = dataclasses.fields(state)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(state, field, getattr(state, field))
+
+    @pytest.mark.parametrize("state", _STATES)
+    def test_copies_are_equal(self, state):
+        for copied in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+            assert copied == state and hash(copied) == hash(state)
 
 
 # the text of a name one past the last of bound 3 (n = 2)

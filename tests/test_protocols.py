@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from popcountlab import protocols
 from popcountlab.protocols import (
     SINK_NAME,
     FlipBst,
@@ -87,14 +88,15 @@ class TestFlipStep:
         st.sampled_from([0, 1, True]),
     )
     def test_memoized_rule_is_the_rule(self, c0, c1, mark):
-        bst = FlipBst(c0=c0, c1=c1)
-        assert flip_step(bst, mark) == flip_step.__wrapped__(bst, mark)
+        rule = protocols._flip_counters
+        assert flip_step(FlipBst(c0=c0, c1=c1), mark) == rule.__wrapped__(c0, c1, mark)
+        assert rule(c0, c1, mark) == rule.__wrapped__(c0, c1, mark)
 
     def test_memo_stays_bounded(self):
         for c0 in range(70):
             for c1 in range(70):
                 flip_step(FlipBst(c0=c0, c1=c1), 0)
-        info = flip_step.cache_info()
+        info = protocols._flip_counters.cache_info()
         assert info.maxsize == 4096 and info.currsize <= 4096
 
 
@@ -110,7 +112,34 @@ def _timeopt_states():
     )
 
 
+def _timeopt_reference(bst, mark):
+    """The phased rule with its conversion written through flip_step on a
+    FlipBst record, which the rule's int-keyed conversion must equal."""
+    c0, c1, cnt, phase = bst.c0, bst.c1, bst.cnt, bst.phase
+    if mark == phase:
+        counters, mark = flip_step(FlipBst(c0, c1), mark)
+        return TimeOptBst(counters.c0, counters.c1, cnt=0, phase=phase), mark
+    converted = c1 if phase == 0 else c0
+    remaining = c0 if phase == 0 else c1
+    if cnt >= phase_threshold(converted):
+        return TimeOptBst(c0, c1, cnt=0, phase=1 - phase), mark
+    if remaining == 0:
+        cnt += 1
+    return TimeOptBst(c0, c1, cnt=cnt, phase=phase), mark
+
+
 class TestTimeOptStep:
+    @given(
+        st.integers(min_value=0, max_value=70),
+        st.integers(min_value=0, max_value=70),
+        st.integers(min_value=0, max_value=200),
+        st.integers(min_value=0, max_value=1),
+        st.sampled_from([0, 1, True]),
+    )
+    def test_conversion_is_flips_rule(self, c0, c1, cnt, phase, mark):
+        bst = TimeOptBst(c0=c0, c1=c1, cnt=cnt, phase=phase)
+        assert timeopt_step(bst, mark) == _timeopt_reference(bst, mark)
+
     def test_conversion_resets_streak_and_flips_mark(self):
         bst, mark = timeopt_step(TimeOptBst(cnt=3), 0)
         assert mark == 1

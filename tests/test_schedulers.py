@@ -3,12 +3,19 @@ and the adversarial schedule's selection rules."""
 
 import gc
 import math
+import resource
+import subprocess
+import sys
+import time
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
+from popcountlab import kernels
 from popcountlab.engine import BST, initial_configuration
 from popcountlab.protocols import ProtocolId
 from popcountlab.schedulers import (
@@ -124,6 +131,53 @@ class TestRoundRobin:
         assert scheduler.next_pair(small) == (BST, 0)
         assert scheduler.next_pair(big) == (BST, 0)
         assert scheduler.next_pair(big) == (BST, 1)
+
+    @given(
+        st.integers(min_value=1, max_value=13),
+        st.integers(min_value=1, max_value=13),
+        st.integers(min_value=0, max_value=40),
+    )
+    def test_pairs_are_the_kernels_cycle(self, n, before, drawn_before):
+        # a scheduler that served another population first restarts at the
+        # cycle's first pair, one that served this one reads on; 3P + 5
+        # draws cross the cycle's end three times
+        scheduler = RoundRobinScheduler()
+        other = initial_configuration(ProtocolId.FLIP, [0] * before)
+        for _ in range(drawn_before):
+            scheduler.next_pair(other)
+        config = initial_configuration(ProtocolId.FLIP, [0] * n)
+        draws = 3 * (n * (n + 1) // 2) + 5
+        start = drawn_before if before == n else 0
+        first, second = kernels._roundrobin_pairs(None, n, start, draws)
+        expected = [
+            (BST if a == n else a, b) for a, b in zip(first.tolist(), second.tolist())
+        ]
+        assert [scheduler.next_pair(config) for _ in range(draws)] == expected
+
+    def test_bounded_engine_run_at_large_n_ends_at_once(self):
+        # the cycle at n = 10^6 holds 5 * 10^11 pairs; a bounded run draws
+        # only the pairs it uses.  The address-space limit makes a run that
+        # lists the cycle fail at once rather than fill memory
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        code = (
+            "from popcountlab import engine\n"
+            "from popcountlab.engine import StopCondition, StopKind\n"
+            "from popcountlab.protocols import ProtocolId\n"
+            "from popcountlab.schedulers import RoundRobinScheduler\n"
+            "config = engine.initial_configuration(ProtocolId.FLIP, [0] * 10**6)\n"
+            "stop = StopCondition(StopKind.MAX_INTERACTIONS, 5)\n"
+            "_, record = engine.run(ProtocolId.FLIP, RoundRobinScheduler(), config, stop)\n"
+            "print(record.total_interactions, record.final_c)\n"
+        )
+        started = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, preexec_fn=limit, timeout=60,
+        )
+        assert time.perf_counter() - started < 2
+        assert (result.returncode, result.stdout, result.stderr) == (0, "5 5\n", "")
 
 
 class TestWeakAdversarial:
