@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels, oracle
-from .engine import InvariantViolation, resolve_limits
+from .engine import InvariantViolation, _silence_broken, resolve_limits
 from .experiments import (
     NATURAL_STOP,
     AllTrialsTruncated,
@@ -348,8 +348,7 @@ def _check_terminal_naming(params, seed, inst, shared):
         for start in starts:
             # spot checks of runs already counted by the sweeps: not counted
             record, final = _adversarial_run(inst, f"terminal n={n}", 0, start)
-            named = [v for v in final if v != 0]
-            if not record.converged or len(set(named)) != n or len(named) != n:
+            if not record.converged or _silence_broken(final):
                 return False, f"run from {start} ended with names {final}"
             spot_runs += 1
     swept = sum(sw.starts_checked for sw in shared.get("sweeps", {}).values())

@@ -71,6 +71,14 @@ def _silence_error(names):
     )
 
 
+def _structure_broken(n, ones, zero_seen, one_seen):
+    """Flip's structure check on a run converged from zeroed counters, over
+    ints or arrays, true where it fails: the marks, `ones` of them 1, are
+    not all equal, or the population never carried the opposite marks
+    (all zeros under all ones, all ones under all zeros) before."""
+    return (ones != 0) & (ones != n) | (zero_seen < (ones == n)) | (one_seen < (ones == 0))
+
+
 def _structure_error(n, ones):
     """The error of a flip run that converged without every mark equal, or
     without the population having carried the opposite mark before."""

@@ -477,9 +477,12 @@ def run_trial(spec: TrialBatchSpec, index: int, force_engine: bool = False) -> R
 _OWN_RUN_TRIAL = run_trial  # see _takes_lanes
 
 
+# Each bit protocol's lane kernel, and its block kernel's cut-off: from
+# there a protocol's trials beat lanes (flip's run length has a long,
+# nearly memoryless tail: lanes spend most steps on a few long runs).
 _LANE_KERNELS = {
-    ProtocolId.FLIP: kernels.flip_bst_lanes,
-    ProtocolId.TIME_OPT: kernels.timeopt_bst_lanes,
+    ProtocolId.FLIP: (kernels.flip_bst_lanes, kernels.FLIP_BLOCK_MIN_N),
+    ProtocolId.TIME_OPT: (kernels.timeopt_bst_lanes, kernels.TIMEOPT_BLOCK_MIN_N),
 }
 # A lane step makes some 60 numpy calls, whatever the number of lanes: as
 # long as 200-300 steps of a scalar kernel.  On a 2-core x86-64 machine a
@@ -488,10 +491,8 @@ _LANE_KERNELS = {
 # 1024; trials of a few steps win from 64 lanes.  First phases (about 45
 # numpy calls a step) at n = 8-64 lost at 256 lanes, and at n = 64 at 512
 # too, and won from 768 (0.5-0.75 of the scalar time), all measured when
-# a lane chunk was one 1024-trial seed block.  Lanes run only below the
-# block kernels' cut-offs, which beat them (_takes_lanes).
+# a lane chunk was one 1024-trial seed block.
 _LANE_MIN_TRIALS = 768
-_LANE_MIN_LIVE = 32  # stepping stops once fewer lanes are left
 
 
 def _takes_lanes(spec: TrialBatchSpec) -> bool:
@@ -503,15 +504,7 @@ def _takes_lanes(spec: TrialBatchSpec) -> bool:
     return (
         run_trial is _OWN_RUN_TRIAL
         and spec.protocol in _LANE_KERNELS
-        # from its block kernel's cut-off a protocol's trials beat lanes
-        # (flip's run length has a long, nearly memoryless tail: lanes
-        # spend most steps on a few long runs)
-        and spec.n
-        < (
-            kernels.FLIP_BLOCK_MIN_N
-            if spec.protocol is ProtocolId.FLIP
-            else kernels.TIMEOPT_BLOCK_MIN_N
-        )
+        and spec.n < _LANE_KERNELS[spec.protocol][1]
         and spec.scheduler is SchedulerKind.BST_ONLY
         and spec.resolved_stop() == NATURAL_STOP
     )
@@ -561,7 +554,7 @@ def _lane_chunk(spec: TrialBatchSpec, stream: _PCG64Lanes, size: int) -> np.ndar
     else:
         marks = np.tile(np.array(initial_mobiles(spec, None), dtype=bool), (size, 1))
     budget = min(resolve_limits(spec.protocol, spec.n, NATURAL_STOP))
-    return _LANE_KERNELS[spec.protocol](spec.n, marks, stream, budget, _LANE_MIN_LIVE)
+    return _LANE_KERNELS[spec.protocol][0](spec.n, marks, stream, budget)
 
 
 _COLUMN_TYPES = (np.int8, np.int16, np.int32, np.int64)
@@ -779,9 +772,7 @@ def sweep_worst_unnamed(n: int) -> WorstUnnamedSweep:
     worst = -1
     for mask in range(2 ** n - 1):
         names = subset_start(n, mask)
-        record, _ = kernels.simulate_gros_adversarial(
-            names, n + 1, *limits, check=True
-        )
+        record, _ = kernels.simulate_gros_adversarial(names, n + 1, *limits)
         if not record.converged:
             raise AllTrialsTruncated(
                 f"start mask {mask:#x} did not reach silence within budget"

@@ -41,15 +41,17 @@ their protocol's convergence predicate.  A bit kernel consumes its list of
 marks: the scalar loop steps it in place.  Every phased kernel reads its
 streak thresholds from one table of their integer ceilings
 (_phase_ceilings), as long as the run can read; flip reads none.  The
-checks and their texts are the engine's: _step_bits writes the counter
-predicate out inline (a call per meeting cost flip_bst some 8%), and every
-scalar and block loop raises the engine's texts.
+checks are the engine's: every scalar, block and lane loop tests the
+engine's predicates, save that _step_bits writes the counter predicate out
+inline (a call per meeting cost flip_bst some 8%), and every scalar and
+block loop raises the engine's texts.
 
 The lane kernels step many BST-only trials together and give each trial
 the record its scalar kernel gives, as one int64 column of its fields
 (None as -1): one lane loop draws the agents, writes their marks back,
-writes each finished lane's column and compacts the rows, and each
-protocol supplies its per-row state and a step applying its rule and checks.
+writes each finished lane's column and compacts the rows (_compact, shared
+with the first-phase lanes), and each protocol supplies its per-row state
+and a step applying its rule and checks.
 No RunRecord is built; a lane still running when stepping stops reads
 PENDING.  The first phase of the phased protocol has its own lane kernel,
 giving each lane the verdict simulate_timeopt_first_phase gives on its
@@ -65,7 +67,7 @@ import numpy as np
 
 from .engine import PENDING, InvariantViolation, RecordRow, RunRecord
 from .engine import _counter_error, _counters_broken, _credit_error, _silence_broken
-from .engine import _silence_error, _structure_error
+from .engine import _silence_error, _structure_broken, _structure_error
 from .protocols import NameOverflow, phase_threshold
 
 
@@ -216,10 +218,10 @@ def _roundrobin_pairs(rng, n, start, k):
     return np.where(rows, rows - 1, n), slots - starts[rows] + rows
 
 
-def _cycles(n, per_cycle):
+def _cycles(n):
     """Whole round-robin cycles of n(n+1)/2 interactions, enough for some
-    4096 of the `per_cycle` meetings or pairs a cycle holds."""
-    return n * (n + 1) // 2 * max(1, 4096 // per_cycle)
+    4096 of the n base-station meetings a cycle holds."""
+    return n * (n + 1) // 2 * max(1, 4096 // n)
 
 
 def _step_bits(flip, draw, size, n, marks, rng, metric_budget, total_cap, check):
@@ -262,8 +264,7 @@ def _step_bits(flip, draw, size, n, marks, rng, metric_budget, total_cap, check)
                     raise _counter_error(n, c0, c1, ones)
                 c = new_c
                 if c == n:
-                    # flip: all marks equal, and all were opposite before
-                    if flip and check and (0 < ones < n or n - ones not in seen):
+                    if flip and check and _structure_broken(n, ones, 0 in seen, n in seen):
                         raise _structure_error(n, ones)
                     conv, conv_nn = bst_count, bst_count - nulls
                     break
@@ -330,16 +331,11 @@ def _block_flip(draw, size, n, marks, rng, metric_budget, total_cap, check):
         end = int(hits[0]) + 1 if converged else len(mobiles)
         if check:
             _check_block(n, c, cs[:end], c0s[:end], c1s[:end], s[:end] + ones)
-            if converged:
-                # all marks equal, and all were opposite before
-                final = int(after[end - 1])
-                opposite, seen = (0, zero_seen) if final == full else (full, one_seen)
-                if final not in (0, full) or not (
-                    seen or (after[: end - 1] == opposite).any()
-                ):
-                    raise _structure_error(n, final.bit_count())
             zero_seen |= bool((after[:end] == 0).any())
             one_seen |= bool((after[:end] == full).any())
+            marked = int(after[end - 1]).bit_count()
+            if converged and _structure_broken(n, marked, zero_seen, one_seen):
+                raise _structure_error(n, marked)
         bst_count += end
         c = int(cs[end - 1])
         if converged or bst_count >= metric_budget:
@@ -529,22 +525,36 @@ def simulate_flip_roundrobin(n, marks, rng, metric_budget, total_cap, check=True
     """Flip protocol under round-robin scheduling (no doubles), in blocks
     of whole cycles holding some 4096 meetings."""
     return _flip_loop(n)(
-        _roundrobin_draw, _cycles(n, n), n, marks, rng, metric_budget, total_cap, check
+        _roundrobin_draw, _cycles(n), n, marks, rng, metric_budget, total_cap, check
     )
 
 
 def simulate_timeopt_roundrobin(n, marks, rng, metric_budget, total_cap, check=True):
     """Phased protocol under round-robin scheduling (no doubles)."""
-    size = _cycles(n, n)
+    size = _cycles(n)
     return _step_bits(
         False, _roundrobin_draw, size, n, marks, rng, metric_budget, total_cap, check
     )
 
 
 LANE_FAULT = "a lane broke an invariant"
+_LANE_MIN_LIVE = 32  # lane stepping stops once fewer lanes are left
 
 
-def _lanes(protocol, n, marks, stream, budget, min_live):
+def _compact(stream, running, rows):
+    """How many rows are running, and `rows`, arrays of one entry per row,
+    cut with the stream to the running rows once at most half of them run.
+    Finished lanes keep stepping, unread, until then: few distinct array
+    sizes keep the allocator from fragmenting."""
+    count = np.count_nonzero(running)
+    if 2 * count <= len(running):
+        keep = np.flatnonzero(running)
+        stream.keep(keep)
+        rows = [a[keep] for a in rows]
+    return count, rows
+
+
+def _lanes(protocol, n, marks, stream, budget):
     """A bit protocol under base-station-only scheduling, one trial per
     lane, all lanes stepped together.
 
@@ -554,19 +564,16 @@ def _lanes(protocol, n, marks, stream, budget, min_live):
     after `budget` meetings, with the record the protocol's scalar BST-only
     kernel gives on its stream.  Returns the lanes' columns (see
     engine.RecordRow): column r holds lane r's record.  Once
-    fewer than `min_live` lanes are left, stepping stops and those lanes'
-    columns read PENDING in row 0.  Raises InvariantViolation(LANE_FAULT)
-    if a lane breaks an invariant.
+    fewer than _LANE_MIN_LIVE lanes are left, stepping stops and those
+    lanes' columns read PENDING in row 0.  Raises
+    InvariantViolation(LANE_FAULT) if a lane breaks an invariant.
 
     `protocol(n, marks)` gives the rows' state, int64 arrays led by
     c, the null meetings and the phase flips (-1 where the protocol has no
     phases), and `meet(mark, state, running)`, which applies the rule and
     checks to the drawn agents and returns their new marks, the running
-    rows that converged and the new state.
-
-    Finished lanes keep stepping, unread, until at most half the rows are
-    live; then the rows are compacted.  Few distinct array sizes keep the
-    allocator from fragmenting.
+    rows that converged and the new state.  Rows are compacted as
+    _compact says; the marks stay in place, found by each row's offset.
     """
     columns = np.empty((len(RecordRow), len(marks)), dtype=np.int64)
     columns[0] = PENDING
@@ -591,7 +598,7 @@ def _lanes(protocol, n, marks, stream, budget, min_live):
         block[RecordRow.phase_flips] = state[2][rows]
         columns[:, live[rows]] = block
 
-    while count >= min_live and step < budget:
+    while count >= _LANE_MIN_LIVE and step < budget:
         step += 1
         cell = offsets + (stream.random() * n).astype(np.int64)
         flat[cell], done, state = meet(flat[cell], state, running)
@@ -599,14 +606,9 @@ def _lanes(protocol, n, marks, stream, budget, min_live):
         if np.count_nonzero(done):
             finish(done, True)
             running &= ~done
-            count = np.count_nonzero(running)
-            if 2 * count <= len(live):
-                keep = np.flatnonzero(running)
-                live, running, marks = live[keep], running[keep], marks[keep]
-                state = tuple(a[keep] for a in state)
-                flat = marks.ravel()
-                offsets = np.arange(0, len(live) * n, n)
-                stream.keep(keep)
+            count, (live, offsets, running, *state) = _compact(
+                stream, running, (live, offsets, running, *state)
+            )
         if step == budget:
             finish(running, False)
     return columns
@@ -631,9 +633,7 @@ def _flip_lanes(n, marks):
         done = (new_c == n) & running
         bad = _counters_broken(n, new_c, c, c0, c1, ones)
         if np.count_nonzero(done):
-            # converged: all marks equal, and all were opposite before
-            opposite_seen = np.where(ones == n, zero_seen, one_seen)
-            bad |= done & (((ones != 0) & (ones != n)) | ~opposite_seen)
+            bad |= done & _structure_broken(n, ones, zero_seen, one_seen)
         if np.count_nonzero(bad & running):
             raise InvariantViolation(LANE_FAULT)
         zero_seen |= ones == 0
@@ -866,9 +866,8 @@ def timeopt_first_phase_lanes(n, stream, lanes):
 
     Returns an int64 array of each lane's verdict, 1 for True and 0 for
     False.  Raises InvariantViolation(LANE_FAULT) if a lane breaks an
-    invariant, running past _first_phase_length(n) included.  Finished
-    lanes keep stepping, unread, until at most half the rows are live, as
-    in _lanes.
+    invariant, running past _first_phase_length(n) included.  Rows are
+    compacted as _compact says.
     """
     ceilings = _phase_ceilings(n)
     verdicts = np.empty(lanes, dtype=np.int64)
@@ -886,11 +885,9 @@ def timeopt_first_phase_lanes(n, stream, lanes):
         if np.count_nonzero(done):
             verdicts[live[done]] = ones[done] == n
             running &= ~done
-            count = np.count_nonzero(running)
+            count, (live, running, ones, cnt) = _compact(
+                stream, running, (live, running, ones, cnt)
+            )
             if not count:
                 return verdicts
-            if 2 * count <= len(live):
-                keep = np.flatnonzero(running)
-                live, running, ones, cnt = (a[keep] for a in (live, running, ones, cnt))
-                stream.keep(keep)
     raise InvariantViolation(LANE_FAULT)

@@ -159,9 +159,9 @@ def gros_length(depth: int) -> int:
 
 def gros_worst_case(n: int) -> int:
     """Most non-null transitions the naming protocol makes under the
-    adversarial weakly fair schedule, over every partially named start of
-    n agents: 3 * 2^(n-1) - 2.  experiments.sweep_worst_unnamed is the
-    independent route, by enumeration."""
+    adversarial weakly fair schedule, over every start of n agents,
+    homonym starts included: 3 * 2^(n-1) - 2.  experiments.sweep_worst_unnamed
+    is the independent route, by enumeration."""
     if n < 1:
         raise ValueError(f"population size must be >= 1, got {n}")
     return 3 * 2 ** (n - 1) - 2

@@ -36,12 +36,6 @@ class SchedulerKind(Enum):
     WEAK_ADVERSARIAL = "adversarial"
 
 
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 class Scheduler:
     """Base interface: next_pair(config) -> (a, b) with the base station
     first in its pairs and mobile pairs in ascending index order."""
@@ -64,7 +58,7 @@ class _SeededScheduler(Scheduler):
     """A scheduler drawing its doubles from `rng` through _read_ahead."""
 
     def __init__(self, seed=0):
-        self.rng = _as_generator(seed)
+        self.rng = np.random.default_rng(seed)  # a Generator comes back as it is
         # the stream holds rng, not self: with no reference cycle a finished
         # run's scheduler and its block are freed at once, not at the next
         # cycle collection (peak RSS rose about 1 MB when they waited)

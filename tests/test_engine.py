@@ -7,6 +7,7 @@ import math
 import pickle
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -35,7 +36,7 @@ from popcountlab.protocols import (
     flip_step,
     gros_term,
 )
-from popcountlab.schedulers import make_scheduler, SchedulerKind
+from popcountlab.schedulers import BstOnlyScheduler, make_scheduler, SchedulerKind
 
 
 class ScriptedScheduler:
@@ -331,6 +332,59 @@ class TestFlipWalk:
             ones = sum(config.mobiles)
             most, fewest = max(most, ones), min(fewest, ones)
             assert (config.bst.c1, config.bst.c0) == (ones - fewest, most - ones)
+
+
+class TestStructureCheck:
+    def test_the_predicate_is_each_form_it_replaced(self):
+        # the forms _step_bits, _block_flip and the flip lanes wrote out,
+        # on every count of ones and every pair of seen flags at n <= 6
+        for n in range(1, 7):
+            full = (1 << n) - 1
+            cases = [
+                (ones, zero_seen, one_seen)
+                for ones in range(n + 1)
+                for zero_seen in (False, True)
+                for one_seen in (False, True)
+            ]
+            for ones, zero_seen, one_seen in cases:
+                seen = {v for v, s in ((0, zero_seen), (n, one_seen)) if s}
+                scalar = 0 < ones < n or n - ones not in seen
+                final = (1 << ones) - 1  # marks with `ones` bits set
+                opposite_seen = zero_seen if final == full else one_seen
+                block = final not in (0, full) or not opposite_seen
+                got = engine._structure_broken(n, ones, zero_seen, one_seen)
+                assert got == scalar == block
+            ones, zero_seen, one_seen = (np.array(c) for c in zip(*cases))
+            lanes = ((ones != 0) & (ones != n)) | ~np.where(
+                ones == n, zero_seen, one_seen
+            )
+            got = engine._structure_broken(n, ones, zero_seen, one_seen)
+            assert got.dtype == bool and (got == lanes).all()
+
+
+class TestOptimality:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        protocol=st.sampled_from([ProtocolId.FLIP, ProtocolId.TIME_OPT]),
+        marks=st.integers(1, 10).flatmap(
+            lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        ),
+        seed=st.integers(0, 2 ** 32),
+    )
+    def test_the_count_never_passes_the_agents_met(self, protocol, marks, seed):
+        # The paper's optimality argument, run by run: the base station
+        # counts an agent only by meeting it, so from zeroed counters its
+        # count is at every step at most the distinct agents it has met.
+        config = initial_configuration(protocol, marks)
+        scheduler = BstOnlyScheduler(seed)
+        met = set()
+        for _ in range(20_000):
+            pair = scheduler.next_pair(config)
+            config, _, _ = apply_interaction(protocol, config, pair)
+            met.add(pair[1])
+            assert config.bst.c <= len(met)
+            if config.bst.c == len(marks):
+                break
 
 
 class TestRun:

@@ -185,7 +185,7 @@ class TestReplayEquality:
             kernels._flip_uniform_block(n, budget),
             kernels._timeopt_uniform_block(n, budget),
             kernels._timeopt_bst_block(n, budget),
-            kernels._cycles(n, n),
+            kernels._cycles(n),
         ):
             bounds += [block - 1, block, block + 1]
         if n > 40:
@@ -398,7 +398,7 @@ class TestReplayEquality:
         n = data.draw(st.integers(1, kernels.FLIP_MAX_N))
         marks = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
         edges = [1, 31, 32, 33, 63, 64, 65, 4095, 4096, 4097]
-        cycles = kernels._cycles(n, n)
+        cycles = kernels._cycles(n)
         budget = data.draw(st.sampled_from(edges + [None]))
         caps = edges + [cycles - 1, cycles, cycles + 1]
         cap = data.draw(
@@ -966,7 +966,7 @@ class TestLanes:
             most = 2 * min_trials + 2
         else:
             min_trials = experiments._LANE_MIN_TRIALS
-            min_live = experiments._LANE_MIN_LIVE
+            min_live = kernels._LANE_MIN_LIVE
             most = 2 * min_trials + 40
         size = data.draw(
             st.sampled_from([min_trials - 1, min_trials, most]) | st.integers(1, most)
@@ -979,9 +979,14 @@ class TestLanes:
         )
         edge = data.draw(st.sampled_from([1024, experiments._CHUNK]))
         lo = max(0, edge * data.draw(st.integers(1, 3)) - before)
-        with mock.patch.multiple(
-            experiments, _LANE_MIN_TRIALS=min_trials, _LANE_MIN_LIVE=min_live
-        ), mock.patch.object(kernels, "FLIP_BLOCK_MIN_N", 15):
+        # flip steps as lanes, and its trials one meeting at a time, to n = 14
+        flip_lanes = {ProtocolId.FLIP: (kernels.flip_bst_lanes, 15)}
+        with (
+            mock.patch.object(experiments, "_LANE_MIN_TRIALS", min_trials),
+            mock.patch.object(kernels, "_LANE_MIN_LIVE", min_live),
+            mock.patch.dict(experiments._LANE_KERNELS, flip_lanes),
+            mock.patch.object(kernels, "FLIP_BLOCK_MIN_N", 15),
+        ):
             lanes = experiments._records(experiments._run_range(spec, lo, lo + size))
         assert lanes == [run_trial(spec, i) for i in range(lo, lo + size)]
         fields = [v for record in lanes for v in vars(record).values()]
@@ -1007,7 +1012,8 @@ class TestLanes:
         seed = data.draw(st.integers(0, 2 ** 64))
         check = data.draw(st.booleans())
         stream = experiments._PCG64Lanes(experiments._seed_block(seed, 0)[:rows])
-        got = experiments._records(lanes(n, marks.copy(), stream, budget, 1))
+        with mock.patch.object(kernels, "_LANE_MIN_LIVE", 1):
+            got = experiments._records(lanes(n, marks.copy(), stream, budget))
         assert got == [
             scalar(n, [int(m) for m in row], trial_rng(seed, i), budget, 2 * budget, check)
             for i, row in enumerate(marks)
@@ -1042,10 +1048,12 @@ class TestLanes:
             shares.append(stream.lo.copy())
             return lanes(n, marks, stream, *rest)
 
+        cut = kernels.TIMEOPT_BLOCK_MIN_N
         monkeypatch.setattr(
-            experiments, "_LANE_KERNELS", {ProtocolId.TIME_OPT: spied_lanes}
+            experiments, "_LANE_KERNELS", {ProtocolId.TIME_OPT: (spied_lanes, cut)}
         )
-        with mock.patch.multiple(experiments, _LANE_MIN_TRIALS=4, _LANE_MIN_LIVE=1):
+        monkeypatch.setattr(kernels, "_LANE_MIN_LIVE", 1)
+        with mock.patch.object(experiments, "_LANE_MIN_TRIALS", 4):
             got = experiments._records(experiments._run_range(spec, edge - 6, edge + 6))
         assert got == [run_trial(spec, i) for i in range(edge - 6, edge + 6)]
         below = experiments._seed_block(spec.seed, edge // 1024 - 1)[-6:]
@@ -1060,7 +1068,10 @@ class TestLanes:
             sizes.append(len(marks))
             return lanes(n, marks, stream, *rest)
 
-        monkeypatch.setattr(experiments, "_LANE_KERNELS", {ProtocolId.FLIP: spied_lanes})
+        cut = kernels.FLIP_BLOCK_MIN_N
+        monkeypatch.setattr(
+            experiments, "_LANE_KERNELS", {ProtocolId.FLIP: (spied_lanes, cut)}
+        )
         spec = TrialBatchSpec(protocol=ProtocolId.FLIP, n=3, trials=10000, seed=14)
         records = run_batch(spec, threads=1).records
         assert sizes == [8192, 1808]
@@ -1075,7 +1086,7 @@ class TestLanes:
             return trial_rng(seed, index)
 
         monkeypatch.setattr(experiments, "trial_rng", spied_rng)
-        monkeypatch.setattr(experiments, "_LANE_MIN_LIVE", 4096)
+        monkeypatch.setattr(kernels, "_LANE_MIN_LIVE", 4096)
         spec = TrialBatchSpec(protocol=ProtocolId.TIME_OPT, n=6, trials=1, seed=15)
         experiments._seed_block.cache_clear()
         experiments._run_range(spec, 0, experiments._CHUNK)
@@ -1161,7 +1172,7 @@ class TestLanes:
         monkeypatch.setattr(RunRecord, "__init__", counted_init)
         monkeypatch.setattr(experiments, "trial_rng", spied_rng)
         result = run_batch(spec, threads=1)
-        assert 0 < len(built) == len(rerun) < 2 * experiments._LANE_MIN_LIVE
+        assert 0 < len(built) == len(rerun) < 2 * kernels._LANE_MIN_LIVE
         monkeypatch.undo()
         assert result.records == [run_trial(spec, i) for i in range(spec.trials)]
         assert result.records is result.records
@@ -1211,8 +1222,9 @@ class TestLanes:
             rerun.append(index)
             return trial_rng(seed, index)
 
+        cut = kernels.TIMEOPT_BLOCK_MIN_N
         monkeypatch.setattr(
-            experiments, "_LANE_KERNELS", {ProtocolId.TIME_OPT: spied_lanes}
+            experiments, "_LANE_KERNELS", {ProtocolId.TIME_OPT: (spied_lanes, cut)}
         )
         monkeypatch.setattr(experiments, "trial_rng", spied_rng)
         with pytest.raises(InvariantViolation) as caught:
@@ -1809,6 +1821,47 @@ class TestAdversarialNaming:
     def test_sweep_validation(self):
         with pytest.raises(Intractable):
             sweep_worst_unnamed(17)
+
+    def test_the_non_null_count_depends_only_on_the_state(self):
+        # Every pair can meet, so the states (sorted names, next index k)
+        # that the rules reach are those any schedule reaches.  All
+        # successors of each state agree on the non-null count to silence,
+        # so every schedule makes one count from a start, and the worst
+        # start of all, homonym starts included, is gros_worst_case(n).
+        for n, states in zip(range(1, 6), [3, 13, 62, 319, 1754]):
+            to_silence = {}
+
+            def count(names, k):
+                if (names, k) not in to_silence:
+                    bst = protocols.GrosBst(k=k, bound=n + 1)
+                    after = set()
+                    for i, name in enumerate(names):
+                        new_bst, new = protocols.gros_bst_step(bst, name)
+                        if new != name:
+                            after.add((names[:i] + (new,) + names[i + 1 :], new_bst.k))
+                        for j in range(i + 1, n):
+                            pair = protocols.gros_mobile_step(name, names[j])
+                            if pair != (name, names[j]):
+                                rest = names[:i] + names[i + 1 : j] + names[j + 1 :]
+                                after.add((rest + pair, k))
+                    counts = {1 + count(tuple(sorted(s)), j) for s, j in after}
+                    assert len(counts) <= 1, (names, k)
+                    to_silence[names, k] = counts.pop() if counts else 0
+                return to_silence[names, k]
+
+            starts = list(itertools.product(range(n + 1), repeat=n))
+            expected = [count(tuple(sorted(start)), 1) for start in starts]
+            assert len(to_silence) == states
+            assert max(expected) == oracle.gros_worst_case(n)
+            limits = resolve_limits(ProtocolId.GROS_NAMING, n, experiments.NATURAL_STOP)
+            for index, (start, want) in enumerate(zip(starts, expected)):
+                rng = trial_rng(n, index)
+                for record in (
+                    kernels.simulate_gros_adversarial(start, n + 1, *limits)[0],
+                    kernels.simulate_gros_uniform(start, n + 1, rng, *limits),
+                    kernels.simulate_gros_roundrobin(start, n + 1, rng, *limits),
+                ):
+                    assert record.converged_at_non_null == want, start
 
     def test_every_swept_start_keeps_its_record_and_names(self):
         # sha256 over repr((record fields, final names)) of every start the
