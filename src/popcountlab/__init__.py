@@ -44,7 +44,6 @@ from .oracle import (
     Intractable,
     flip_expected_closed_form,
     flip_expected_recurrence,
-    flip_hitting_times,
     gros_length,
     gros_sequence,
     harmonic_bound,

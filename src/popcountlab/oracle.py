@@ -47,12 +47,24 @@ def flip_expected_closed_form(n: int) -> Fraction:
 
 
 def _flip_tail_sums(n: int):
-    """Yield (D_k, W_k) for k = n down to 1, one integer backward sweep of
-    flip_hitting_times' recurrence: D_k = (n-1)!/(k-1)!, P_k = u_k D_k and
-    W_k = D_k (u_k + .. + u_n), so that
+    """Yield (D_k, W_k) for k = n down to 1: one integer backward sweep over
+    the hitting times t_0..t_n of the mark-flipping walk on {0, .., n}.
+
+    t_k is the expected number of steps to reach state 0 when k agents
+    still carry the old mark, each step flipping a uniformly random agent
+    except that state n - 1 is entered from n deterministically:
+
+        t_0 = 0,    t_n = 1 + t_{n-1},
+        t_k = 1 + (k/n) t_{k-1} + ((n-k)/n) t_{k+1}    (1 <= k <= n-1)
+
+    Independently of the closed form, the differences u_k = t_k - t_{k-1}
+    solve u_n = 1, k u_k = n + (n-k) u_{k+1}.  With D_k = (n-1)!/(k-1)!,
+    P_k = u_k D_k and W_k = D_k (u_k + .. + u_n),
 
         D_n = P_n = W_n = 1,    D_k = k D_{k+1},
         P_k = n D_{k+1} + (n-k) P_{k+1},    W_k = P_k + k W_{k+1}
+
+    so t_n = W_1/D_1 and t_k = t_n - W_{k+1}/D_{k+1}.
     """
     if n < 1:
         raise ValueError(f"population size must be >= 1, got {n}")
@@ -64,32 +76,9 @@ def _flip_tail_sums(n: int):
         yield d, w
 
 
-def flip_hitting_times(n: int) -> list[Fraction]:
-    """Exact hitting times t_0..t_n of the mark-flipping walk on {0, .., n}.
-
-    t_k is the expected number of steps to reach state 0 when k agents
-    still carry the old mark, each step flipping a uniformly random agent
-    except that state n - 1 is entered from n deterministically:
-
-        t_0 = 0
-        t_k = 1 + (k/n) t_{k-1} + ((n-k)/n) t_{k+1}    (1 <= k <= n-1)
-        t_n = 1 + t_{n-1}
-
-    The differences u_k = t_k - t_{k-1} follow a first-order recurrence,
-    solved in one backward pass, independently of the closed form:
-
-        u_n = 1,    k u_k = n + (n-k) u_{k+1},    t_k = u_1 + .. + u_k
-
-    so t_n = W_1/D_1 and t_k = t_n - W_{k+1}/D_{k+1} (see _flip_tail_sums).
-    """
-    tails = list(_flip_tail_sums(n))  # k = n..1
-    t_n = Fraction(tails[-1][1], tails[-1][0])
-    return [t_n - Fraction(w, d) for d, w in reversed(tails)] + [t_n]
-
-
 def flip_expected_recurrence(n: int) -> Fraction:
     """The flip expectation t_n from the solved recurrence, W_1/D_1 of one
-    sweep without the list; must equal the closed form for every n."""
+    sweep; must equal the closed form for every n."""
     for d, w in _flip_tail_sums(n):
         pass
     return Fraction(w, d)

@@ -15,7 +15,15 @@ import pytest
 
 from popcountlab import acceptance, cli, kernels, oracle
 from popcountlab.engine import InvariantViolation
-from popcountlab.experiments import AllTrialsTruncated, exact_mean, run_batch
+from popcountlab.experiments import (
+    AllTrialsTruncated,
+    exact_mean,
+    run_batch,
+    subset_start,
+    sweep_n,
+    sweep_worst_unnamed,
+    worst_unnamed_start,
+)
 from popcountlab.protocols import ProtocolId
 
 SEED = 42
@@ -177,3 +185,96 @@ def test_naming_sequence_lengths_follow_the_recurrence(monkeypatch):
     params = acceptance.PARAMS[LEVEL]
     passed, detail = acceptance._check_naming_sequence(params, SEED, None, {})
     assert (passed, detail) == (False, "length mismatch at depth 20")
+
+
+def _tiny_run(monkeypatch, params):
+    monkeypatch.setitem(acceptance.PARAMS, "tiny", params)
+    return {r.name: r for r in acceptance.run_all("tiny", 1)}
+
+
+def _truncated_at_16(base, n_values):
+    return [
+        (n, dataclasses.replace(s, truncated=1) if n == 16 else s)
+        for n, s in sweep_n(base, n_values)
+    ]
+
+
+def _above_range_at_3(n):
+    sweep = sweep_worst_unnamed(n)
+    return dataclasses.replace(sweep, worst_non_null=2 ** (n + 1) + 1) if n == 3 else sweep
+
+
+# Each plant makes one reference wrong, and only the check that reads it
+# fails, with its own detail: (params, attribute owner, name, stand-in,
+# check, detail)
+_PLANTS = {
+    "recurrence off by one at n=3": (
+        TINY, oracle, "flip_expected_recurrence",
+        lambda n, true=oracle.flip_expected_recurrence: true(n) + (n == 3),
+        "oracle-identity", "closed form and recurrence differ at n=3",
+    ),
+    "truncated sweep": (
+        TINY, acceptance, "sweep_n", _truncated_at_16,
+        "timeopt-convergence-scaling", "truncated=1, doubling ratios [2.40]",
+    ),
+    "count above 2^(n+1)": (
+        TINY, acceptance, "sweep_worst_unnamed", _above_range_at_3,
+        "adversarial-worst-case-range", "worst run outside range at n in [3]",
+    ),
+    # the all-sink start at n = 4 makes 13 non-null transitions, below 2^4 - 1
+    "spot run below 2^n - 1": (
+        dataclasses.replace(TINY, gros_spot_ns=(4,)), acceptance, "worst_unnamed_start",
+        lambda n: subset_start(n, 0) if n == 4 else worst_unnamed_start(n),
+        "adversarial-worst-case-range", "worst run outside range at n in [4]",
+    ),
+    "wrong term": (
+        TINY, oracle, "gros_term",
+        lambda k, true=oracle.gros_term: true(k) + (k == 5),
+        "naming-sequence", "ruler term 5 mismatch",
+    ),
+    # below the expansion depth 3, so the term check still passes
+    "wrong length": (
+        TINY, oracle, "gros_sequence",
+        lambda d, true=oracle.gros_sequence: true(d) + [1] * (d == 1),
+        "naming-sequence", "expansion length mismatch at 1",
+    ),
+    "wrong multiplicity": (
+        TINY, oracle, "gros_sequence",
+        lambda d, true=oracle.gros_sequence: [1, 2, 2] if d == 2 else true(d),
+        "naming-sequence", "name 1 multiplicity wrong at depth 2",
+    ),
+    "broken silence": (
+        TINY, acceptance, "_silence_broken", lambda names: True,
+        "terminal-naming", "run from [0, 0] ended with names [1, 2]",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "params,owner,attr,stand_in,name,detail", _PLANTS.values(), ids=list(_PLANTS)
+)
+def test_a_wrong_reference_fails_its_check_alone(
+    monkeypatch, params, owner, attr, stand_in, name, detail
+):
+    clean = _tiny_run(monkeypatch, params)
+    assert all(r.passed for r in clean.values())
+    monkeypatch.setattr(owner, attr, stand_in)
+    failed = {
+        n: (r.passed, r.detail)
+        for n, r in _tiny_run(monkeypatch, params).items()
+        if r != clean[n]
+    }
+    assert failed == {name: (False, detail)}
+
+
+def test_the_floor_check_fails_without_sweep_data():
+    # the scaling check leaves no summaries when its sweep raises
+    assert acceptance._check_harmonic_floor(TINY, 1, None, {}) == (
+        False, "no sweep data (see scaling check)"
+    )
+
+
+def test_an_unknown_level_is_refused():
+    with pytest.raises(ValueError) as caught:
+        acceptance.run_all("nope", 1)
+    assert str(caught.value) == "unknown level 'nope', pick one of ['fast', 'full']"

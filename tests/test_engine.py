@@ -144,6 +144,10 @@ class TestApplyInteraction:
         for pair in ((BST, 2), (BST, -2), (0, 0), (0, 5), (7, 1)):
             with pytest.raises(InvalidPair):
                 apply_interaction(ProtocolId.FLIP, config, pair)
+        for pair in (None, (0,), (BST, 0, 1)):
+            with pytest.raises(InvalidPair) as caught:
+                apply_interaction(ProtocolId.FLIP, config, pair)
+            assert str(caught.value) == f"pair must have two participants, got {pair!r}"
 
     def test_rejects_wrong_protocol(self):
         config = initial_configuration(ProtocolId.FLIP, [0, 0])

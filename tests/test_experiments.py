@@ -934,6 +934,29 @@ BIT_STARTS = [
 ]
 
 
+def _spied_lane_batch(monkeypatch, spec):
+    """A one-worker run_batch of `spec`, not yet called, and the two lists
+    it fills: the texts its lane kernel raised, and the trials it ran one
+    at a time."""
+    lanes, cut = experiments._LANE_KERNELS[spec.protocol]
+    lane_errors, rerun = [], []
+
+    def spied_lanes(*args):
+        try:
+            return lanes(*args)
+        except InvariantViolation as exc:
+            lane_errors.append(str(exc))
+            raise
+
+    def spied_rng(seed, index):
+        rerun.append(index)
+        return trial_rng(seed, index)
+
+    monkeypatch.setitem(experiments._LANE_KERNELS, spec.protocol, (spied_lanes, cut))
+    monkeypatch.setattr(experiments, "trial_rng", spied_rng)
+    return partial(run_batch, spec, threads=1), lane_errors, rerun
+
+
 class TestLanes:
     """Large BST-only bit batches step their trials as lanes; the records
     must be run_trial's, trial for trial."""
@@ -1114,12 +1137,17 @@ class TestLanes:
 
         # run_batch imports the pool class where it uses it
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
-        for n, trials, expected in [
-            (4, 4000, [(0, 2048), (2048, 4000)]),  # a range for each worker
-            (1, 20000, [(0, 8192), (8192, 16384), (16384, 20000)]),  # a chunk at most
+        bst, uniform = SchedulerKind.BST_ONLY, SchedulerKind.UNIFORM_PAIR
+        for n, scheduler, trials, expected in [
+            (4, bst, 4000, [(0, 2048), (2048, 4000)]),  # a range for each worker
+            (1, bst, 20000, [(0, 8192), (8192, 16384), (16384, 20000)]),  # a chunk at most
+            # no lanes: four ranges a worker, whatever the seed blocks
+            (10, uniform, 30, [(lo, min(lo + 4, 30)) for lo in range(0, 30, 4)]),
         ]:
             ranges.clear()
-            spec = TrialBatchSpec(protocol=ProtocolId.FLIP, n=n, trials=trials, seed=3)
+            spec = TrialBatchSpec(
+                protocol=ProtocolId.FLIP, n=n, trials=trials, scheduler=scheduler, seed=3
+            )
             assert run_batch(spec, threads=2).records == run_batch(spec, threads=1).records
             assert ranges == expected
 
@@ -1208,30 +1236,95 @@ class TestLanes:
                 failures.append((index, str(exc)))
         lowest, message = failures[0]
         assert lowest > 0
-        lane_errors, rerun = [], []
-        lanes = kernels.timeopt_bst_lanes
-
-        def spied_lanes(*args):
-            try:
-                return lanes(*args)
-            except InvariantViolation as exc:
-                lane_errors.append(str(exc))
-                raise
-
-        def spied_rng(seed, index):
-            rerun.append(index)
-            return trial_rng(seed, index)
-
-        cut = kernels.TIMEOPT_BLOCK_MIN_N
-        monkeypatch.setattr(
-            experiments, "_LANE_KERNELS", {ProtocolId.TIME_OPT: (spied_lanes, cut)}
-        )
-        monkeypatch.setattr(experiments, "trial_rng", spied_rng)
+        batch, lane_errors, rerun = _spied_lane_batch(monkeypatch, spec)
         with pytest.raises(InvariantViolation) as caught:
-            run_batch(spec, threads=1)
+            batch()
         assert str(caught.value) == message
         assert len(lane_errors) == 1 and lane_errors[0] != message
         assert rerun == list(range(lowest + 1))
+
+
+def _always_broken(n, first, *rest):
+    """A predicate stand-in that fails everywhere, over ints and arrays."""
+    return first == first
+
+
+def _structure_text(n):
+    return f"flip converged without the all-same/all-opposite structure: {n}/{n} ones"
+
+
+class TestForcedChecks:
+    """With a predicate forced to fail, every loop that reads it raises its
+    own text, and the batch harness reruns a faulted lane share trial by
+    trial."""
+
+    @staticmethod
+    def _lanes_raise(lanes, n):
+        stream = experiments._PCG64Lanes(experiments._seed_block(3, 0)[:40])
+        with pytest.raises(InvariantViolation) as caught:
+            lanes(n, np.zeros((40, n), dtype=bool), stream, 1000)
+        return str(caught.value)
+
+    def test_a_forced_structure_check_raises_in_every_flip_loop(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_structure_broken", _always_broken)
+        monkeypatch.setattr(kernels, "_LANE_MIN_LIVE", 1)
+        for n in (4, kernels.FLIP_BLOCK_MIN_N):  # _step_bits, then _block_flip
+            limits = resolve_limits(ProtocolId.FLIP, n, experiments.NATURAL_STOP)
+            with pytest.raises(InvariantViolation) as caught:
+                kernels.simulate_flip_bst(n, [0] * n, trial_rng(3, 0), *limits)
+            assert str(caught.value) == _structure_text(n)
+        assert self._lanes_raise(kernels.flip_bst_lanes, 4) == kernels.LANE_FAULT
+
+    def test_a_forced_counter_check_raises_in_every_loop_that_reads_it(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(kernels, "_counters_broken", _always_broken)
+        monkeypatch.setattr(kernels, "_LANE_MIN_LIVE", 1)
+        # the block kernels, at the first meeting: a 0-mark turned to 1
+        for protocol, scalar, n in [
+            (ProtocolId.FLIP, kernels.simulate_flip_bst, kernels.FLIP_BLOCK_MIN_N),
+            (
+                ProtocolId.TIME_OPT,
+                kernels.simulate_timeopt_bst,
+                kernels.TIMEOPT_BLOCK_MIN_N,
+            ),
+        ]:
+            limits = resolve_limits(protocol, n, experiments.NATURAL_STOP)
+            with pytest.raises(InvariantViolation) as caught:
+                scalar(n, [0] * n, trial_rng(3, 0), *limits)
+            assert str(caught.value) == f"counters c0=0 c1=1 invalid with 1/{n} ones"
+        for lanes in (kernels.flip_bst_lanes, kernels.timeopt_bst_lanes):
+            assert self._lanes_raise(lanes, 4) == kernels.LANE_FAULT
+
+    def test_a_flip_batch_reruns_a_forced_structure_fault_trial_by_trial(
+        self, monkeypatch
+    ):
+        spec = TrialBatchSpec(protocol=ProtocolId.FLIP, n=3, trials=1024, seed=3)
+        assert experiments._takes_lanes(spec)
+        monkeypatch.setattr(kernels, "_structure_broken", _always_broken)
+        batch, lane_errors, rerun = _spied_lane_batch(monkeypatch, spec)
+        with pytest.raises(InvariantViolation) as caught:
+            batch()
+        assert str(caught.value) == _structure_text(3)
+        assert lane_errors == [kernels.LANE_FAULT]
+        assert rerun == [0]
+
+    def test_a_phased_batch_keeps_its_records_under_a_forced_counter_check(
+        self, monkeypatch
+    ):
+        # _step_bits writes the counter check inline, so the trial-by-trial
+        # rerun passes where the lanes fault
+        spec = TrialBatchSpec(
+            protocol=ProtocolId.TIME_OPT, n=3, trials=1024,
+            init=InitPolicy.UNIFORM_RANDOM_MARKS, seed=3,
+        )
+        assert experiments._takes_lanes(spec)
+        clean = run_batch(spec, threads=1)
+        monkeypatch.setattr(kernels, "_counters_broken", _always_broken)
+        batch, lane_errors, rerun = _spied_lane_batch(monkeypatch, spec)
+        assert batch().records == clean.records
+        assert lane_errors == [kernels.LANE_FAULT]
+        assert rerun == list(range(spec.trials))
 
 
 class _SameDoubles(_Doubles):
@@ -1821,6 +1914,13 @@ class TestAdversarialNaming:
     def test_sweep_validation(self):
         with pytest.raises(Intractable):
             sweep_worst_unnamed(17)
+
+    def test_a_start_that_never_reaches_silence_fails_the_sweep(self, monkeypatch):
+        # three interactions cannot name three agents that all start as sinks
+        monkeypatch.setattr(experiments, "resolve_limits", lambda *args: (3, 3))
+        with pytest.raises(AllTrialsTruncated) as caught:
+            sweep_worst_unnamed(3)
+        assert str(caught.value) == "start mask 0x0 did not reach silence within budget"
 
     def test_the_non_null_count_depends_only_on_the_state(self):
         # Every pair can meet, so the states (sorted names, next index k)

@@ -16,7 +16,6 @@ from popcountlab.oracle import (
     flip_expected_closed_form,
     flip_expected_recurrence,
     flip_hitting_law,
-    flip_hitting_times,
     flip_uniform_total_expected,
     gros_length,
     gros_sequence,
@@ -56,7 +55,13 @@ class TestFlipExpectation:
         ],
     )
     def test_frozen_hitting_time_vectors(self, n, times):
-        assert flip_hitting_times(n) == [Fraction(t) for t in times.split()]
+        # t_n = W_1/D_1 and t_k = t_n - W_(k+1)/D_(k+1), from the sweep's
+        # (D_k, W_k) for k = n..1
+        tails = [Fraction(w, d) for d, w in oracle._flip_tail_sums(n)]
+        t_n = tails[-1]
+        assert [t_n - tail for tail in reversed(tails)] + [t_n] == [
+            Fraction(t) for t in times.split()
+        ]
 
     def test_frozen_hitting_law(self):
         # n = 3: the first three meetings hit three distinct agents, 3!/3^3
@@ -102,7 +107,7 @@ class TestFlipExpectation:
         with pytest.raises(ValueError):
             flip_expected_closed_form(0)
         with pytest.raises(ValueError):
-            flip_hitting_times(0)
+            next(oracle._flip_tail_sums(0))
         with pytest.raises(ValueError):
             flip_expected_recurrence(0)
         with pytest.raises(ValueError):
@@ -113,9 +118,6 @@ class TestFlipExpectation:
     def test_closed_form_equals_recurrence(self):
         for n in range(1, 301):
             assert flip_expected_closed_form(n) == flip_expected_recurrence(n), n
-        # the whole list ends at the same value
-        for n in range(1, 61):
-            assert flip_hitting_times(n)[n] == flip_expected_recurrence(n), n
 
     def test_growth_is_eventually_doubling(self):
         # u_n / u_{n-1} -> 2; by n = 30 the ratio is already within 5%
