@@ -27,6 +27,16 @@ BST = -1
 BstState = FlipBst | TimeOptBst | GrosBst
 
 
+@unique
+class SchedulerKind(Enum):
+    """Built-in schedulers, keyed by their CLI names."""
+
+    UNIFORM_PAIR = "uniform"
+    BST_ONLY = "bst"
+    ROUND_ROBIN = "roundrobin"
+    WEAK_ADVERSARIAL = "adversarial"
+
+
 class InvalidPair(ValueError):
     """The pair does not address two distinct participants of the run."""
 
@@ -382,8 +392,6 @@ def run(
     `stop`.  Returns the final configuration and the metrics record.
     """
     bst_rule = _bst_rule(protocol, config)
-    from .schedulers import SchedulerKind  # schedulers imports this module
-
     kind = getattr(scheduler, "kind", None)
     if protocol is ProtocolId.GROS_NAMING and kind is SchedulerKind.BST_ONLY:
         raise ValueError(NAMING_NEEDS_PAIRS)

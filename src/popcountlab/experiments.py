@@ -10,12 +10,10 @@ pool, and a mirror of SeedSequence's last hash steps mixes in each spawn
 word and hashes the output with numpy, so a trial pays only for PCG64's
 setup.
 
-run_trial sends every (protocol, scheduler) pairing that stops at its
-count reaching n through a kernel: the bit protocols through an event
-source and a stepping loop, and naming through one naming loop
-(kernels._step_gros) fed by one of three pair sources, uniform pairs,
-round-robin pairs or the adversarial schedule.  engine.run, the
-reference, takes force_engine and StopKind.MAX_INTERACTIONS.
+run_trial sends every run that stops at its count reaching n through its
+protocol's kernel entry, which takes the scheduler (kernels.simulate_flip,
+simulate_timeopt, simulate_gros).  engine.run, the reference, takes
+force_engine and StopKind.MAX_INTERACTIONS.
 
 Large BST-only batches of the phased protocol below
 kernels.TIMEOPT_BLOCK_MIN_N agents, and of flip below kernels.FLIP_BLOCK_MIN_N,
@@ -427,20 +425,6 @@ def exact_mean(spec: TrialBatchSpec) -> Fraction | int | None:
         return None
 
 
-_KERNELS = {
-    (ProtocolId.FLIP, SchedulerKind.BST_ONLY): kernels.simulate_flip_bst,
-    (ProtocolId.FLIP, SchedulerKind.UNIFORM_PAIR): kernels.simulate_flip_uniform,
-    (ProtocolId.FLIP, SchedulerKind.ROUND_ROBIN): kernels.simulate_flip_roundrobin,
-    (ProtocolId.TIME_OPT, SchedulerKind.BST_ONLY): kernels.simulate_timeopt_bst,
-    (ProtocolId.TIME_OPT, SchedulerKind.UNIFORM_PAIR): kernels.simulate_timeopt_uniform,
-    (ProtocolId.TIME_OPT, SchedulerKind.ROUND_ROBIN): kernels.simulate_timeopt_roundrobin,
-}
-_NAMING_KERNELS = {
-    SchedulerKind.UNIFORM_PAIR: kernels.simulate_gros_uniform,
-    SchedulerKind.ROUND_ROBIN: kernels.simulate_gros_roundrobin,
-}
-
-
 def run_trial(spec: TrialBatchSpec, index: int, force_engine: bool = False) -> RunRecord:
     """One seeded trial, through the kernel of its protocol and scheduler,
     or through the reference engine under StopKind.MAX_INTERACTIONS.
@@ -456,16 +440,12 @@ def run_trial(spec: TrialBatchSpec, index: int, force_engine: bool = False) -> R
 
     if not force_engine and stop.kind is not StopKind.MAX_INTERACTIONS:
         limits = resolve_limits(protocol, spec.n, stop)
-        if protocol is not ProtocolId.GROS_NAMING:
-            kernel = _KERNELS[protocol, spec.scheduler]
-            return kernel(spec.n, mobiles, rng, *limits, spec.check_invariants)
-        if spec.scheduler is SchedulerKind.WEAK_ADVERSARIAL:
-            record, _ = kernels.simulate_gros_adversarial(
-                mobiles, spec.resolved_bound, *limits, spec.check_invariants
-            )
-            return record
-        kernel = _NAMING_KERNELS[spec.scheduler]
-        return kernel(mobiles, spec.resolved_bound, rng, *limits)
+        if protocol is ProtocolId.GROS_NAMING:
+            bound = spec.resolved_bound
+            return kernels.simulate_gros(spec.scheduler, mobiles, bound, rng, *limits)[0]
+        flip = protocol is ProtocolId.FLIP
+        kernel = kernels.simulate_flip if flip else kernels.simulate_timeopt
+        return kernel(spec.scheduler, spec.n, mobiles, rng, *limits, spec.check_invariants)
 
     bound = spec.resolved_bound if protocol is ProtocolId.GROS_NAMING else None
     config = initial_configuration(protocol, mobiles, bound=bound)

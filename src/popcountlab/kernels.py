@@ -1,9 +1,11 @@
 """Tight per-protocol simulation loops used by the batch harness.
 
-The bit kernels are event source x transition.  Each scheduler but the
-adversarial one has an event source, `draw(rng, n, start, k)`, returning
-the (step, mobile) base-station events of interactions start+1..start+k as
-a sequence of steps and an int64 array of mobile indices:
+Each protocol has one entry taking its schedule, a SchedulerKind
+(simulate_flip, simulate_timeopt, simulate_gros), and each schedule's
+source is named once, in one of two tables.  The bit protocols read an
+event source from _EVENTS, `draw(rng, n, start, k)`, returning the
+(step, mobile) base-station events of interactions start+1..start+k as a
+sequence of steps and an int64 array of mobile indices:
 
 - _bst_draw: every interaction meets the base station, one double each;
 - _uniform_draw: uniform pairs, two doubles each; mobile/mobile pairs
@@ -25,16 +27,17 @@ scheduling from TIMEOPT_BLOCK_MIN_N agents works out a block too
 (_block_phased): within a phase an agent converts at its first meeting
 while it carries the phase's mark, so a phase's conversions are the first
 occurrences in one pass over the block, and between two conversions only
-the streak or the null count moves.  So a kernel run and an engine run
+the streak or the null count moves.  Each entry picks the loop and the
+block size from the schedule and n.  So a kernel run and an engine run
 seeded identically produce identical RunRecords; the tests pin that down,
 and the engine stays the reference.
 
 The naming protocol has one stepping loop over every pair, mobile/mobile
-pairs included (_step_gros), fed by one of three pair sources: uniform
-and round-robin pairs drawn as they are read, in blocks that grow with the
-run (_blocks), the round-robin ones worked out from their positions in the
-cycle (_roundrobin_pairs), and the adversarial schedule, which reads the
-live names (_adversary).
+pairs included (_step_gros), fed by a pair source: those of _PAIRS drawn
+as they are read, in blocks that grow with the run (_blocks), the
+round-robin ones worked out from their positions in the cycle
+(_roundrobin_pairs), or the adversarial schedule, which reads the live
+names (_adversary).
 
 All kernels take the limits produced by engine.resolve_limits and halt at
 their protocol's convergence predicate.  A bit kernel consumes its list of
@@ -65,7 +68,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .engine import PENDING, InvariantViolation, RecordRow, RunRecord
+from .engine import PENDING, InvariantViolation, RecordRow, RunRecord, SchedulerKind
 from .engine import _counter_error, _counters_broken, _credit_error, _silence_broken
 from .engine import _silence_error, _structure_broken, _structure_error
 from .protocols import NameOverflow, phase_threshold
@@ -455,14 +458,8 @@ def _block_phased(draw, size, n, marks, rng, metric_budget, total_cap, check):
 # runs lose.  On a 2-core x86-64 machine, BST-only single trials from
 # random marks took 0.51 of _step_bits's time at n = 9, 0.33 at n = 10 and
 # 0.21 at n = 12, but 0.89 at n = 8 and 1.69 at n = 7 (best of 5 x 300).
-# Uniform-pair trials, in draws sized by _uniform_block, took 0.89 at
-# n = 9, 0.66 at n = 10 and 1.29 at n = 8, and round-robin runs from a
-# mixed start, which last their whole budget, 4.2 / 34.3 / 166.7 ms
-# against 18.2 / 178.1 / 707.0 ms at n = 9 / 12 / 14 (one run each), both
-# against the flip-only scalar loop that _step_bits replaced, 2-7% faster
-# at n = 6-8; from zeros a round-robin run converges in n meetings, in
-# 0.24-0.28 ms against 0.08-0.12 ms (best of 3 x 200).  A 1024-trial
-# BST-only batch took 0.67 of the lanes' time at n = 9 and 1.16 at n = 8.
+# A 1024-trial BST-only batch took 0.67 of the lanes' time at n = 9 and
+# 1.16 at n = 8.
 FLIP_BLOCK_MIN_N = 9
 # The block kernel holds the marks as the bits of one int64; above this
 # flip steps one meeting at a time, and only with a bound (TrialBatchSpec).
@@ -477,64 +474,56 @@ FLIP_MAX_N = 63
 # n = 256.
 TIMEOPT_BLOCK_MIN_N = 64
 
+# Each schedule's source: the base-station events of the bit protocols and
+# the pairs of the naming protocol (the adversary reads the live names).
+_EVENTS = {
+    SchedulerKind.BST_ONLY: _bst_draw,
+    SchedulerKind.UNIFORM_PAIR: _uniform_draw,
+    SchedulerKind.ROUND_ROBIN: _roundrobin_draw,
+}
+_PAIRS = {
+    SchedulerKind.UNIFORM_PAIR: _uniform_pairs,
+    SchedulerKind.ROUND_ROBIN: _roundrobin_pairs,
+}
 
-def _flip_loop(n):
-    """Flip's stepping loop at n agents, the same under every scheduler."""
+
+def simulate_flip(scheduler, n, marks, rng, metric_budget, total_cap, check=True):
+    """Flip protocol under `scheduler`: BST-only (1 double/step), uniform
+    pairs (2 doubles/step) or round-robin (no doubles, in blocks of whole
+    cycles holding some 4096 meetings)."""
     block = FLIP_BLOCK_MIN_N <= n <= FLIP_MAX_N
-    return _block_flip if block else partial(_step_bits, True)
-
-
-def simulate_flip_bst(n, marks, rng, metric_budget, total_cap, check=True):
-    """Flip protocol under base-station-only scheduling (1 double/step)."""
-    step = _flip_loop(n)
-    if step is _block_flip:
+    if scheduler is SchedulerKind.UNIFORM_PAIR:
+        size = _flip_uniform_block(n, metric_budget)
+    elif scheduler is SchedulerKind.ROUND_ROBIN:
+        size = _cycles(n)
+    elif block:
         # blocks of 2^(n+1) draws, about twice the mean run, were fastest
         size = min(4096, 2 << n)
     else:
         size = _batch_size(min(metric_budget, total_cap))
-    return step(_bst_draw, size, n, marks, rng, metric_budget, total_cap, check)
+    step = _block_flip if block else partial(_step_bits, True)
+    return step(_EVENTS[scheduler], size, n, marks, rng, metric_budget, total_cap, check)
 
 
-def simulate_timeopt_bst(n, marks, rng, metric_budget, total_cap, check=True):
-    """Phased protocol under base-station-only scheduling (1 double/step)."""
-    if n >= TIMEOPT_BLOCK_MIN_N:
-        size = _timeopt_bst_block(n, metric_budget)
-        step = _block_phased
+def simulate_timeopt(scheduler, n, marks, rng, metric_budget, total_cap, check=True):
+    """Phased protocol under `scheduler`, drawing as simulate_flip does."""
+    step = partial(_step_bits, False)
+    if scheduler is SchedulerKind.UNIFORM_PAIR:
+        size = _timeopt_uniform_block(n, metric_budget)
+    elif scheduler is SchedulerKind.ROUND_ROBIN:
+        size = _cycles(n)
+    elif n >= TIMEOPT_BLOCK_MIN_N:
+        size, step = _timeopt_bst_block(n, metric_budget), _block_phased
     else:
         size = _batch_size(min(metric_budget, total_cap))
-        step = partial(_step_bits, False)
-    return step(_bst_draw, size, n, marks, rng, metric_budget, total_cap, check)
+    return step(_EVENTS[scheduler], size, n, marks, rng, metric_budget, total_cap, check)
 
 
-def simulate_flip_uniform(n, marks, rng, metric_budget, total_cap, check=True):
-    """Flip protocol under uniform-pair scheduling (2 doubles/step)."""
-    step = _flip_loop(n)
-    size = _flip_uniform_block(n, metric_budget)
-    return step(_uniform_draw, size, n, marks, rng, metric_budget, total_cap, check)
-
-
-def simulate_timeopt_uniform(n, marks, rng, metric_budget, total_cap, check=True):
-    """Phased protocol under uniform-pair scheduling (2 doubles/step)."""
-    size = _timeopt_uniform_block(n, metric_budget)
-    return _step_bits(
-        False, _uniform_draw, size, n, marks, rng, metric_budget, total_cap, check
-    )
-
-
-def simulate_flip_roundrobin(n, marks, rng, metric_budget, total_cap, check=True):
-    """Flip protocol under round-robin scheduling (no doubles), in blocks
-    of whole cycles holding some 4096 meetings."""
-    return _flip_loop(n)(
-        _roundrobin_draw, _cycles(n), n, marks, rng, metric_budget, total_cap, check
-    )
-
-
-def simulate_timeopt_roundrobin(n, marks, rng, metric_budget, total_cap, check=True):
-    """Phased protocol under round-robin scheduling (no doubles)."""
-    size = _cycles(n)
-    return _step_bits(
-        False, _roundrobin_draw, size, n, marks, rng, metric_budget, total_cap, check
-    )
+# the entries with one schedule filled in, as the callers outside read them
+simulate_flip_bst = partial(simulate_flip, SchedulerKind.BST_ONLY)
+simulate_flip_uniform = partial(simulate_flip, SchedulerKind.UNIFORM_PAIR)
+simulate_timeopt_bst = partial(simulate_timeopt, SchedulerKind.BST_ONLY)
+simulate_timeopt_uniform = partial(simulate_timeopt, SchedulerKind.UNIFORM_PAIR)
 
 
 LANE_FAULT = "a lane broke an invariant"
@@ -693,10 +682,11 @@ flip_bst_lanes = partial(_lanes, _flip_lanes)
 timeopt_bst_lanes = partial(_lanes, _timeopt_lanes)
 
 
-def _name_tally(names, bound):
-    """Agents per name, sinks included, and the count of non-sink names
-    held by two or more agents: the state the naming loop keeps."""
-    counts = [0] * bound
+def _name_tally(names, size):
+    """Agents per name 0..size-1, sinks included, and the count of
+    non-sink names held by two or more agents: the state the naming loop
+    keeps."""
+    counts = [0] * size
     for v in names:
         counts[v] += 1
     return counts, sum(c >= 2 for c in counts[1:])
@@ -706,7 +696,7 @@ def _blocks(draw, size, rng, names, counts):
     """A pair source of _step_gros that reads nothing of the names: the
     pairs of `draw`, drawn a block at a time as they are read, the first
     block min(256, size) pairs and each next one twice as long, up to
-    `size`.  The naming kernels pass 4096, or the cap when that is fewer.
+    `size`.  simulate_gros passes 4096, or the cap when that is fewer.
     A uniform trial at n = 6 from zeros reads some 560 pairs: it took
     100-102 us with growing blocks against 160-164 us with 4096-pair ones,
     and a round-robin one 56-59 us against 114-115 us (best of five rounds
@@ -756,10 +746,17 @@ def _step_gros(pairs, names, bound, metric_budget, total_cap):
     converges at 0 and reads no pair), after metric_budget non-null
     transitions, or after total_cap interactions.  Every run it reports
     silent is checked to hold n distinct non-sink names.  Returns the
-    record and the final names."""
+    record and the final names.
+
+    The k-th name handed out is at most k.bit_length(), and a run hands
+    out at most total_cap names, so the counts run to the larger of the
+    start's largest name and (total_cap + 1).bit_length(), capped by the
+    bound, past which NameOverflow is raised first: a run costs what its
+    start and its cap allow, whatever p."""
     names = list(names)
     n = len(names)
-    counts, homonyms = _name_tally(names, bound)
+    top = max(max(names, default=0), (total_cap + 1).bit_length())
+    counts, homonyms = _name_tally(names, min(bound, top + 1))
     k = 1
     total = bst_count = non_null = 0
     conv = None if counts[0] or homonyms else 0
@@ -805,23 +802,24 @@ def _step_gros(pairs, names, bound, metric_budget, total_cap):
     return record, names
 
 
+def simulate_gros(scheduler, names, bound, rng, metric_budget, total_cap):
+    """Naming protocol under `scheduler`: uniform pairs (2 doubles/step)
+    or round-robin pairs (no doubles), a block at a time, or the
+    deterministic adversarial schedule, every step non-null.  Returns the
+    run record and the final names; the silence check runs in every
+    naming run."""
+    if scheduler is SchedulerKind.WEAK_ADVERSARIAL:
+        pairs = _adversary
+    else:
+        pairs = partial(_blocks, _PAIRS[scheduler], min(4096, total_cap), rng)
+    return _step_gros(pairs, names, bound, metric_budget, total_cap)
+
+
 def simulate_gros_adversarial(names, bound, metric_budget, total_cap, check=True):
-    """Naming protocol under the deterministic adversarial schedule, every
-    step non-null: the run record and the final names.  The silence check
-    runs whatever `check` says, as in every naming run."""
-    return _step_gros(_adversary, names, bound, metric_budget, total_cap)
-
-
-def simulate_gros_uniform(names, bound, rng, metric_budget, total_cap):
-    """Naming protocol under uniform-pair scheduling (2 doubles/step)."""
-    pairs = partial(_blocks, _uniform_pairs, min(4096, total_cap), rng)
-    return _step_gros(pairs, names, bound, metric_budget, total_cap)[0]
-
-
-def simulate_gros_roundrobin(names, bound, rng, metric_budget, total_cap):
-    """Naming protocol under round-robin scheduling (no doubles)."""
-    pairs = partial(_blocks, _roundrobin_pairs, min(4096, total_cap), rng)
-    return _step_gros(pairs, names, bound, metric_budget, total_cap)[0]
+    """simulate_gros under the adversarial schedule, whatever `check` says."""
+    return simulate_gros(
+        SchedulerKind.WEAK_ADVERSARIAL, names, bound, None, metric_budget, total_cap
+    )
 
 
 @lru_cache(maxsize=64)

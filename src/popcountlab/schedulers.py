@@ -9,11 +9,9 @@ used.  Of the deterministic schedulers, round-robin reads its cycle from a
 generator and the adversary keeps no state.
 """
 
-from enum import Enum, unique
-
 import numpy as np
 
-from .engine import BST, Configuration
+from .engine import BST, Configuration, SchedulerKind
 from .protocols import SINK_NAME, GrosBst
 
 # Identifier of the random stream: numpy's PCG64 behind default_rng.
@@ -24,16 +22,6 @@ READ_AHEAD = 256
 
 class IncompatibleProtocol(ValueError):
     """The scheduler cannot serve configurations of this protocol."""
-
-
-@unique
-class SchedulerKind(Enum):
-    """Built-in schedulers, keyed by their CLI names."""
-
-    UNIFORM_PAIR = "uniform"
-    BST_ONLY = "bst"
-    ROUND_ROBIN = "roundrobin"
-    WEAK_ADVERSARIAL = "adversarial"
 
 
 class Scheduler:

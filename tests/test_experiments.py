@@ -233,6 +233,41 @@ class TestReplayEquality:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_a_wide_name_bound_leaves_every_naming_record(self, data):
+        # the naming loop counts only the names its start and its cap allow
+        scheduler = data.draw(st.sampled_from(PAIR_SCHEDULERS))
+        n = data.draw(st.integers(1, 8))
+        names = data.draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+        cap = data.draw(st.sampled_from([None, 1, 7, 50]))
+        spec = TrialBatchSpec(
+            protocol=ProtocolId.GROS_NAMING,
+            n=n,
+            trials=1,
+            scheduler=scheduler,
+            init=InitPolicy.EXPLICIT_VECTOR,
+            vector=tuple(names),
+            seed=data.draw(st.integers(0, 2 ** 32)),
+            stop=None if cap is None else StopCondition(StopKind.COUNT_REACHES_N, cap),
+        )
+        assert run_trial(replace(spec, bound=10**9), 0) == run_trial(spec, 0)
+
+    @pytest.mark.parametrize("scheduler", PAIR_SCHEDULERS)
+    def test_a_naming_run_stops_at_its_metric_budget(self, monkeypatch, scheduler):
+        def limits(protocol, n, stop):
+            return 3, resolve_limits(protocol, n, stop)[1]
+
+        monkeypatch.setattr(experiments, "resolve_limits", limits)
+        monkeypatch.setattr(engine, "resolve_limits", limits)
+        spec = TrialBatchSpec(
+            protocol=ProtocolId.GROS_NAMING, n=6, trials=4, scheduler=scheduler, seed=5
+        )
+        for index in range(4):
+            record = run_trial(spec, index)
+            assert record.non_null_transitions == 3 and not record.converged
+            assert record == run_trial(spec, index, force_engine=True)
+
     @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
     @given(data=st.data())
     def test_a_planted_fault_reads_alike_on_the_engine_and_the_kernels(self, data):
@@ -1853,7 +1888,9 @@ class TestSpecValidation:
         }
         assert len(blocks) == 2 * n
         for marks in itertools.product((0, 1), repeat=n):
-            record = kernels.simulate_flip_roundrobin(n, list(marks), None, budget, cap)
+            record = kernels.simulate_flip(
+                SchedulerKind.ROUND_ROBIN, n, list(marks), None, budget, cap
+            )
             if marks in blocks:
                 assert record.converged_at_bst_interaction is not None
             else:
@@ -1956,11 +1993,8 @@ class TestAdversarialNaming:
             limits = resolve_limits(ProtocolId.GROS_NAMING, n, experiments.NATURAL_STOP)
             for index, (start, want) in enumerate(zip(starts, expected)):
                 rng = trial_rng(n, index)
-                for record in (
-                    kernels.simulate_gros_adversarial(start, n + 1, *limits)[0],
-                    kernels.simulate_gros_uniform(start, n + 1, rng, *limits),
-                    kernels.simulate_gros_roundrobin(start, n + 1, rng, *limits),
-                ):
+                for scheduler in PAIR_SCHEDULERS:
+                    record, _ = kernels.simulate_gros(scheduler, start, n + 1, rng, *limits)
                     assert record.converged_at_non_null == want, start
 
     def test_every_swept_start_keeps_its_record_and_names(self):
@@ -2040,8 +2074,8 @@ class TestNamingSilenceCheck:
     ):
         real_tally = kernels._name_tally
 
-        def blind_tally(names, bound):
-            return real_tally(names, bound)[0], 0
+        def blind_tally(names, size):
+            return real_tally(names, size)[0], 0
 
         monkeypatch.setattr(kernels, "_name_tally", blind_tally)
         spec = TrialBatchSpec(
