@@ -323,7 +323,3 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     return args.handler(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -418,18 +418,27 @@ class TestSimulateCommand:
         )
         assert code == 2 and "converged" in err
 
-    @pytest.mark.parametrize("scheduler", ["roundrobin", "uniform", "adversarial"])
-    def test_bounded_naming_run_at_large_n_ends_at_once(self, scheduler):
+    @pytest.mark.parametrize(
+        "protocol,scheduler,n",
+        [
+            ("gros", "roundrobin", 10**6),
+            ("gros", "uniform", 10**6),
+            ("gros", "adversarial", 10**6),
+            ("flip", "bst", 10**7),
+        ],
+    )
+    def test_a_bounded_run_at_large_n_ends_at_once(self, protocol, scheduler, n):
         # a bounded run costs what its bound allows, whatever n: the
         # round-robin pairs are worked out from their slots, never from
-        # the cycle's 5 * 10^11 pairs.  The address-space limit makes a
-        # run that builds the cycle fail at once rather than fill memory
+        # the cycle's 5 * 10^11 pairs, and flip builds no streak table.
+        # The address-space limit makes a run that builds the cycle fail
+        # at once rather than fill memory
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
         command = [
-            sys.executable, "-m", "popcountlab", "simulate", "--protocol", "gros",
-            "--scheduler", scheduler, "--n", "1000000", "--max-interactions", "5",
+            sys.executable, "-m", "popcountlab", "simulate", "--protocol", protocol,
+            "--scheduler", scheduler, "--n", str(n), "--max-interactions", "5",
         ]
         started = time.perf_counter()
         result = subprocess.run(

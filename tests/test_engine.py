@@ -36,7 +36,7 @@ from popcountlab.protocols import (
     flip_step,
     gros_term,
 )
-from popcountlab.schedulers import BstOnlyScheduler, make_scheduler, SchedulerKind
+from popcountlab.schedulers import make_scheduler, SchedulerKind
 
 
 class ScriptedScheduler:
@@ -370,22 +370,27 @@ class TestOptimality:
     @settings(max_examples=200, deadline=None)
     @given(
         protocol=st.sampled_from([ProtocolId.FLIP, ProtocolId.TIME_OPT]),
+        kind=st.sampled_from(
+            [SchedulerKind.BST_ONLY, SchedulerKind.UNIFORM_PAIR, SchedulerKind.ROUND_ROBIN]
+        ),
         marks=st.integers(1, 10).flatmap(
             lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n)
         ),
         seed=st.integers(0, 2 ** 32),
     )
-    def test_the_count_never_passes_the_agents_met(self, protocol, marks, seed):
+    def test_the_count_never_passes_the_agents_met(self, protocol, kind, marks, seed):
         # The paper's optimality argument, run by run: the base station
         # counts an agent only by meeting it, so from zeroed counters its
-        # count is at every step at most the distinct agents it has met.
+        # count is at every step at most the distinct agents it has met,
+        # under every schedule; a mobile pair meets no one.
         config = initial_configuration(protocol, marks)
-        scheduler = BstOnlyScheduler(seed)
+        scheduler = make_scheduler(kind, seed)
         met = set()
         for _ in range(20_000):
             pair = scheduler.next_pair(config)
             config, _, _ = apply_interaction(protocol, config, pair)
-            met.add(pair[1])
+            if pair[0] == BST:
+                met.add(pair[1])
             assert config.bst.c <= len(met)
             if config.bst.c == len(marks):
                 break
